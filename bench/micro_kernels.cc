@@ -181,9 +181,8 @@ void BM_WalkGenerationThreads(benchmark::State& state) {
 BENCHMARK(BM_WalkGenerationThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // ---------------------------------------------------------------------------
-// FeaturizeThroughput: serving-path rows/sec, legacy row-at-a-time vs the
-// batched fast path (column-wise textify + token interning + blocked
-// parallel gather). The `items_per_second` column is the throughput table
+// FeaturizeThroughput: serving-path rows/sec of the batched fast path
+// (column-wise textify + token interning + blocked parallel gather). The `items_per_second` column is the throughput table
 // recorded in EXPERIMENTS.md. Args are {threads, rows_in_graph}.
 // ---------------------------------------------------------------------------
 
@@ -222,19 +221,6 @@ FeaturizeFixture& GetFeaturizeFixture() {
   static FeaturizeFixture* fixture = new FeaturizeFixture();
   return *fixture;
 }
-
-void BM_FeaturizeLegacy(benchmark::State& state) {
-  FeaturizeFixture& f = GetFeaturizeFixture();
-  const bool rows_in_graph = state.range(0) != 0;
-  f.pipeline.set_serving_options(1, 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.pipeline.FeaturizeLegacy(
-        *f.base, f.data.target_column, f.encoder, rows_in_graph));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(f.base->NumRows()));
-}
-BENCHMARK(BM_FeaturizeLegacy)->Arg(0)->Arg(1);
 
 void BM_FeaturizeBatched(benchmark::State& state) {
   FeaturizeFixture& f = GetFeaturizeFixture();
@@ -370,14 +356,13 @@ BENCHMARK(BM_DequantRowI8);
 
 // ---------------------------------------------------------------------------
 // Word2VecThroughput: skip-gram training tokens/sec over a fixed walk
-// corpus — the reference trainer vs the SIMD fast path (sequential and
-// Hogwild) vs the deterministic-parallel merge trainer. The argument is the
+// corpus — the skip-gram kernel under the sequential/Hogwild schedule vs
+// the deterministic-parallel merge schedule. The argument is the
 // worker count; items_per_second is corpus tokens per epoch-pass per second.
 // ---------------------------------------------------------------------------
 
 struct W2VFixture {
   FlatCorpus flat;
-  std::vector<std::vector<uint32_t>> nested;  // TrainLegacy's input form
   size_t vocab = 0;
 
   W2VFixture() {
@@ -389,9 +374,6 @@ struct W2VFixture {
     Rng rng(11);
     BatchedWalkGenerator generator(&f.graph, options);
     flat = std::move(generator.Generate(&rng)).value();
-    for (size_t i = 0; i < flat.size(); ++i) {
-      nested.emplace_back(flat[i].begin(), flat[i].end());
-    }
     vocab = f.graph.NumNodes();
   }
 };
@@ -407,19 +389,6 @@ Word2VecOptions W2VBenchOptions() {
   options.epochs = 1;
   return options;
 }
-
-void BM_Word2VecThroughputLegacy(benchmark::State& state) {
-  W2VFixture& w = GetW2VFixture();
-  const Word2VecOptions options = W2VBenchOptions();
-  for (auto _ : state) {
-    Word2Vec model(options);
-    Rng rng(12);
-    benchmark::DoNotOptimize(model.TrainLegacy(w.nested, w.vocab, &rng));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(w.flat.num_tokens()));
-}
-BENCHMARK(BM_Word2VecThroughputLegacy);
 
 void BM_Word2VecThroughputFast(benchmark::State& state) {
   W2VFixture& w = GetW2VFixture();

@@ -27,6 +27,7 @@
 #include "serve/batcher.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "serve/stats.h"
 
 namespace leva::serve {
 namespace {
@@ -218,7 +219,7 @@ int RunLoopbackBench() {
                    r.errors, r.ok, kRequests);
       return 1;
     }
-    const bench::LatencySummary lat = bench::SummarizeLatencies(r.latencies);
+    const serve::LatencySummary lat = serve::SummarizeLatencies(r.latencies);
     std::printf("%-14s %7zu %8.3f %8.0f %9.0f %9.3f %9.3f %15.1f\n",
                 config.name, r.ok, r.wall_seconds, r.ok / r.wall_seconds,
                 r.ok * kRowsPerRequest / r.wall_seconds, lat.p50 * 1e3,
@@ -324,7 +325,7 @@ int ConnectAndDrive(const std::string& host, uint16_t port, size_t clients,
       std::printf("  %-24s %.3f\n", name.c_str(), value);
     }
   }
-  const bench::LatencySummary lat = bench::SummarizeLatencies(r.latencies);
+  const serve::LatencySummary lat = serve::SummarizeLatencies(r.latencies);
   std::printf("%zu ok, %zu overloaded, %zu errors in %.3fs "
               "(p50 %.3fms, p99 %.3fms)\n",
               r.ok, r.overloaded, r.errors, r.wall_seconds, lat.p50 * 1e3,

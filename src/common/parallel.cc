@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <exception>
-#include <fstream>
 #include <memory>
-#include <string>
 #include <utility>
 
 #if defined(__linux__)
 #include <sched.h>
-#include <sys/mman.h>
-#include <unistd.h>
 #endif
 
 namespace leva {
@@ -147,288 +142,6 @@ void ParallelFor(size_t threads, size_t begin, size_t end, size_t grain,
   std::unique_lock<std::mutex> lock(state->mu);
   state->done_cv.wait(lock, [&state] {
     return state->chunks_done.load() == state->chunks;
-  });
-  if (state->error) std::rethrow_exception(state->error);
-}
-
-// ---------------------------------------------------------------------------
-// NUMA-aware placement
-// ---------------------------------------------------------------------------
-
-std::vector<int> NumaTopology::ParseCpuList(const std::string& list) {
-  // sysfs cpulist syntax: comma-separated decimal ids and inclusive ranges,
-  // e.g. "0-3,8,10-11". Anything malformed yields an empty vector and the
-  // caller falls back to the single-node topology.
-  std::vector<int> cpus;
-  size_t pos = 0;
-  while (pos < list.size()) {
-    size_t end = list.find(',', pos);
-    if (end == std::string::npos) end = list.size();
-    const std::string item = list.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) continue;
-    const size_t dash = item.find('-');
-    try {
-      if (dash == std::string::npos) {
-        cpus.push_back(std::stoi(item));
-      } else {
-        const int lo = std::stoi(item.substr(0, dash));
-        const int hi = std::stoi(item.substr(dash + 1));
-        if (hi < lo || hi - lo > 4095) return {};
-        for (int c = lo; c <= hi; ++c) cpus.push_back(c);
-      }
-    } catch (...) {
-      return {};
-    }
-  }
-  return cpus;
-}
-
-NumaTopology::NumaTopology() {
-#if defined(__linux__)
-  // Probe node directories in order; a gap ends the scan (sysfs numbers
-  // online nodes contiguously on every machine we care about, and a missing
-  // node0 means the interface is absent entirely).
-  for (size_t node = 0;; ++node) {
-    const std::string path = "/sys/devices/system/node/node" +
-                             std::to_string(node) + "/cpulist";
-    std::ifstream in(path);
-    if (!in.is_open()) break;
-    std::string list;
-    std::getline(in, list);
-    std::vector<int> cpus = ParseCpuList(list);
-    // Memory-only nodes (CXL, pmem) expose an empty cpulist; walkers cannot
-    // run there, so they are skipped rather than given an empty shard.
-    if (!cpus.empty()) node_cpus_.push_back(std::move(cpus));
-  }
-#endif
-  if (node_cpus_.empty()) {
-    // Fallback pseudo-node: every cpu id we can name. Affinity guards treat
-    // the single-node case as a no-op, so the ids only need to be plausible.
-    std::vector<int> all;
-    const size_t n = ThreadPool::HardwareConcurrency();
-    all.reserve(n);
-    for (size_t c = 0; c < n; ++c) all.push_back(static_cast<int>(c));
-    node_cpus_.push_back(std::move(all));
-  }
-}
-
-const NumaTopology& NumaTopology::Get() {
-  static const NumaTopology* topo = new NumaTopology();
-  return *topo;
-}
-
-ScopedNodeAffinity::ScopedNodeAffinity(size_t node) {
-#if defined(__linux__)
-  const NumaTopology& topo = NumaTopology::Get();
-  if (!topo.multi_node() || node >= topo.num_nodes()) return;
-  cpu_set_t saved;
-  CPU_ZERO(&saved);
-  if (sched_getaffinity(0, sizeof(saved), &saved) != 0) return;
-  cpu_set_t target;
-  CPU_ZERO(&target);
-  for (int cpu : topo.cpus(node)) {
-    if (cpu >= 0 && cpu < CPU_SETSIZE) CPU_SET(cpu, &target);
-  }
-  if (CPU_COUNT(&target) == 0) return;
-  if (sched_setaffinity(0, sizeof(target), &target) != 0) return;
-  saved_mask_.resize(sizeof(saved));
-  std::memcpy(saved_mask_.data(), &saved, sizeof(saved));
-  pinned_ = true;
-#else
-  (void)node;
-#endif
-}
-
-ScopedNodeAffinity::~ScopedNodeAffinity() {
-#if defined(__linux__)
-  if (!pinned_) return;
-  cpu_set_t saved;
-  std::memcpy(&saved, saved_mask_.data(), sizeof(saved));
-  sched_setaffinity(0, sizeof(saved), &saved);
-#endif
-}
-
-namespace {
-
-constexpr size_t kPageBytes = 4096;
-
-// Node-contiguous stripe [begin, end) for `node` of `num_nodes`, boundaries
-// rounded down to `align` multiples (except the final end). Shared by the
-// first-touch fill and ParallelForNuma so placement and execution agree.
-std::pair<size_t, size_t> NodeStripe(size_t begin, size_t end, size_t node,
-                                     size_t num_nodes, size_t align) {
-  const size_t count = end - begin;
-  const size_t per = count / num_nodes;
-  auto cut = [&](size_t k) {
-    if (k == 0) return begin;
-    if (k >= num_nodes) return end;
-    return begin + (per * k) / align * align;
-  };
-  return {cut(node), cut(node + 1)};
-}
-
-}  // namespace
-
-NumaFirstTouchBytes::NumaFirstTouchBytes(size_t bytes) : bytes_(bytes) {
-  if (bytes == 0) return;
-#if defined(__linux__)
-  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p != MAP_FAILED) {
-    data_ = p;
-    mmapped_ = true;
-  }
-#endif
-  if (data_ == nullptr) {
-    // Portable fallback: page-aligned heap memory, zeroed below. Placement
-    // is then whatever the allocator already faulted, which is the best a
-    // platform without mmap control offers.
-    data_ = ::operator new(bytes, std::align_val_t(kPageBytes));
-  }
-  const NumaTopology& topo = NumaTopology::Get();
-  const size_t nodes = topo.num_nodes();
-  if (!topo.multi_node()) {
-    if (!mmapped_) std::memset(data_, 0, bytes);
-    // Fresh anonymous pages are already zero; fault them lazily on first
-    // real use instead of paying an eager O(bytes) touch here.
-    return;
-  }
-  // First-touch each node's stripe from a thread pinned to that node, in
-  // parallel: the fault (not the allocation) decides the backing node.
-  ParallelFor(nodes, 0, nodes, 1, [&](size_t b, size_t e) {
-    for (size_t node = b; node < e; ++node) {
-      const auto [lo, hi] = NodeStripe(0, bytes, node, nodes, kPageBytes);
-      if (lo >= hi) continue;
-      ScopedNodeAffinity pin(node);
-      std::memset(static_cast<char*>(data_) + lo, 0, hi - lo);
-    }
-  });
-}
-
-NumaFirstTouchBytes::~NumaFirstTouchBytes() {
-  if (data_ == nullptr) return;
-#if defined(__linux__)
-  if (mmapped_) {
-    munmap(data_, bytes_);
-    return;
-  }
-#endif
-  ::operator delete(data_, std::align_val_t(kPageBytes));
-}
-
-NumaFirstTouchBytes::NumaFirstTouchBytes(NumaFirstTouchBytes&& other) noexcept
-    : data_(other.data_), bytes_(other.bytes_), mmapped_(other.mmapped_) {
-  other.data_ = nullptr;
-  other.bytes_ = 0;
-  other.mmapped_ = false;
-}
-
-NumaFirstTouchBytes& NumaFirstTouchBytes::operator=(
-    NumaFirstTouchBytes&& other) noexcept {
-  if (this == &other) return *this;
-  this->~NumaFirstTouchBytes();
-  data_ = other.data_;
-  bytes_ = other.bytes_;
-  mmapped_ = other.mmapped_;
-  other.data_ = nullptr;
-  other.bytes_ = 0;
-  other.mmapped_ = false;
-  return *this;
-}
-
-namespace {
-
-// Per-node chunk queue of a ParallelForNuma call. Chunks inside a stripe lie
-// on the global grain grid (see NodeStripe), so the union over stripes is
-// exactly ParallelFor's chunk layout.
-struct NumaStripe {
-  size_t begin = 0;
-  size_t end = 0;
-  size_t chunks = 0;
-  std::atomic<size_t> next{0};
-};
-
-struct NumaForState {
-  std::unique_ptr<NumaStripe[]> stripes;
-  size_t num_stripes = 0;
-  size_t total_chunks = 0;
-  std::atomic<size_t> chunks_done{0};
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::exception_ptr error;  // first exception, guarded by mu
-};
-
-}  // namespace
-
-void ParallelForNuma(size_t threads, size_t begin, size_t end, size_t grain,
-                     const std::function<void(size_t, size_t)>& fn) {
-  if (end <= begin) return;
-  const NumaTopology& topo = NumaTopology::Get();
-  const size_t nodes = topo.num_nodes();
-  grain = std::max<size_t>(1, grain);
-  threads = std::max<size_t>(1, ResolveThreads(threads));
-  // Single-node machines and ranges too small to give every node a chunk
-  // take the plain path — same chunk grid, no pinning overhead.
-  if (!topo.multi_node() || (end - begin) < grain * nodes || threads < nodes) {
-    ParallelFor(threads, begin, end, grain, fn);
-    return;
-  }
-
-  auto state = std::make_shared<NumaForState>();
-  state->stripes = std::make_unique<NumaStripe[]>(nodes);
-  state->num_stripes = nodes;
-  for (size_t node = 0; node < nodes; ++node) {
-    const auto [lo, hi] = NodeStripe(begin, end, node, nodes, grain);
-    NumaStripe& s = state->stripes[node];
-    s.begin = lo;
-    s.end = hi;
-    s.chunks = lo < hi ? (hi - lo + grain - 1) / grain : 0;
-    state->total_chunks += s.chunks;
-  }
-
-  // Each worker pins itself to its home node and drains that node's stripe;
-  // once the home stripe is dry it steals from the other stripes (still
-  // pinned — remote reads beat idle cores). A worker scheduled only after
-  // the caller returned finds every cursor exhausted and exits without ever
-  // touching `fn`, which is why `fn` may be captured by reference.
-  auto run = [state, grain, &fn](size_t home) {
-    for (size_t off = 0; off < state->num_stripes; ++off) {
-      NumaStripe& s = state->stripes[(home + off) % state->num_stripes];
-      for (;;) {
-        const size_t c = s.next.fetch_add(1);
-        if (c >= s.chunks) break;
-        const size_t b = s.begin + c * grain;
-        try {
-          fn(b, std::min(s.end, b + grain));
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(state->mu);
-          if (!state->error) state->error = std::current_exception();
-        }
-        if (state->chunks_done.fetch_add(1) + 1 == state->total_chunks) {
-          // Under the lock for the same lost-wakeup reason as ParallelFor.
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->done_cv.notify_all();
-        }
-      }
-    }
-  };
-
-  const size_t workers = std::min(threads, state->total_chunks);
-  for (size_t w = 1; w < workers; ++w) {
-    ThreadPool::Shared().Submit([state, run, w] {
-      ScopedNodeAffinity pin(w % state->num_stripes);
-      run(w % state->num_stripes);
-    });
-  }
-  {
-    ScopedNodeAffinity pin(0);
-    run(0);
-  }
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&state] {
-    return state->chunks_done.load() == state->total_chunks;
   });
   if (state->error) std::rethrow_exception(state->error);
 }

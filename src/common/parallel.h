@@ -72,134 +72,6 @@ size_t ResolveThreads(size_t requested);
 void ParallelFor(size_t threads, size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn);
 
-// ---------------------------------------------------------------------------
-// NUMA-aware placement
-//
-// Large walk/embedding working sets are bandwidth-bound, so on multi-socket
-// machines it matters which socket's memory a page lands on and which
-// socket's cores stream through it. The primitives below expose just enough
-// of the machine to co-locate both: the node->cpu map, per-node first-touch
-// allocation, and a ParallelFor variant whose shards run pinned to the node
-// owning their pages. Everything degrades to a no-op on single-node machines
-// and on platforms without the Linux sysfs/affinity interfaces, so callers
-// write one code path and non-NUMA CI exercises it unchanged.
-// ---------------------------------------------------------------------------
-
-/// The machine's NUMA layout as exposed by sysfs
-/// (/sys/devices/system/node/node*/cpulist), detected once per process.
-/// When the interface is absent (non-Linux, restricted container) or reports
-/// a single node, the topology collapses to one pseudo-node holding every
-/// cpu id — the graceful fallback every primitive below inherits.
-class NumaTopology {
- public:
-  /// Cached process-wide topology.
-  static const NumaTopology& Get();
-
-  size_t num_nodes() const { return node_cpus_.size(); }
-  /// CPU ids of `node` (never empty).
-  const std::vector<int>& cpus(size_t node) const { return node_cpus_[node]; }
-  /// True when more than one memory node is visible — the only case where
-  /// pinning or placement can change anything.
-  bool multi_node() const { return node_cpus_.size() > 1; }
-
-  /// Parses a sysfs-style cpulist ("0-3,8,10-11"); exposed for tests.
-  static std::vector<int> ParseCpuList(const std::string& list);
-
- private:
-  NumaTopology();
-  std::vector<std::vector<int>> node_cpus_;
-};
-
-/// Pins the calling thread to the cpus of one NUMA node for the lifetime of
-/// the guard and restores the previous affinity mask on destruction. No-op
-/// (but safe) on single-node machines and where sched_{get,set}affinity is
-/// unavailable.
-class ScopedNodeAffinity {
- public:
-  explicit ScopedNodeAffinity(size_t node);
-  ~ScopedNodeAffinity();
-
-  ScopedNodeAffinity(const ScopedNodeAffinity&) = delete;
-  ScopedNodeAffinity& operator=(const ScopedNodeAffinity&) = delete;
-
-  /// True when the pin actually took effect (multi-node machine and the
-  /// affinity syscall succeeded); tests assert the fallback never errors.
-  bool pinned() const { return pinned_; }
-
- private:
-  bool pinned_ = false;
-  std::vector<unsigned char> saved_mask_;  // opaque cpu_set_t bytes
-};
-
-/// A page-aligned buffer of `count` T whose pages are first-touched in
-/// node-contiguous stripes: stripe s (an equal 1/num_nodes slice, rounded to
-/// page boundaries) is faulted in by a thread pinned to node s, so with a
-/// first-touch NUMA policy the physical pages land on the socket that
-/// ParallelForNuma will later run over that stripe. On single-node machines
-/// this is an ordinary zero-initialized allocation. T must be trivially
-/// copyable/destructible — the buffer never runs constructors beyond the
-/// zero fill.
-class NumaFirstTouchBytes {
- public:
-  NumaFirstTouchBytes() = default;
-  explicit NumaFirstTouchBytes(size_t bytes);
-  ~NumaFirstTouchBytes();
-
-  NumaFirstTouchBytes(NumaFirstTouchBytes&& other) noexcept;
-  NumaFirstTouchBytes& operator=(NumaFirstTouchBytes&& other) noexcept;
-  NumaFirstTouchBytes(const NumaFirstTouchBytes&) = delete;
-  NumaFirstTouchBytes& operator=(const NumaFirstTouchBytes&) = delete;
-
-  void* data() const { return data_; }
-  size_t size() const { return bytes_; }
-
- private:
-  void* data_ = nullptr;
-  size_t bytes_ = 0;
-  bool mmapped_ = false;
-};
-
-/// Typed wrapper over NumaFirstTouchBytes: a flat array of `count` Ts with
-/// node-striped first-touch placement. Grows by whole reallocation (contents
-/// are not preserved) — callers size it once per phase and reuse it.
-template <typename T>
-class NumaArray {
- public:
-  NumaArray() = default;
-
-  /// Ensures capacity for `count` elements; contents after a (re)allocation
-  /// are zero bytes. Never shrinks.
-  void EnsureSize(size_t count) {
-    if (count <= capacity_) return;
-    storage_ = NumaFirstTouchBytes(count * sizeof(T));
-    capacity_ = count;
-  }
-
-  T* data() { return static_cast<T*>(storage_.data()); }
-  const T* data() const { return static_cast<const T*>(storage_.data()); }
-  size_t capacity() const { return capacity_; }
-  T& operator[](size_t i) { return data()[i]; }
-  const T& operator[](size_t i) const { return data()[i]; }
-
- private:
-  NumaFirstTouchBytes storage_;
-  size_t capacity_ = 0;
-};
-
-/// ParallelFor with socket-pinned shards: [begin, end) is cut into one
-/// contiguous stripe per NUMA node, stripe boundaries rounded to multiples
-/// of `grain` so the union of every stripe's chunks is exactly the chunk
-/// grid ParallelFor would produce — chunk boundaries stay a pure function of
-/// (begin, end, grain), never of the node count or thread count, so results
-/// are bit-identical across machines whenever `fn` writes only chunk-owned
-/// state. Stripe s runs as a plain ParallelFor whose workers pin themselves
-/// to node s's cpus; an index space backed by a NumaFirstTouchBytes buffer
-/// of matching extent is then read mostly node-locally (the grain-rounded
-/// and page-rounded splits coincide up to one grain/page of slack). On
-/// single-node machines this is exactly ParallelFor.
-void ParallelForNuma(size_t threads, size_t begin, size_t end, size_t grain,
-                     const std::function<void(size_t, size_t)>& fn);
-
 /// Domain tags keeping the counter-based streams of unrelated components
 /// disjoint even when they share a pipeline seed and index range.
 namespace rngdomain {

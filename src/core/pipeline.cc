@@ -78,8 +78,8 @@ struct ResolvedColumn {
 // element-wise dequantization into the same pass via the simd.h kernels, so
 // a quantized row costs one load of its compressed bytes — no fp64 row is
 // ever materialized. The dequantize-then-weight rounding order matches what
-// the row-at-a-time path sees through Embedding::Get, keeping the fast and
-// legacy paths bit-identical at every tier. Each LEVA_TARGET_CLONES wrapper
+// the row-at-a-time path (RowVector) sees through Embedding::Get, keeping the
+// two paths bit-identical at every tier. Each LEVA_TARGET_CLONES wrapper
 // below instantiates one tier, dispatched once per chunk.
 template <StorageTier kTier>
 LEVA_ALWAYS_INLINE void GatherChunkImpl(const ResolvedColumn* cols,
@@ -429,7 +429,7 @@ Result<MLDataset> LevaPipeline::Featurize(const Table& table,
   // vectors in node-id order, so when that alignment holds (verified once on
   // the first row's label) row r's vector is store row `first + r` — no
   // per-row "<table>:<row>" string is ever built. The label-based fallback
-  // keeps the legacy lookup semantics for any non-aligned store.
+  // keeps RowVector's lookup semantics for any non-aligned store.
   const auto [first_row_node, row_node_count] = s.graph.TableRows(table.name());
   const bool aligned = rows_in_graph && first_row_node != kInvalidNode &&
                        row_node_count >= num_rows &&
@@ -558,7 +558,7 @@ Result<MLDataset> LevaPipeline::Featurize(const Table& table,
           }
         } else {
           // Quantized row halves: materialize each row once, with the same
-          // per-element rounding the legacy path sees through Get.
+          // per-element rounding RowVector sees through Get.
           for (size_t r = begin; r < end; ++r) {
             s.embedding.DequantizeRow(row_ids[r], ds.x.RowPtr(r));
           }
@@ -570,40 +570,6 @@ Result<MLDataset> LevaPipeline::Featurize(const Table& table,
     std::lock_guard<std::mutex> lock(stats_mu_);
     featurize_stats_ = fs;
     profile_.Add("featurize", call_timer.ElapsedSeconds());
-  }
-  return ds;
-}
-
-Result<MLDataset> LevaPipeline::FeaturizeLegacy(const Table& table,
-                                                const std::string& target_column,
-                                                const TargetEncoder& encoder,
-                                                bool rows_in_graph) const {
-  const std::shared_ptr<const ServingState> state =
-      serving_.load();
-  if (state == nullptr) {
-    return Status::FailedPrecondition("pipeline is not fitted");
-  }
-  const ServingState& s = *state;
-  LEVA_ASSIGN_OR_RETURN(const size_t target_idx,
-                        table.ColumnIndex(target_column));
-
-  const size_t dim = s.embedding.dim();
-  const size_t width =
-      s.config.featurization == Featurization::kRowPlusValue ? 2 * dim : dim;
-
-  MLDataset ds;
-  ds.classification = encoder.classification();
-  ds.num_classes = encoder.classification() ? encoder.num_classes() : 2;
-  ds.x = Matrix(table.NumRows(), width);
-  ds.y.resize(table.NumRows());
-  ds.feature_names = FeatureNames(dim, width);
-
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    LEVA_ASSIGN_OR_RETURN(
-        const std::vector<double> vec,
-        RowVectorImpl(s, table, r, target_column, rows_in_graph));
-    for (size_t j = 0; j < width; ++j) ds.x(r, j) = vec[j];
-    LEVA_ASSIGN_OR_RETURN(ds.y[r], encoder.Encode(table.at(r, target_idx)));
   }
   return ds;
 }

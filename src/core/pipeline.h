@@ -57,9 +57,10 @@ struct LevaConfig {
   LineOptions line;
   uint64_t seed = 42;
   /// Worker threads for every parallel stage (walk generation, Word2Vec,
-  /// SVD matmuls, batched featurization). 0 = hardware_concurrency. All
-  /// stages except Hogwild Word2Vec (see Word2VecOptions::deterministic)
-  /// produce bit-identical results at any thread count for a fixed seed.
+  /// SVD matmuls, batched featurization). 0 = every CPU in the process's
+  /// affinity mask (ResolveThreads). All stages except Hogwild Word2Vec (see
+  /// Word2VecOptions::deterministic) produce bit-identical results at any
+  /// thread count for a fixed seed.
   size_t threads = 0;
   /// Rows per serving batch in Featurize: tokens are textified, interned, and
   /// resolved batch by batch, bounding the textified-column working set on
@@ -134,7 +135,7 @@ struct SnapshotLoadOptions {
 /// whole database (which must contain the Base Table, minus any held-out
 /// test rows); Featurize turns Base-Table slices into training datasets.
 ///
-/// Concurrency: Featurize (and FeaturizeLegacy/RowVector) may be called from
+/// Concurrency: Featurize (and RowVector) may be called from
 /// any number of threads concurrently, and concurrently with ReloadSnapshot
 /// and set_serving_options. Each call snapshots the current fitted model (an
 /// atomically published, immutable ServingState) at entry and runs against
@@ -310,22 +311,15 @@ class LevaPipeline {
   /// model's lifetime (a persistent TokenResolver cache — resolution is a
   /// pure function of the fitted stores), and rows are gathered into the
   /// MLDataset matrix by a cache-blocked ParallelFor with no per-row
-  /// allocation. Output is bit-identical to FeaturizeLegacy at any thread
-  /// count / batch size. Records a "featurize" stage in profile() and
+  /// allocation. Output is bit-identical to a row loop over RowVector
+  /// (tests/reference/featurize_reference.h) at any thread count / batch
+  /// size. Records a "featurize" stage in profile() and
   /// updates featurize_stats(); safe to call concurrently (see the class
   /// comment), though the stats then reflect whichever call finished last.
   Result<MLDataset> Featurize(const Table& table,
                               const std::string& target_column,
                               const TargetEncoder& encoder,
                               bool rows_in_graph) const;
-
-  /// Reference row-at-a-time implementation (one RowVector call per row),
-  /// kept compiled as the differential-testing and benchmarking baseline for
-  /// the batched path.
-  Result<MLDataset> FeaturizeLegacy(const Table& table,
-                                    const std::string& target_column,
-                                    const TargetEncoder& encoder,
-                                    bool rows_in_graph) const;
 
   /// Vector for one row under the current featurization strategy.
   Result<std::vector<double>> RowVector(const Table& table, size_t row,

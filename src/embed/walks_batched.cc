@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "common/parallel.h"
 #include "graph/alias.h"
 
 namespace leva {
@@ -254,10 +255,12 @@ void BatchedWalkGenerator::StepEpoch(uint64_t base_seed, size_t epoch,
             static_cast<uint32_t>(walk_length));
   if (walk_length == 0) return;
 
-  front_.EnsureSize(walkers);
-  back_.EnsureSize(walkers);
+  if (front_.size() < walkers) {
+    front_.resize(walkers);
+    back_.resize(walkers);
+  }
   Walker* fr = front_.data();
-  ParallelForNuma(threads_, 0, walkers, kInitGrain, [&](size_t b, size_t e) {
+  ParallelFor(threads_, 0, walkers, kInitGrain, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
       fr[i].id = static_cast<NodeId>(i);
       fr[i].cur = starts[i];
@@ -281,7 +284,7 @@ void BatchedWalkGenerator::StepEpoch(uint64_t base_seed, size_t epoch,
     // block boundaries. Node2vec's previous vertex is the walker's slab
     // entry one step back, written by the previous step's pass.
     const bool second_order = biased_ && step > 0;
-    ParallelForNuma(threads_, 0, m, kProcessGrain, [&](size_t b, size_t e) {
+    ParallelFor(threads_, 0, m, kProcessGrain, [&](size_t b, size_t e) {
       for (size_t i = b; i < e; ++i) {
         Walker& w = frontier[i];
         NodeId* slot = traj + static_cast<size_t>(w.id) * walk_length + step;

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "embed/corpus.h"
@@ -49,12 +48,6 @@ size_t WalkWorkingSetBytes(const LevaGraph& graph, bool weighted);
 /// is a pure function of the caller's rng state and bit-identical at every
 /// thread count — pinned against the slow per-walker oracle in
 /// tests/reference/ by tests/walks_batched_test.cc.
-///
-/// NUMA: the frontier double buffers come from node-striped first-touch
-/// storage and the sampling pass runs under ParallelForNuma, so on
-/// multi-socket machines each socket streams the frontier stripe whose
-/// pages it owns (single-node machines take the identical plain-ParallelFor
-/// path).
 class BatchedWalkGenerator {
  public:
   BatchedWalkGenerator(const LevaGraph* graph, WalkOptions options);
@@ -128,9 +121,9 @@ class BatchedWalkGenerator {
   size_t block_shift_ = 0;
   size_t num_blocks_ = 1;
 
-  // Frontier double buffer (node-striped first touch) and sort scratch.
-  NumaArray<Walker> front_;
-  NumaArray<Walker> back_;
+  // Frontier double buffer (grow-only) and sort scratch.
+  std::vector<Walker> front_;
+  std::vector<Walker> back_;
   std::vector<uint64_t> bucket_offsets_;  // (block, chunk)-major cursors
 
   std::vector<size_t> visits_;

@@ -52,16 +52,15 @@ struct SigmoidTable {
   }
 };
 
-// Namespace-scope constant shared by the legacy and fast paths: built once at
-// program start, so the hot loops pay no thread-safe-static guard per call.
+// Namespace-scope constant: built once at program start, so the hot loop
+// pays no thread-safe-static guard per call.
 const SigmoidTable kSigmoid;
 
 double Sigmoid(double x) { return kSigmoid(x); }
 
-// Everything derived from the token frequencies that both trainers share:
-// the negative-sampling distribution and the subsampling keep-probabilities.
-// Pure function of (freq, total_tokens, options), so legacy and fast paths
-// compute bit-identical tables.
+// Everything derived from the token frequencies: the negative-sampling
+// distribution and the subsampling keep-probabilities. Pure function of
+// (freq, total_tokens, options).
 struct TrainPlan {
   std::vector<double> keep;
   AliasTable negatives;
@@ -107,11 +106,34 @@ void InitWeights(size_t vocab_size, size_t dim, Rng* rng, Matrix* node,
   }
 }
 
-// Copy-on-first-touch view over the rows of a weight matrix that one
-// deterministic shard updates. `cur` holds the shard's working copies (plain
-// sequential SGD within the shard), `orig` the round-start snapshot, so the
-// merge applies cur - orig per row. Insertion order is recorded in `rows` and
-// is a pure function of the shard's sentences, making the merge order
+// Subsampled sentence: keeps token t with probability plan.keep[t]. Draws
+// from `r` only for tokens whose keep-probability is below one.
+void Subsample(const TrainPlan& plan, std::span<const uint32_t> sentence,
+               Rng* r, std::vector<uint32_t>* kept) {
+  kept->clear();
+  for (const uint32_t t : sentence) {
+    if (plan.keep[t] >= 1.0 || r->Uniform() < plan.keep[t]) {
+      kept->push_back(t);
+    }
+  }
+}
+
+// Row access of the sequential and Hogwild paths: straight into the shared
+// weight matrices. A context row's slot is its row id.
+struct SharedRows {
+  Matrix* node;
+  Matrix* context;
+
+  double* NodeRow(uint32_t row) { return node->RowPtr(row); }
+  uint32_t ContextSlot(uint32_t row) { return row; }
+  double* ContextRow(uint32_t slot) { return context->RowPtr(slot); }
+};
+
+// Copy-on-first-touch rows of one weight matrix that one deterministic
+// shard updates. `cur` holds the shard's working copies (plain sequential
+// SGD within the shard), `orig` the round-start snapshot, so the merge
+// applies cur - orig per row. Insertion order is recorded in `rows` and is a
+// pure function of the shard's sentences, making the merge order
 // thread-count invariant.
 struct ShardRows {
   std::unordered_map<uint32_t, uint32_t> slot;
@@ -119,7 +141,9 @@ struct ShardRows {
   std::vector<double> cur;
   std::vector<double> orig;
 
-  double* Touch(const Matrix& m, uint32_t row, size_t dim) {
+  // Slot of `row`, copying it in on first touch. May grow the arena, which
+  // invalidates every pointer previously returned by Row.
+  uint32_t Touch(const Matrix& m, uint32_t row, size_t dim) {
     const auto [it, inserted] =
         slot.emplace(row, static_cast<uint32_t>(rows.size()));
     if (inserted) {
@@ -128,84 +152,30 @@ struct ShardRows {
       cur.insert(cur.end(), src, src + dim);
       orig.insert(orig.end(), src, src + dim);
     }
-    return cur.data() + static_cast<size_t>(it->second) * dim;
+    return it->second;
+  }
+  double* Row(uint32_t s, size_t dim) {
+    return cur.data() + static_cast<size_t>(s) * dim;
   }
 };
 
+// Row access of one deterministic shard: reads the weights frozen at the
+// round start, writes private copies merged at the round barrier.
 struct ShardUpdate {
+  const Matrix* node_src = nullptr;
+  const Matrix* context_src = nullptr;
+  size_t dim = 0;
   ShardRows node;
   ShardRows ctx;
-};
 
-// One deterministic shard: sequential skip-gram SGD over sentences [b, e)
-// against the round-start weights, updates going to copy-on-first-touch
-// private rows in `u`. Multi-versioned so the inline simd kernels compile
-// under each clone's ISA (see simd.h); reads of node/context are safe because
-// the round freezes them.
-LEVA_TARGET_CLONES
-void TrainShardDet(const Word2VecOptions& options, const TrainPlan& plan,
-                   const FlatCorpus& corpus, size_t b, size_t e, size_t epoch,
-                   Rng* shard_rng, const Matrix& node, const Matrix& context,
-                   ShardUpdate* u) {
-  const size_t dim = options.dim;
-  const auto& offsets = corpus.offsets();
-  std::vector<double> grad(dim);
-  std::vector<uint32_t> kept;
-  for (size_t s = b; s < e; ++s) {
-    const std::span<const uint32_t> sentence = corpus[s];
-    kept.clear();
-    for (const uint32_t t : sentence) {
-      if (plan.keep[t] >= 1.0 || shard_rng->Uniform() < plan.keep[t]) {
-        kept.push_back(t);
-      }
-    }
-    for (size_t pos = 0; pos < kept.size(); ++pos) {
-      // The learning-rate step is derived from the sentence's raw token
-      // offset in the flat corpus — a pure function of (epoch, sentence,
-      // position), never of execution order.
-      const size_t step = epoch * plan.total_tokens + offsets[s] + pos + 1;
-      const double lr =
-          options.learning_rate *
-          std::max(1e-4, 1.0 - static_cast<double>(step) /
-                                   static_cast<double>(plan.total_steps));
-      const size_t shrink = shard_rng->UniformInt(options.window) + 1;
-      const size_t begin = pos >= shrink ? pos - shrink : 0;
-      const size_t end = std::min(kept.size(), pos + shrink + 1);
-      const uint32_t center = kept[pos];
-      for (size_t cpos = begin; cpos < end; ++cpos) {
-        if (cpos == pos) continue;
-        const uint32_t ctx = kept[cpos];
-        // Touch may grow the context-row arena, so the center pointer (node
-        // arena, untouched inside the k loop) is fetched once and target
-        // pointers are re-fetched per sample.
-        double* center_vec = u->node.Touch(node, center, dim);
-        for (size_t k = 0; k <= options.negative; ++k) {
-          uint32_t target;
-          double label;
-          if (k == 0) {
-            target = ctx;
-            label = 1.0;
-          } else {
-            target = plan.negatives.Sample(shard_rng);
-            if (target == ctx) continue;
-            label = 0.0;
-          }
-          double* target_vec = u->ctx.Touch(context, target, dim);
-          const double dot = simd::Dot(center_vec, target_vec, dim);
-          const double gcoef = (label - Sigmoid(dot)) * lr;
-          if (k == 0) {
-            simd::SkipGramInit(gcoef, center_vec, target_vec, grad.data(),
-                               dim);
-          } else {
-            simd::SkipGramAccum(gcoef, center_vec, target_vec, grad.data(),
-                                dim);
-          }
-        }
-        simd::VecAdd(center_vec, grad.data(), dim);
-      }
-    }
+  double* NodeRow(uint32_t row) {
+    return node.Row(node.Touch(*node_src, row, dim), dim);
   }
-}
+  uint32_t ContextSlot(uint32_t row) {
+    return ctx.Touch(*context_src, row, dim);
+  }
+  double* ContextRow(uint32_t s) { return ctx.Row(s, dim); }
+};
 
 // Merges the per-shard weight deltas in fixed sentence-shard order (and
 // row-first-touch order within a shard) — both pure functions of the seed,
@@ -227,34 +197,33 @@ void MergeShardUpdates(std::vector<ShardUpdate>* updates, size_t dim,
   }
 }
 
-// Skip-gram SGD over one sentence via the inline simd kernels; multi-
-// versioned so the kernels compile under each clone's ISA. Shared by the
-// sequential and Hogwild paths; in the latter, reads/writes of node/context
-// rows are intentionally unsynchronized (sparse updates collide rarely), so
-// the function is exempt from TSan — the deterministic path (TrainShardDet /
-// MergeShardUpdates) never touches shared rows mid-round and stays
-// instrumented.
-LEVA_TARGET_CLONES
-LEVA_NO_SANITIZE_THREAD
-void TrainSentenceFast(const Word2VecOptions& options, const TrainPlan& plan,
-                       std::span<const uint32_t> sentence, Rng* r,
-                       std::atomic<size_t>* steps, Matrix* node,
-                       Matrix* context, std::vector<double>* grad,
-                       std::vector<uint32_t>* kept,
-                       std::vector<uint32_t>* negs) {
+// Per-worker buffers of the skip-gram kernel.
+struct SentenceScratch {
+  std::vector<uint32_t> kept;
+  std::vector<double> grad;
+  std::vector<uint32_t> negs;
+
+  explicit SentenceScratch(const Word2VecOptions& options)
+      : grad(options.dim), negs(options.negative) {}
+};
+
+// The skip-gram SGD kernel over the subsampled sentence in scratch->kept.
+// Position pos takes learning-rate step base_step + pos + 1. `rows` decides how weight rows are
+// reached (SharedRows or ShardUpdate); context rows are first resolved to
+// slots — which may grow a shard's row arena — and only then to pointers.
+// Always inlined into the two entry points below, whose attributes (ISA
+// clones, the Hogwild TSan exemption) then apply to its loops.
+template <typename Rows>
+LEVA_ALWAYS_INLINE void TrainSentence(const Word2VecOptions& options,
+                                      const TrainPlan& plan,
+                                      size_t base_step, Rng* r, Rows* rows,
+                                      SentenceScratch* scratch) {
   const size_t dim = options.dim;
-  kept->clear();
-  for (const uint32_t t : sentence) {
-    if (plan.keep[t] >= 1.0 || r->Uniform() < plan.keep[t]) {
-      kept->push_back(t);
-    }
-  }
-  if (kept->empty()) return;
-  const size_t base = steps->fetch_add(kept->size(), std::memory_order_relaxed);
-  double* g = grad->data();
-  negs->resize(options.negative);
-  for (size_t pos = 0; pos < kept->size(); ++pos) {
-    const size_t step = base + pos + 1;
+  const std::vector<uint32_t>& kept = scratch->kept;
+  double* g = scratch->grad.data();
+  uint32_t* negs = scratch->negs.data();
+  for (size_t pos = 0; pos < kept.size(); ++pos) {
+    const size_t step = base_step + pos + 1;
     const double lr =
         options.learning_rate *
         std::max(1e-4, 1.0 - static_cast<double>(step) /
@@ -262,28 +231,30 @@ void TrainSentenceFast(const Word2VecOptions& options, const TrainPlan& plan,
     // Dynamic window shrink, as in the reference implementation.
     const size_t shrink = r->UniformInt(options.window) + 1;
     const size_t begin = pos >= shrink ? pos - shrink : 0;
-    const size_t end = std::min(kept->size(), pos + shrink + 1);
-    const uint32_t center = (*kept)[pos];
-    double* center_vec = node->RowPtr(center);
+    const size_t end = std::min(kept.size(), pos + shrink + 1);
+    const uint32_t center = kept[pos];
     for (size_t cpos = begin; cpos < end; ++cpos) {
       if (cpos == pos) continue;
-      const uint32_t ctx = (*kept)[cpos];
+      const uint32_t ctx = kept[cpos];
+      // Node and context rows live in separate arenas, so resolving context
+      // slots below never moves the center row.
+      double* center_vec = rows->NodeRow(center);
       // Draw the pair's negatives up front — the same draws in the same
       // order as the reference's interleaved sampling — and assemble the
       // pair's target list: the positive context first, then every negative
       // that differs from it (the reference skips those).
       for (size_t k = 0; k < options.negative; ++k) {
-        (*negs)[k] = plan.negatives.Sample(r);
+        negs[k] = plan.negatives.Sample(r);
       }
       uint32_t tids[kMaxDotBatch];
-      double* rows[kMaxDotBatch];
+      double* targets[kMaxDotBatch];
       double dots[kMaxDotBatch];
       size_t nt = 0;
       bool distinct = options.negative < kMaxDotBatch;
       if (distinct) {
         tids[nt++] = ctx;
         for (size_t k = 0; k < options.negative; ++k) {
-          const uint32_t t = (*negs)[k];
+          const uint32_t t = negs[k];
           if (t == ctx) continue;
           for (size_t i = 1; i < nt; ++i) distinct &= (tids[i] != t);
           tids[nt++] = t;
@@ -295,15 +266,16 @@ void TrainSentenceFast(const Word2VecOptions& options, const TrainPlan& plan,
         // batch kernel (bit-identical sums, ~one dot-chain's latency), then
         // apply the updates in the reference order. k == 0 initializes the
         // gradient buffer in-kernel, so no std::fill per pair.
-        for (size_t t = 0; t < nt; ++t) rows[t] = context->RowPtr(tids[t]);
-        simd::DotBatch(center_vec, rows, nt, dim, dots);
+        for (size_t t = 0; t < nt; ++t) tids[t] = rows->ContextSlot(tids[t]);
+        for (size_t t = 0; t < nt; ++t) targets[t] = rows->ContextRow(tids[t]);
+        simd::DotBatch(center_vec, targets, nt, dim, dots);
         for (size_t t = 0; t < nt; ++t) {
           const double label = t == 0 ? 1.0 : 0.0;
           const double gcoef = (label - Sigmoid(dots[t])) * lr;
           if (t == 0) {
-            simd::SkipGramInit(gcoef, center_vec, rows[t], g, dim);
+            simd::SkipGramInit(gcoef, center_vec, targets[t], g, dim);
           } else {
-            simd::SkipGramAccum(gcoef, center_vec, rows[t], g, dim);
+            simd::SkipGramAccum(gcoef, center_vec, targets[t], g, dim);
           }
         }
       } else {
@@ -317,11 +289,11 @@ void TrainSentenceFast(const Word2VecOptions& options, const TrainPlan& plan,
             target = ctx;
             label = 1.0;
           } else {
-            target = (*negs)[k - 1];
+            target = negs[k - 1];
             if (target == ctx) continue;
             label = 0.0;
           }
-          double* target_vec = context->RowPtr(target);
+          double* target_vec = rows->ContextRow(rows->ContextSlot(target));
           const double dot = simd::Dot(center_vec, target_vec, dim);
           const double gcoef = (label - Sigmoid(dot)) * lr;
           if (k == 0) {
@@ -336,6 +308,26 @@ void TrainSentenceFast(const Word2VecOptions& options, const TrainPlan& plan,
   }
 }
 
+// Sequential and Hogwild entry point. Under Hogwild the reads and writes of
+// shared rows are intentionally unsynchronized (sparse updates collide
+// rarely), so this instantiation alone is exempt from TSan.
+LEVA_TARGET_CLONES
+LEVA_NO_SANITIZE_THREAD
+void TrainSentenceShared(const Word2VecOptions& options, const TrainPlan& plan,
+                         size_t base_step, Rng* r, SharedRows rows,
+                         SentenceScratch* scratch) {
+  TrainSentence(options, plan, base_step, r, &rows, scratch);
+}
+
+// Deterministic-shard entry point: shared rows are only read (frozen for the
+// round), so it stays TSan-instrumented.
+LEVA_TARGET_CLONES
+void TrainSentenceShard(const Word2VecOptions& options, const TrainPlan& plan,
+                        size_t base_step, Rng* r, ShardUpdate* rows,
+                        SentenceScratch* scratch) {
+  TrainSentence(options, plan, base_step, r, rows, scratch);
+}
+
 // Deterministic-parallel trainer: shards of kSentenceGrain sentences train
 // against the weights frozen at the start of a kDetRound-sentence round,
 // each shard doing plain sequential SGD on private row copies; the shard
@@ -347,6 +339,7 @@ Status TrainDeterministic(const Word2VecOptions& options,
                           Matrix* context) {
   const size_t dim = options.dim;
   const size_t num_sentences = corpus.size();
+  const auto& offsets = corpus.offsets();
   const size_t shards_per_epoch =
       (num_sentences + kSentenceGrain - 1) / kSentenceGrain;
   const uint64_t base_seed = rng->Next();
@@ -373,13 +366,23 @@ Status TrainDeterministic(const Word2VecOptions& options,
       // shard-private state, so this is race-free by construction; the merge
       // below happens after the ParallelFor barrier.
       ParallelFor(threads, rb, re, kSentenceGrain, [&](size_t b, size_t e) {
-        ShardUpdate u;
+        ShardUpdate& u = updates[(b - rb) / kSentenceGrain];
+        u.node_src = node;
+        u.context_src = context;
+        u.dim = dim;
         Rng shard_rng =
             StreamRng(base_seed, rngdomain::kWord2VecDet,
                       epoch * shards_per_epoch + b / kSentenceGrain);
-        TrainShardDet(options, plan, corpus, b, e, epoch, &shard_rng, *node,
-                      *context, &u);
-        updates[(b - rb) / kSentenceGrain] = std::move(u);
+        SentenceScratch scratch(options);
+        for (size_t s = b; s < e; ++s) {
+          Subsample(plan, corpus[s], &shard_rng, &scratch.kept);
+          // The learning-rate step is derived from the sentence's raw token
+          // offset in the flat corpus — a pure function of (epoch, sentence,
+          // position), never of execution order.
+          TrainSentenceShard(options, plan,
+                             epoch * plan.total_tokens + offsets[s],
+                             &shard_rng, &u, &scratch);
+        }
       });
 
       MergeShardUpdates(&updates, dim, node, context);
@@ -389,11 +392,6 @@ Status TrainDeterministic(const Word2VecOptions& options,
 }
 
 }  // namespace
-
-Status Word2Vec::Train(const std::vector<std::vector<uint32_t>>& corpus,
-                       size_t vocab_size, Rng* rng) {
-  return Train(Flatten(corpus), vocab_size, rng);
-}
 
 Status Word2Vec::Train(const FlatCorpus& corpus, size_t vocab_size, Rng* rng) {
   if (rng == nullptr) return Status::InvalidArgument("rng is required");
@@ -452,20 +450,25 @@ Status Word2Vec::Train(const FlatCorpus& corpus, size_t vocab_size, Rng* rng) {
   // Global position in the learning-rate schedule, batched from per-token to
   // per-sentence: one relaxed fetch_add covers a sentence's kept tokens, and
   // each position derives its step from the returned base — the sequential
-  // path sees exactly the per-token step values of the legacy trainer.
+  // path sees exactly the per-token step values of the reference trainer.
   std::atomic<size_t> steps{0};
+  const SharedRows rows{&node_, &context_};
+  auto train_sentences = [&](size_t b, size_t e, Rng* r) {
+    SentenceScratch scratch(options_);
+    for (size_t s = b; s < e; ++s) {
+      Subsample(plan, corpus[s], r, &scratch.kept);
+      const size_t base =
+          steps.fetch_add(scratch.kept.size(), std::memory_order_relaxed);
+      TrainSentenceShared(options_, plan, base, r, rows, &scratch);
+    }
+  };
 
   if (threads <= 1) {
-    // Sequential update order: bit-identical to TrainLegacy (pinned in
+    // Sequential update order: bit-identical to the reference trainer in
+    // tests/reference/word2vec_reference.cc (pinned in
     // tests/word2vec_test.cc).
-    std::vector<double> grad(dim);
-    std::vector<uint32_t> kept;
-    std::vector<uint32_t> negs;
     for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      for (size_t s = 0; s < corpus.size(); ++s) {
-        TrainSentenceFast(options_, plan, corpus[s], rng, &steps, &node_,
-                          &context_, &grad, &kept, &negs);
-      }
+      train_sentences(0, corpus.size(), rng);
     }
     return Status::OK();
   }
@@ -478,126 +481,9 @@ Status Word2Vec::Train(const FlatCorpus& corpus, size_t vocab_size, Rng* rng) {
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     ParallelFor(threads, 0, corpus.size(), kSentenceGrain,
                 [&](size_t b, size_t e) {
-                  const size_t shard = b / kSentenceGrain;
                   Rng shard_rng = StreamRng(base_seed, rngdomain::kWord2Vec,
-                                            epoch * shards + shard);
-                  std::vector<double> grad(dim);
-                  std::vector<uint32_t> kept;
-                  std::vector<uint32_t> negs;
-                  for (size_t s = b; s < e; ++s) {
-                    TrainSentenceFast(options_, plan, corpus[s], &shard_rng,
-                                      &steps, &node_, &context_, &grad, &kept,
-                                      &negs);
-                  }
-                });
-  }
-  return Status::OK();
-}
-
-Status Word2Vec::TrainLegacy(const std::vector<std::vector<uint32_t>>& corpus,
-                             size_t vocab_size, Rng* rng) {
-  if (rng == nullptr) return Status::InvalidArgument("rng is required");
-  if (vocab_size == 0) return Status::InvalidArgument("empty vocabulary");
-  const size_t dim = options_.dim;
-
-  std::vector<double> freq(vocab_size, 0.0);
-  size_t total_tokens = 0;
-  for (const auto& sentence : corpus) {
-    for (const uint32_t t : sentence) {
-      if (t >= vocab_size) {
-        return Status::OutOfRange("token id exceeds vocab size");
-      }
-      freq[t] += 1.0;
-      ++total_tokens;
-    }
-  }
-  if (total_tokens == 0) return Status::InvalidArgument("empty corpus");
-
-  const TrainPlan plan = MakePlan(freq, total_tokens, options_);
-  InitWeights(vocab_size, dim, rng, &node_, &context_);
-
-  const size_t total_steps = plan.total_steps;
-  // Global position in the learning-rate schedule. Hogwild workers bump it
-  // with relaxed atomics; in the sequential path it is effectively a plain
-  // counter.
-  std::atomic<size_t> steps{0};
-
-  // Scalar skip-gram SGD over one sentence: the pre-fast-path reference.
-  auto train_sentence = [&](const std::vector<uint32_t>& sentence, Rng* r,
-                            std::vector<double>* grad,
-                            std::vector<uint32_t>* kept) {
-    kept->clear();
-    for (const uint32_t t : sentence) {
-      if (plan.keep[t] >= 1.0 || r->Uniform() < plan.keep[t]) {
-        kept->push_back(t);
-      }
-    }
-    for (size_t pos = 0; pos < kept->size(); ++pos) {
-      const size_t step = steps.fetch_add(1, std::memory_order_relaxed) + 1;
-      const double lr =
-          options_.learning_rate *
-          std::max(1e-4, 1.0 - static_cast<double>(step) /
-                                   static_cast<double>(total_steps));
-      const size_t shrink = r->UniformInt(options_.window) + 1;
-      const size_t begin = pos >= shrink ? pos - shrink : 0;
-      const size_t end = std::min(kept->size(), pos + shrink + 1);
-      const uint32_t center = (*kept)[pos];
-      double* center_vec = node_.RowPtr(center);
-      for (size_t cpos = begin; cpos < end; ++cpos) {
-        if (cpos == pos) continue;
-        const uint32_t ctx = (*kept)[cpos];
-        std::fill(grad->begin(), grad->end(), 0.0);
-        for (size_t k = 0; k <= options_.negative; ++k) {
-          uint32_t target;
-          double label;
-          if (k == 0) {
-            target = ctx;
-            label = 1.0;
-          } else {
-            target = plan.negatives.Sample(r);
-            if (target == ctx) continue;
-            label = 0.0;
-          }
-          double* target_vec = context_.RowPtr(target);
-          double dot = 0;
-          for (size_t j = 0; j < dim; ++j) dot += center_vec[j] * target_vec[j];
-          const double g = (label - Sigmoid(dot)) * lr;
-          for (size_t j = 0; j < dim; ++j) {
-            (*grad)[j] += g * target_vec[j];
-            target_vec[j] += g * center_vec[j];
-          }
-        }
-        for (size_t j = 0; j < dim; ++j) center_vec[j] += (*grad)[j];
-      }
-    }
-  };
-
-  const size_t threads = ResolveThreads(options_.threads);
-  if (threads <= 1 || options_.deterministic) {
-    // Legacy semantics: deterministic forces the sequential update order.
-    std::vector<double> grad(dim);
-    std::vector<uint32_t> kept;
-    for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      for (const auto& sentence : corpus) {
-        train_sentence(sentence, rng, &grad, &kept);
-      }
-    }
-    return Status::OK();
-  }
-
-  const uint64_t base_seed = rng->Next();
-  const size_t shards = (corpus.size() + kSentenceGrain - 1) / kSentenceGrain;
-  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    ParallelFor(threads, 0, corpus.size(), kSentenceGrain,
-                [&](size_t b, size_t e) {
-                  const size_t shard = b / kSentenceGrain;
-                  Rng shard_rng = StreamRng(base_seed, rngdomain::kWord2Vec,
-                                            epoch * shards + shard);
-                  std::vector<double> grad(dim);
-                  std::vector<uint32_t> kept;
-                  for (size_t s = b; s < e; ++s) {
-                    train_sentence(corpus[s], &shard_rng, &grad, &kept);
-                  }
+                                            epoch * shards + b / kSentenceGrain);
+                  train_sentences(b, e, &shard_rng);
                 });
   }
   return Status::OK();

@@ -1,8 +1,7 @@
 #ifndef LEVA_EMBED_WORD2VEC_H_
 #define LEVA_EMBED_WORD2VEC_H_
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -26,7 +25,8 @@ struct Word2VecOptions {
   size_t epochs = 3;
   /// Unigram distortion exponent for the negative-sampling distribution.
   double unigram_power = 0.75;
-  /// Worker threads (0 = hardware). With more than one thread and
+  /// Worker threads (0 = every CPU in the process's affinity mask, see
+  /// ResolveThreads). With more than one thread and
   /// `deterministic == false`, sentence shards are trained Hogwild-style:
   /// lock-free SGD on the shared weight matrices (Recht et al. 2011). Sparse
   /// gradients make update collisions rare, so quality matches sequential
@@ -50,21 +50,13 @@ class Word2Vec {
  public:
   explicit Word2Vec(Word2VecOptions options = {}) : options_(options) {}
 
-  /// Trains on `corpus`; token ids must be < vocab_size. Dispatches to the
-  /// sequential fast path (threads <= 1; bit-identical to TrainLegacy), the
-  /// deterministic-parallel merge path (options.deterministic), or Hogwild.
+  /// Trains on `corpus`; token ids must be < vocab_size. Every mode runs
+  /// the same skip-gram sentence kernel, in one of three schedules: the
+  /// sequential path (threads <= 1), the deterministic-parallel merge path
+  /// (options.deterministic), or Hogwild. The sequential and deterministic
+  /// schedules are pinned bit-identical to the oracles in
+  /// tests/reference/word2vec_reference.h.
   Status Train(const FlatCorpus& corpus, size_t vocab_size, Rng* rng);
-
-  /// Convenience: flattens a nested corpus and trains on it.
-  Status Train(const std::vector<std::vector<uint32_t>>& corpus,
-               size_t vocab_size, Rng* rng);
-
-  /// Reference trainer (pre-fast-path): scalar inner loops, per-pair
-  /// gradient-buffer fill, per-token learning-rate step. Kept compiled as
-  /// the differential baseline — the sequential fast path is pinned
-  /// bit-identical to it in tests/word2vec_test.cc.
-  Status TrainLegacy(const std::vector<std::vector<uint32_t>>& corpus,
-                     size_t vocab_size, Rng* rng);
 
   /// Stages `node` as the initial node-vector matrix for the NEXT Train
   /// call (the streaming-update warm start: continue SGNS from a previously
@@ -74,7 +66,6 @@ class Word2Vec {
   /// zero exactly as a cold start does. Consumed by that Train (a second
   /// Train cold-starts again); `node.cols()` must equal options().dim and
   /// rows() must not exceed the trained vocab_size, checked at Train time.
-  /// TrainLegacy ignores warm starts (it is the frozen cold-start baseline).
   void WarmStart(Matrix node) {
     warm_node_ = std::move(node);
     warm_ = true;

@@ -10,6 +10,24 @@
 
 namespace leva::serve {
 
+/// Nearest-rank percentile of an ascending-`sorted` sample: element at index
+/// floor(n * pct / 100), clamped to the last element. pct in [0, 100].
+/// Returns 0 for an empty sample. Shared by the paper-table benches, the
+/// serving load generator, and the serving daemon's STATS percentiles.
+double Percentile(const std::vector<double>& sorted, size_t pct);
+
+/// The standard latency cut of a sample (p50/p90/p95/p99), computed on one
+/// sort of a by-value copy.
+struct LatencySummary {
+  size_t count = 0;
+  double p50 = 0;
+  double p90 = 0;
+  double p95 = 0;
+  double p99 = 0;
+};
+
+LatencySummary SummarizeLatencies(std::vector<double> values);
+
 /// Bounded sliding window of recent latency samples: a fixed-capacity ring
 /// the recording threads overwrite in arrival order, snapshotted on demand
 /// for percentile computation. Memory is constant regardless of uptime.

@@ -274,7 +274,7 @@ TEST(Word2VecTest, TrainsAndEmbedsCooccurringTokens) {
   options.dim = 16;
   options.epochs = 5;
   Word2Vec model(options);
-  ASSERT_TRUE(model.Train(corpus, 4, &rng).ok());
+  ASSERT_TRUE(model.Train(Flatten(corpus), 4, &rng).ok());
   const Matrix& vecs = model.node_vectors();
 
   auto cosine = [&](size_t a, size_t b) {
@@ -298,9 +298,9 @@ TEST(Word2VecTest, RejectsBadInput) {
   Word2Vec model;
   EXPECT_FALSE(model.Train(FlatCorpus(), 0, &rng).ok());
   using Nested = std::vector<std::vector<uint32_t>>;
-  EXPECT_FALSE(model.Train(Nested{{5}}, 3, &rng).ok());  // id out of range
-  EXPECT_FALSE(model.Train(Nested{{}}, 3, &rng).ok());   // empty corpus
-  EXPECT_FALSE(model.Train(Nested{{0}}, 3, nullptr).ok());
+  EXPECT_FALSE(model.Train(Flatten(Nested{{5}}), 3, &rng).ok());  // id range
+  EXPECT_FALSE(model.Train(Flatten(Nested{{}}), 3, &rng).ok());  // empty
+  EXPECT_FALSE(model.Train(Flatten(Nested{{0}}), 3, nullptr).ok());
 }
 
 TEST(MfTest, ProximityMatrixOnlyOnEdges) {

@@ -1,6 +1,6 @@
 // Differential suite for the batched featurization fast path: the batched
 // Featurize (column-wise textify + token interning + blocked parallel
-// gather) must be bitwise identical to the row-at-a-time FeaturizeLegacy
+// gather) must be bitwise identical to the row-at-a-time ReferenceFeaturize
 // across featurization modes, in-graph vs held-out rows, unseen tokens,
 // thread counts, and serving batch sizes.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include "core/token_resolver.h"
 #include "datagen/synthetic.h"
 #include "ml/featurize.h"
+#include "reference/featurize_reference.h"
 
 namespace leva {
 namespace {
@@ -78,9 +79,8 @@ TEST(BatchedFeaturizeTest, MatchesLegacyAcrossModesThreadsAndBatches) {
     for (const bool rows_in_graph : {true, false}) {
       const Table& table =
           rows_in_graph ? split.train_table : split.test_table;
-      const auto legacy = pipeline.FeaturizeLegacy(table, "total_expenses",
-                                                   split.encoder,
-                                                   rows_in_graph);
+      const auto legacy = ReferenceFeaturize(pipeline, table, "total_expenses",
+                                             split.encoder, rows_in_graph);
       ASSERT_TRUE(legacy.ok());
       for (const size_t threads : {size_t{1}, size_t{4}}) {
         for (const size_t batch : {size_t{0}, size_t{7}}) {
@@ -105,8 +105,8 @@ TEST(BatchedFeaturizeTest, MatchesLegacyOnUnweightedGraph) {
   LevaPipeline pipeline(
       TestConfig(Featurization::kRowPlusValue, /*weighted=*/false));
   ASSERT_TRUE(pipeline.Fit(split.fit_db).ok());
-  const auto legacy = pipeline.FeaturizeLegacy(
-      split.test_table, "total_expenses", split.encoder, false);
+  const auto legacy = ReferenceFeaturize(pipeline, split.test_table,
+                                         "total_expenses", split.encoder, false);
   const auto batched = pipeline.Featurize(split.test_table, "total_expenses",
                                           split.encoder, false);
   ASSERT_TRUE(legacy.ok());
@@ -134,8 +134,8 @@ TEST(BatchedFeaturizeTest, UnseenTokensMatchLegacy) {
       col.values[1] = Value(1e12);  // far outside every fitted bin range
     }
   }
-  const auto legacy = pipeline.FeaturizeLegacy(mutated, "total_expenses",
-                                               split.encoder, false);
+  const auto legacy = ReferenceFeaturize(pipeline, mutated, "total_expenses",
+                                         split.encoder, false);
   const auto batched =
       pipeline.Featurize(mutated, "total_expenses", split.encoder, false);
   ASSERT_TRUE(legacy.ok());
@@ -215,8 +215,8 @@ TEST(BatchedFeaturizeTest, MissingRowNodeFailsLikeLegacy) {
   for (size_t r = 0; r < split.test_table.NumRows(); ++r) {
     ASSERT_TRUE(longer.AddRow(split.test_table.Row(r)).ok());
   }
-  const auto legacy = pipeline.FeaturizeLegacy(longer, "total_expenses",
-                                               split.encoder, true);
+  const auto legacy = ReferenceFeaturize(pipeline, longer, "total_expenses",
+                                         split.encoder, true);
   const auto batched =
       pipeline.Featurize(longer, "total_expenses", split.encoder, true);
   ASSERT_FALSE(legacy.ok());

@@ -20,6 +20,7 @@
 #include "ml/featurize.h"
 #include "ml/linear.h"
 #include "ml/metrics.h"
+#include "reference/featurize_reference.h"
 
 namespace leva {
 namespace {
@@ -71,10 +72,10 @@ MLDataset Featurized(const LevaPipeline& p, const Fixture& f,
   return std::move(r).value();
 }
 
-MLDataset FeaturizedLegacy(const LevaPipeline& p, const Fixture& f,
+MLDataset FeaturizedReference(const LevaPipeline& p, const Fixture& f,
                            bool rows_in_graph) {
-  auto r =
-      p.FeaturizeLegacy(*f.base, f.ds.target_column, f.encoder, rows_in_graph);
+  auto r = ReferenceFeaturize(p, *f.base, f.ds.target_column, f.encoder,
+                              rows_in_graph);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).value();
 }
@@ -236,7 +237,7 @@ TEST(QuantizeTest, QuantizedFeaturizeTracksFp64WithinBound) {
 }
 
 // The fused SIMD dequant gather (Featurize) and the scalar legacy path
-// (FeaturizeLegacy) must be bit-identical at every tier, thread count, and
+// (ReferenceFeaturize) must be bit-identical at every tier, thread count, and
 // batch size, for in-graph and held-out rows alike: both sides dequantize
 // element-wise and accumulate in the same order, so there is no tolerance —
 // any divergence is a kernel bug, not rounding.
@@ -257,9 +258,9 @@ TEST(QuantizeTest, FusedGatherBitIdenticalToLegacyAtEveryTier) {
                      std::to_string(batch));
         c.p->set_serving_options(threads, batch);
         ExpectBitIdentical(Featurized(*c.p, t.f, true),
-                           FeaturizedLegacy(*c.p, t.f, true));
+                           FeaturizedReference(*c.p, t.f, true));
         ExpectBitIdentical(Featurized(*c.p, t.f, false),
-                           FeaturizedLegacy(*c.p, t.f, false));
+                           FeaturizedReference(*c.p, t.f, false));
       }
     }
   }

@@ -1,8 +1,8 @@
 // Differential and determinism suites for the embedding-training fast path:
-// the sequential fast trainer is pinned bit-identical to TrainLegacy, the
-// deterministic-parallel merge trainer is pinned thread-count invariant, and
-// the walk corpora it trains on are pinned to the per-walker reference
-// generator. These tests carry the `determinism` ctest label and are run
+// the sequential trainer and the deterministic-parallel merge trainer are
+// pinned bit-identical to the SGNS oracles in tests/reference/ (the latter
+// at 1/2/4/8 threads), and the walk corpora they train on are pinned to the
+// per-walker reference generator. These tests carry the `determinism` ctest label and are run
 // under TSan (LEVA_SANITIZE=thread) to keep the parallel paths race-free.
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "embed/word2vec.h"
 #include "graph/graph.h"
 #include "reference/walk_reference.h"
+#include "reference/word2vec_reference.h"
 
 namespace leva {
 namespace {
@@ -84,8 +85,7 @@ TEST(FlatCorpusTest, FlattenMatchesNested) {
 // The sequential fast path (SIMD kernels, batched lr counter, reused
 // gradient buffer) must reproduce the reference trainer bit-for-bit.
 TEST(Word2VecTest, SequentialFastMatchesLegacyBitwise) {
-  const auto nested = RandomCorpus(300, 12, 50, 42);
-  const FlatCorpus flat = Flatten(nested);
+  const FlatCorpus flat = Flatten(RandomCorpus(300, 12, 50, 42));
 
   Word2VecOptions options;
   options.dim = 24;
@@ -95,28 +95,40 @@ TEST(Word2VecTest, SequentialFastMatchesLegacyBitwise) {
   options.threads = 1;
 
   Word2Vec fast(options);
-  Word2Vec legacy(options);
   Rng r1(99);
   Rng r2(99);
   ASSERT_TRUE(fast.Train(flat, 50, &r1).ok());
-  ASSERT_TRUE(legacy.TrainLegacy(nested, 50, &r2).ok());
-  ExpectBitIdentical(fast.node_vectors(), legacy.node_vectors());
-  ExpectBitIdentical(fast.context_vectors(), legacy.context_vectors());
+  const auto reference = ReferenceTrainSequential(flat, 50, options, &r2);
+  ASSERT_TRUE(reference.ok());
+  ExpectBitIdentical(fast.node_vectors(), reference->node);
+  ExpectBitIdentical(fast.context_vectors(), reference->context);
 }
 
-// The nested-corpus Train overload is a flatten-then-train shim.
-TEST(Word2VecTest, NestedOverloadMatchesFlat) {
-  const auto nested = RandomCorpus(100, 8, 30, 5);
+// The deterministic path runs the batched-dot kernel on copy-on-first-touch
+// shard rows; it must reproduce the deterministic-shard oracle (serial
+// interleaved sampling, full-matrix shard copies) bit-for-bit at every
+// thread count. The configs cover full-width merge rounds, a 6-token
+// vocabulary where a pair's negatives repeat (the kernel's serial fallback),
+// and negative >= 16 (the oversized-batch fallback).
+TEST(Word2VecTest, DeterministicMatchesReferenceBitwise) {
   Word2VecOptions options;
-  options.dim = 8;
-  options.epochs = 1;
-  Word2Vec a(options);
-  Word2Vec b(options);
-  Rng r1(17);
-  Rng r2(17);
-  ASSERT_TRUE(a.Train(nested, 30, &r1).ok());
-  ASSERT_TRUE(b.Train(Flatten(nested), 30, &r2).ok());
-  ExpectBitIdentical(a.node_vectors(), b.node_vectors());
+  options.dim = 12;
+  options.window = 3;
+  options.negative = 5;
+  options.epochs = 2;
+  ExpectDeterministicMatchesReference(Flatten(RandomCorpus(9000, 8, 80, 7)),
+                                      80, options, 123);
+
+  Word2VecOptions small_vocab = options;
+  small_vocab.subsample = 0;
+  ExpectDeterministicMatchesReference(Flatten(RandomCorpus(2000, 10, 6, 8)), 6,
+                                      small_vocab, 5);
+
+  Word2VecOptions oversized = options;
+  oversized.negative = 16;
+  oversized.epochs = 1;
+  ExpectDeterministicMatchesReference(Flatten(RandomCorpus(600, 8, 40, 9)), 40,
+                                      oversized, 77);
 }
 
 // Deterministic-parallel training is a pure function of the seed at any
