@@ -4,21 +4,33 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 // Shared SIMD plumbing for the hot kernels (featurize gather, skip-gram
-// training): a multi-versioning macro, a prefetch shim, and the inline
-// skip-gram primitives.
+// training): a multi-versioning macro, a prefetch shim, 4-lane vector
+// helpers, and the inline element-wise kernels built on them.
 //
 // LEVA_TARGET_CLONES: runtime-dispatched function multi-versioning. Apply it
 // to the HOT OUTER FUNCTION (the loop that calls the kernels below), not to
-// the kernels themselves: the kernels are plain `inline`, so each clone
-// inlines them and compiles their loops with its own ISA — the "avx2" clone
-// gets 256-bit vmulpd/vaddpd with zero per-call dispatch overhead.
+// the kernels themselves: the kernels are always-inline, so each clone
+// inlines them and compiles their lanes with its own ISA — one 256-bit ymm
+// vmulpd/vaddpd per 4 lanes in the "avx2" clone, an SSE2 xmm pair in the
+// "default" clone — with zero per-call dispatch overhead.
 //
-// Bit-exactness contract: the "avx2" clone only enables element-wise
-// operations — correctly-rounded IEEE mul/add, so it produces the same bits
-// as the "default" clone. FMA-capable targets (avx512f, or avx2+fma) are
-// deliberately excluded: contracting mul+add into a single-rounding fma
+// Explicit lanes: the element-wise kernels are written on a 4-double GCC
+// vector type (F64x4, see ForLanes below), not as plain `for (j < n)` loops
+// left to the auto-vectorizer. At -O2 (the default RelWithDebInfo build)
+// GCC 12 runs the vectorizer with its "very-cheap" cost model, which rejects
+// any loop whose trip count is not known to be a multiple of the vector
+// width — every `n`-length loop here — so plain loops compile to scalar
+// vmulsd/vaddsd even inside the "avx2" clone; only -O3 vectorizes them. The
+// explicit lanes are vector code at every optimization level.
+//
+// Bit-exactness contract: every lane performs the same correctly-rounded
+// IEEE mul/add/div, in the same order, as the scalar loop it replaces (each
+// kernel's tail evaluates that very expression on plain doubles), so every
+// clone produces the same bits. FMA-capable targets (avx512f, or avx2+fma)
+// are deliberately excluded: contracting mul+add into a single-rounding fma
 // would change the bits, and the differential tests pin bit-identity against
 // the scalar reference paths. Reductions (Dot below) are written in strict
 // source order — without -ffast-math the compiler cannot reassociate them,
@@ -60,21 +72,22 @@
 // function, so a kernel only escapes it when inlined into an annotated
 // caller — out-of-line it would be instrumented even in Hogwild, or worse,
 // exempted everywhere if annotated directly). always_inline holds at -O0,
-// which is how sanitizer builds compile.
+// which is how sanitizer builds compile. The lane bodies the kernels hand to
+// ForLanes are lambdas — functions of their own — so they carry
+// LEVA_ALWAYS_INLINE_LAMBDA for the same two reasons.
 #if defined(__GNUC__)
 #define LEVA_ALWAYS_INLINE inline __attribute__((always_inline))
+#define LEVA_ALWAYS_INLINE_LAMBDA __attribute__((always_inline))
 #else
 #define LEVA_ALWAYS_INLINE inline
+#define LEVA_ALWAYS_INLINE_LAMBDA
 #endif
 
 namespace leva {
 namespace simd {
 
 // None of these kernels may use FMA contraction or reassociation: each is
-// the bit-exact element-wise form of a scalar reference loop (see above).
-// The two-stream skip-gram updates vectorize because node and context rows
-// come from distinct matrices (never aliased) and the gradient buffer is
-// caller-private — stated to the compiler via the __restrict locals.
+// the bit-exact form of a scalar reference loop (see above).
 
 /// Strict-order dot product sum_j a[j]*b[j]. The accumulation order is the
 /// plain source order at every ISA level, so the result is bit-identical to
@@ -155,53 +168,138 @@ LEVA_ALWAYS_INLINE void DotBatch(const double* c, double* const* rows, size_t nt
   for (; t < nt; ++t) out[t] = Dot(c, rows[t], n);
 }
 
+// ---------------------------------------------------------------------------
+// Lanes. F64x4 holds four doubles: one ymm register where AVX is enabled
+// (the "avx2" clone), an xmm pair otherwise. Loads and stores go through
+// memcpy, so rows need no alignment. No vector value crosses a function
+// boundary — the helpers take pointers and references, and every kernel body
+// is an always-inline lambda — because passing a 32-byte vector by value in
+// a translation unit compiled without AVX changes the calling convention
+// (GCC's -Wpsabi).
+using F64x4 = double __attribute__((vector_size(32)));
+constexpr size_t kLanes = 4;
+
+/// Runs `body.template operator()<F64x4>(j)` on every full group of kLanes
+/// elements of [0, n), then `body.template operator()<double>(j)` on each
+/// remaining element. A kernel passes one generic body, so its scalar tail
+/// evaluates the lanes' own expression on plain doubles.
+template <typename Body>
+LEVA_ALWAYS_INLINE void ForLanes(size_t n, Body&& body) {
+  size_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) body.template operator()<F64x4>(j);
+  for (; j < n; ++j) body.template operator()<double>(j);
+}
+
+/// *v = p[0 .. lanes of V).
+template <typename V>
+LEVA_ALWAYS_INLINE void Load(V* v, const double* p) {
+  std::memcpy(v, p, sizeof(V));
+}
+
+/// p[0 .. lanes of V) = v. A lane group is stored as two 16-byte halves:
+/// without AVX, GCC routes a whole 32-byte vector store through a stack
+/// temporary (a spill and reload per store), while the halves are plain
+/// movupd pairs; with AVX they cost no more than one ymm store.
+template <typename V>
+LEVA_ALWAYS_INLINE void Store(double* p, const V& v) {
+  if constexpr (std::is_same_v<V, double>) {
+    *p = v;
+  } else {
+    using F64x2 = double __attribute__((vector_size(16)));
+    const F64x2 lo = __builtin_shufflevector(v, v, 0, 1);
+    const F64x2 hi = __builtin_shufflevector(v, v, 2, 3);
+    std::memcpy(p, &lo, sizeof(lo));
+    std::memcpy(p + 2, &hi, sizeof(hi));
+  }
+}
+
+// The kernels below each apply one scalar expression per element j; the
+// comment above each gives it. A lane group loads all of its inputs before
+// it stores, so the streams of one call must not overlap — callers pass
+// node and context rows from distinct matrices, caller-private gradient and
+// accumulator buffers, and output rows distinct from their sources.
+
 /// First (positive-sample) step of a skip-gram pair:
 ///   grad[j]   = g * target[j] + 0.0;
 ///   target[j] += g * center[j];
 /// The `+ 0.0` reproduces the reference path's zeroed-buffer accumulation
 /// (`0.0 + x` normalizes -0.0 exactly like the fill-then-add it replaces)
 /// without paying a separate std::fill pass over the gradient buffer.
-LEVA_ALWAYS_INLINE void SkipGramInit(double g, const double* center, double* target,
-                         double* grad, size_t n) {
-  const double* __restrict c = center;
-  double* __restrict t = target;
-  double* __restrict d = grad;
-  for (size_t j = 0; j < n; ++j) {
-    d[j] = g * t[j] + 0.0;
-    t[j] += g * c[j];
-  }
+LEVA_ALWAYS_INLINE void SkipGramInit(double g, const double* center,
+                                     double* target, double* grad, size_t n) {
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V t, c;
+    Load(&t, target + j);
+    Load(&c, center + j);
+    Store(grad + j, g * t + 0.0);
+    Store(target + j, t + g * c);
+  });
 }
 
 /// Negative-sample step of a skip-gram pair:
 ///   grad[j]   += g * target[j];
 ///   target[j] += g * center[j];
-LEVA_ALWAYS_INLINE void SkipGramAccum(double g, const double* center, double* target,
-                          double* grad, size_t n) {
-  const double* __restrict c = center;
-  double* __restrict t = target;
-  double* __restrict d = grad;
-  for (size_t j = 0; j < n; ++j) {
-    d[j] += g * t[j];
-    t[j] += g * c[j];
-  }
+LEVA_ALWAYS_INLINE void SkipGramAccum(double g, const double* center,
+                                      double* target, double* grad, size_t n) {
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V t, c, d;
+    Load(&t, target + j);
+    Load(&c, center + j);
+    Load(&d, grad + j);
+    Store(grad + j, d + g * t);
+    Store(target + j, t + g * c);
+  });
 }
 
 /// x[j] += d[j]. Applies the accumulated pair gradient to the center vector.
 LEVA_ALWAYS_INLINE void VecAdd(double* x, const double* d, size_t n) {
-  double* __restrict out = x;
-  const double* __restrict in = d;
-  for (size_t j = 0; j < n; ++j) out[j] += in[j];
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V xv, dv;
+    Load(&xv, x + j);
+    Load(&dv, d + j);
+    Store(x + j, xv + dv);
+  });
 }
 
 /// x[j] += a[j] - b[j]. Merges one shard's weight delta (local minus
 /// round-start snapshot) into the shared matrix in the deterministic
 /// parallel trainer.
-LEVA_ALWAYS_INLINE void VecAddDelta(double* x, const double* a, const double* b,
-                        size_t n) {
-  double* __restrict out = x;
-  const double* __restrict cur = a;
-  const double* __restrict orig = b;
-  for (size_t j = 0; j < n; ++j) out[j] += cur[j] - orig[j];
+LEVA_ALWAYS_INLINE void VecAddDelta(double* x, const double* a,
+                                    const double* b, size_t n) {
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V xv, av, bv;
+    Load(&xv, x + j);
+    Load(&av, a + j);
+    Load(&bv, b + j);
+    Store(x + j, xv + (av - bv));
+  });
+}
+
+/// acc[j] += w * src[j]: one weighted fp64 row of the featurize gather.
+LEVA_ALWAYS_INLINE void GatherAdd(double* acc, const double* src, double w,
+                                  size_t n) {
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V a, s;
+    Load(&a, acc + j);
+    Load(&s, src + j);
+    Store(acc + j, a + w * s);
+  });
+}
+
+/// out[j] = acc[j] / weight (and dup[j] = the same, when dup is non-null);
+/// acc[j] = 0.0. Finishes one weighted-mean row of the featurize gather — a
+/// true division, not a multiply by the reciprocal — and re-zeroes the
+/// accumulator for the next row.
+LEVA_ALWAYS_INLINE void MeanStore(double* acc, double weight, double* out,
+                                  double* dup, size_t n) {
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V a;
+    Load(&a, acc + j);
+    const V v = a / weight;
+    Store(out + j, v);
+    if (dup != nullptr) Store(dup + j, v);
+    Store(acc + j, V{});
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -234,15 +332,53 @@ LEVA_ALWAYS_INLINE uint16_t Bf16FromFloat(float f) {
   return static_cast<uint16_t>(u >> 16);
 }
 
+/// *v = widen(p[0 .. lanes of V)) from bf16. Exact at every width: each
+/// 16-bit pattern becomes the upper half of an fp32 lane (interleaved with
+/// zero low halves — one punpcklwd), which promotes losslessly to fp64.
+template <typename V>
+LEVA_ALWAYS_INLINE void LoadBf16(V* v, const uint16_t* p) {
+  if constexpr (std::is_same_v<V, double>) {
+    *v = static_cast<double>(Bf16ToFloat(*p));
+  } else {
+    using U16x4 = uint16_t __attribute__((vector_size(8)));
+    using U16x8 = uint16_t __attribute__((vector_size(16)));
+    using F32x4 = float __attribute__((vector_size(16)));
+    U16x4 b;
+    std::memcpy(&b, p, sizeof(b));
+    const U16x4 zero = {};
+    const U16x8 halves = __builtin_shufflevector(zero, b, 0, 4, 1, 5, 2, 6, 3, 7);
+    F32x4 f;
+    std::memcpy(&f, &halves, sizeof(f));
+    *v = __builtin_convertvector(f, V);
+  }
+}
+
+/// *v = p[0 .. lanes of V) from int8, exactly. The lanes widen through
+/// int32, which is one pmovsx + cvtdq2pd where a direct int8 -> fp64
+/// conversion would be four scalar converts.
+template <typename V>
+LEVA_ALWAYS_INLINE void LoadI8(V* v, const int8_t* p) {
+  if constexpr (std::is_same_v<V, double>) {
+    *v = static_cast<double>(*p);
+  } else {
+    using I8x4 = int8_t __attribute__((vector_size(4)));
+    using I32x4 = int32_t __attribute__((vector_size(16)));
+    I8x4 q;
+    std::memcpy(&q, p, sizeof(q));
+    *v = __builtin_convertvector(__builtin_convertvector(q, I32x4), V);
+  }
+}
+
 /// acc[j] += w * widen(src[j]) over a bf16 row. The widen is exact, so each
 /// element costs the same two roundings (mul, add) as the fp64 gather.
-LEVA_ALWAYS_INLINE void GatherAddBf16(double* acc, const uint16_t* src, double w,
-                                      size_t n) {
-  double* __restrict a = acc;
-  const uint16_t* __restrict s = src;
-  for (size_t j = 0; j < n; ++j) {
-    a[j] += w * static_cast<double>(Bf16ToFloat(s[j]));
-  }
+LEVA_ALWAYS_INLINE void GatherAddBf16(double* acc, const uint16_t* src,
+                                      double w, size_t n) {
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V a, s;
+    Load(&a, acc + j);
+    LoadBf16(&s, src + j);
+    Store(acc + j, a + w * s);
+  });
 }
 
 /// acc[j] += w * (scale * src[j]) over an int8 row with per-row scale.
@@ -250,28 +386,33 @@ LEVA_ALWAYS_INLINE void GatherAddBf16(double* acc, const uint16_t* src, double w
 /// weight order), then weighted, then accumulated — do not reassociate.
 LEVA_ALWAYS_INLINE void DequantGatherAdd(double* acc, const int8_t* src,
                                          double scale, double w, size_t n) {
-  double* __restrict a = acc;
-  const int8_t* __restrict s = src;
-  for (size_t j = 0; j < n; ++j) {
-    a[j] += w * (scale * static_cast<double>(s[j]));
-  }
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V a, q;
+    Load(&a, acc + j);
+    LoadI8(&q, src + j);
+    Store(acc + j, a + w * (scale * q));
+  });
 }
 
 /// out[j] = widen(src[j]): materializes one bf16 row as fp64 (exact).
 LEVA_ALWAYS_INLINE void DequantRowBf16(double* out, const uint16_t* src,
                                        size_t n) {
-  double* __restrict o = out;
-  const uint16_t* __restrict s = src;
-  for (size_t j = 0; j < n; ++j) o[j] = static_cast<double>(Bf16ToFloat(s[j]));
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V s;
+    LoadBf16(&s, src + j);
+    Store(out + j, s);
+  });
 }
 
 /// out[j] = scale * src[j]: materializes one int8 row as fp64. One rounding
 /// per element — the same bits every consumer of a dequantized row sees.
 LEVA_ALWAYS_INLINE void DequantRowI8(double* out, const int8_t* src,
                                      double scale, size_t n) {
-  double* __restrict o = out;
-  const int8_t* __restrict s = src;
-  for (size_t j = 0; j < n; ++j) o[j] = scale * static_cast<double>(s[j]);
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V q;
+    LoadI8(&q, src + j);
+    Store(out + j, scale * q);
+  });
 }
 
 }  // namespace simd

@@ -88,8 +88,8 @@ LEVA_ALWAYS_INLINE void GatherChunkImpl(const ResolvedColumn* cols,
                                         size_t begin, size_t end,
                                         bool dup_to_row) {
   std::vector<double> acc(dim);  // zero-initialized; re-zeroed after each row
+  double* a = acc.data();
   for (size_t r = begin; r < end; ++r) {
-    double* __restrict a = acc.data();
     double total_weight = 0.0;
     bool touched = false;
     for (size_t c = 0; c < num_cols; ++c) {
@@ -111,32 +111,18 @@ LEVA_ALWAYS_INLINE void GatherChunkImpl(const ResolvedColumn* cols,
           simd::DequantGatherAdd(a, static_cast<const int8_t*>(o.vec), o.scale,
                                  w, dim);
         } else {
-          const double* __restrict vec = static_cast<const double*>(o.vec);
-          for (size_t j = 0; j < dim; ++j) a[j] += w * vec[j];
+          simd::GatherAdd(a, static_cast<const double*>(o.vec), w, dim);
         }
       }
     }
     // total_weight == 0 leaves the (already zero) matrix row untouched,
     // exactly like the row-at-a-time path skipping its division.
     if (total_weight > 0) {
-      double* __restrict value_out = x + r * width + off;
-      if (dup_to_row) {
-        double* __restrict row_out = x + r * width;
-        for (size_t j = 0; j < dim; ++j) {
-          const double v = a[j] / total_weight;
-          value_out[j] = v;
-          row_out[j] = v;
-          a[j] = 0.0;
-        }
-      } else {
-        for (size_t j = 0; j < dim; ++j) {
-          value_out[j] = a[j] / total_weight;
-          a[j] = 0.0;
-        }
-      }
+      simd::MeanStore(a, total_weight, x + r * width + off,
+                      dup_to_row ? x + r * width : nullptr, dim);
     } else if (touched) {
       // Accumulated but zero total weight: reset the buffer for the next row.
-      for (size_t j = 0; j < dim; ++j) a[j] = 0.0;
+      std::fill(acc.begin(), acc.end(), 0.0);
     }
   }
 }

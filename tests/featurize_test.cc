@@ -100,6 +100,34 @@ TEST(BatchedFeaturizeTest, MatchesLegacyAcrossModesThreadsAndBatches) {
   }
 }
 
+// Every case above runs at dim 8, a whole number of 4-lane groups; dim 13
+// also runs the gather kernels' scalar tail end to end.
+TEST(BatchedFeaturizeTest, MatchesLegacyAtOddDim) {
+  StudentSplit split = MakeSplit();
+  for (const Featurization mode :
+       {Featurization::kRowOnly, Featurization::kRowPlusValue}) {
+    LevaConfig config = TestConfig(mode);
+    config.embedding_dim = 13;
+    LevaPipeline pipeline(config);
+    ASSERT_TRUE(pipeline.Fit(split.fit_db).ok());
+    ASSERT_EQ(pipeline.embedding().dim(), 13u);
+    for (const bool rows_in_graph : {true, false}) {
+      const Table& table =
+          rows_in_graph ? split.train_table : split.test_table;
+      const auto legacy = ReferenceFeaturize(pipeline, table, "total_expenses",
+                                             split.encoder, rows_in_graph);
+      ASSERT_TRUE(legacy.ok());
+      for (const size_t threads : {size_t{1}, size_t{4}}) {
+        pipeline.set_serving_options(threads, 0);
+        const auto batched = pipeline.Featurize(table, "total_expenses",
+                                                split.encoder, rows_in_graph);
+        ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+        ExpectBitIdentical(*batched, *legacy);
+      }
+    }
+  }
+}
+
 TEST(BatchedFeaturizeTest, MatchesLegacyOnUnweightedGraph) {
   StudentSplit split = MakeSplit();
   LevaPipeline pipeline(

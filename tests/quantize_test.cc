@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -263,6 +264,37 @@ TEST(QuantizeTest, FusedGatherBitIdenticalToLegacyAtEveryTier) {
                            FeaturizedReference(*c.p, t.f, false));
       }
     }
+  }
+}
+
+// The same parity at dim 13: the fixture above runs at dim 8, a whole
+// number of 4-lane groups, so only this case reaches the fused kernels'
+// scalar tail end to end.
+TEST(QuantizeTest, FusedGatherBitIdenticalToLegacyAtOddDim) {
+  const Fixture f = MakeFixture();
+  LevaConfig config = TestConfig();
+  config.embedding_dim = 13;
+  LevaPipeline fitted(config);
+  ASSERT_TRUE(fitted.Fit(f.ds.db).ok());
+  ASSERT_EQ(fitted.embedding().dim(), 13u);
+  for (const StorageTier tier :
+       {StorageTier::kFp64, StorageTier::kBf16, StorageTier::kInt8}) {
+    const std::string path =
+        TempPath("odd_dim_" + std::to_string(static_cast<int>(tier)));
+    ASSERT_TRUE(fitted.SaveSnapshot(path, tier).ok());
+    LevaPipeline serving;
+    ASSERT_TRUE(serving.LoadSnapshot(path).ok());
+    ASSERT_EQ(serving.embedding().tier(), tier);
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("tier=" + std::to_string(static_cast<int>(tier)) +
+                   " threads=" + std::to_string(threads));
+      serving.set_serving_options(threads, 0);
+      ExpectBitIdentical(Featurized(serving, f, true),
+                         FeaturizedReference(serving, f, true));
+      ExpectBitIdentical(Featurized(serving, f, false),
+                         FeaturizedReference(serving, f, false));
+    }
+    std::remove(path.c_str());
   }
 }
 

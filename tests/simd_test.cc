@@ -1,0 +1,257 @@
+// Edge and tail coverage for the element-wise kernels of common/simd.h: each
+// kernel must match its scalar loop bit for bit at every length — empty,
+// shorter than one 4-lane group, whole groups, and groups plus a tail — on
+// rows offset by one element (so no load is 32-byte aligned), both inlined
+// into a plain function (the baseline ISA) and through a LEVA_TARGET_CLONES
+// caller (the AVX2 clone, where the CPU has it). Runs under ASan and UBSan
+// (robustness label), so a lane that reads or writes past a row fails here.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/simd.h"
+
+namespace leva {
+namespace {
+
+enum class Kernel {
+  kSkipGramInit,
+  kSkipGramAccum,
+  kVecAdd,
+  kVecAddDelta,
+  kGatherAdd,
+  kMeanStore,
+  kMeanStoreDup,
+  kGatherAddBf16,
+  kDequantGatherAdd,
+  kDequantRowBf16,
+  kDequantRowI8,
+};
+
+constexpr Kernel kKernels[] = {
+    Kernel::kSkipGramInit,   Kernel::kSkipGramAccum,
+    Kernel::kVecAdd,         Kernel::kVecAddDelta,
+    Kernel::kGatherAdd,      Kernel::kMeanStore,
+    Kernel::kMeanStoreDup,   Kernel::kGatherAddBf16,
+    Kernel::kDequantGatherAdd, Kernel::kDequantRowBf16,
+    Kernel::kDequantRowI8,
+};
+
+// One kernel call's operands. Each kernel reads and writes a subset of the
+// rows; the test compares all of them afterwards.
+struct Args {
+  double s = 0.0;  // g, w, or the mean's weight
+  double scale = 0.0;
+  double *x = nullptr, *y = nullptr, *z = nullptr;
+  const uint16_t* bf16 = nullptr;
+  const int8_t* i8 = nullptr;
+  size_t n = 0;
+};
+
+LEVA_ALWAYS_INLINE void Dispatch(Kernel k, const Args& a) {
+  switch (k) {
+    case Kernel::kSkipGramInit:
+      return simd::SkipGramInit(a.s, a.x, a.y, a.z, a.n);
+    case Kernel::kSkipGramAccum:
+      return simd::SkipGramAccum(a.s, a.x, a.y, a.z, a.n);
+    case Kernel::kVecAdd:
+      return simd::VecAdd(a.x, a.y, a.n);
+    case Kernel::kVecAddDelta:
+      return simd::VecAddDelta(a.x, a.y, a.z, a.n);
+    case Kernel::kGatherAdd:
+      return simd::GatherAdd(a.x, a.y, a.s, a.n);
+    case Kernel::kMeanStore:
+      return simd::MeanStore(a.x, a.s, a.y, nullptr, a.n);
+    case Kernel::kMeanStoreDup:
+      return simd::MeanStore(a.x, a.s, a.y, a.z, a.n);
+    case Kernel::kGatherAddBf16:
+      return simd::GatherAddBf16(a.x, a.bf16, a.s, a.n);
+    case Kernel::kDequantGatherAdd:
+      return simd::DequantGatherAdd(a.x, a.i8, a.scale, a.s, a.n);
+    case Kernel::kDequantRowBf16:
+      return simd::DequantRowBf16(a.x, a.bf16, a.n);
+    case Kernel::kDequantRowI8:
+      return simd::DequantRowI8(a.x, a.i8, a.scale, a.n);
+  }
+}
+
+void RunPlain(Kernel k, const Args& a) { Dispatch(k, a); }
+
+LEVA_TARGET_CLONES
+void RunCloned(Kernel k, const Args& a) { Dispatch(k, a); }
+
+// The scalar loop each kernel stands for.
+void RunScalar(Kernel k, const Args& a) {
+  for (size_t j = 0; j < a.n; ++j) {
+    switch (k) {
+      case Kernel::kSkipGramInit:
+        a.z[j] = a.s * a.y[j] + 0.0;
+        a.y[j] += a.s * a.x[j];
+        break;
+      case Kernel::kSkipGramAccum:
+        a.z[j] += a.s * a.y[j];
+        a.y[j] += a.s * a.x[j];
+        break;
+      case Kernel::kVecAdd:
+        a.x[j] += a.y[j];
+        break;
+      case Kernel::kVecAddDelta:
+        a.x[j] += a.y[j] - a.z[j];
+        break;
+      case Kernel::kGatherAdd:
+        a.x[j] += a.s * a.y[j];
+        break;
+      case Kernel::kMeanStore:
+        a.y[j] = a.x[j] / a.s;
+        a.x[j] = 0.0;
+        break;
+      case Kernel::kMeanStoreDup:
+        a.y[j] = a.x[j] / a.s;
+        a.z[j] = a.y[j];
+        a.x[j] = 0.0;
+        break;
+      case Kernel::kGatherAddBf16:
+        a.x[j] += a.s * static_cast<double>(simd::Bf16ToFloat(a.bf16[j]));
+        break;
+      case Kernel::kDequantGatherAdd:
+        a.x[j] += a.s * (a.scale * static_cast<double>(a.i8[j]));
+        break;
+      case Kernel::kDequantRowBf16:
+        a.x[j] = static_cast<double>(simd::Bf16ToFloat(a.bf16[j]));
+        break;
+      case Kernel::kDequantRowI8:
+        a.x[j] = a.scale * static_cast<double>(a.i8[j]);
+        break;
+    }
+  }
+}
+
+// Rows of n elements starting one element into their allocation: never
+// 32-byte aligned, and the row ends exactly where the allocation does, so an
+// overrunning lane is a heap overflow under ASan.
+struct Rows {
+  std::vector<double> x, y, z;
+  std::vector<uint16_t> bf16;
+  std::vector<int8_t> i8;
+  size_t n;
+
+  Rows(size_t n, uint64_t seed) : n(n) {
+    Rng r(seed);
+    for (std::vector<double>* v : {&x, &y, &z}) {
+      v->resize(n + 1);
+      for (double& d : *v) d = r.Uniform(-2.0, 2.0);
+    }
+    // int8 codes hit both ends of the symmetric range the quantizer uses;
+    // bf16 patterns mix normals with subnormals of both signs (a zero
+    // exponent field), all finite.
+    i8.resize(n + 1);
+    bf16.resize(n + 1);
+    for (size_t j = 0; j <= n; ++j) {
+      switch (j % 4) {
+        case 0: i8[j] = 127; break;
+        case 1: i8[j] = -127; break;
+        default:
+          i8[j] = static_cast<int8_t>(static_cast<int>(r.UniformInt(255)) - 127);
+      }
+      const uint16_t sign = r.Bernoulli(0.5) ? 0x8000u : 0u;
+      const uint16_t mantissa = static_cast<uint16_t>(r.UniformInt(0x80));
+      const uint16_t exponent =
+          j % 3 == 0 ? 0 : static_cast<uint16_t>(1 + r.UniformInt(0xFE));
+      bf16[j] = static_cast<uint16_t>(sign | (exponent << 7) | mantissa);
+    }
+  }
+
+  Args Operands() {
+    Args a;
+    a.s = -0.75;
+    a.scale = 0.0123;
+    a.x = x.data() + 1;
+    a.y = y.data() + 1;
+    a.z = z.data() + 1;
+    a.bf16 = bf16.data() + 1;
+    a.i8 = i8.data() + 1;
+    a.n = n;
+    return a;
+  }
+};
+
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& want, const char* row) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                           got.size() * sizeof(double)))
+      << "row " << row;
+}
+
+constexpr size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 31, 63, 64, 65};
+
+TEST(SimdTest, KernelsMatchScalarLoopsAtEveryLength) {
+  for (const Kernel k : kKernels) {
+    for (const size_t n : kLengths) {
+      for (const bool cloned : {false, true}) {
+        SCOPED_TRACE("kernel " + std::to_string(static_cast<int>(k)) +
+                     " n=" + std::to_string(n) +
+                     (cloned ? " cloned" : " plain"));
+        const uint64_t seed = 1000 * static_cast<uint64_t>(k) + n;
+        Rows want(n, seed);
+        Rows got(n, seed);
+        RunScalar(k, want.Operands());
+        (cloned ? RunCloned : RunPlain)(k, got.Operands());
+        ExpectSameBits(got.x, want.x, "x");
+        ExpectSameBits(got.y, want.y, "y");
+        ExpectSameBits(got.z, want.z, "z");
+      }
+    }
+  }
+}
+
+// g * target[j] is -0.0 whenever the signs differ and one factor is zero; the
+// kernel's `+ 0.0` must turn that into +0.0 in every lane and in the tail,
+// exactly like the zero-fill-then-accumulate it stands for.
+TEST(SimdTest, SkipGramInitNormalizesNegativeZero) {
+  for (const size_t n : kLengths) {
+    for (const bool cloned : {false, true}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + (cloned ? " cloned" : " plain"));
+      Rows rows(n, n);
+      for (double& t : rows.y) t = 0.0;
+      Args a = rows.Operands();
+      a.s = -1.0;  // -1.0 * +0.0 == -0.0
+      (cloned ? RunCloned : RunPlain)(Kernel::kSkipGramInit, a);
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(a.z[j], 0.0);
+        EXPECT_FALSE(std::signbit(a.z[j])) << "grad[" << j << "] is -0.0";
+      }
+    }
+  }
+}
+
+// The bf16 and int8 loads must be exact widenings: a dequantized row equals
+// its codes converted one element at a time, subnormals and ±127 included.
+TEST(SimdTest, DequantRowsAreExactWidenings) {
+  const size_t n = 65;
+  Rows rows(n, 7);
+  Args a = rows.Operands();
+  std::vector<double> bf16_row(n);
+  std::vector<double> i8_row(n);
+  simd::DequantRowBf16(bf16_row.data(), a.bf16, n);
+  simd::DequantRowI8(i8_row.data(), a.i8, 1.0, n);
+  size_t subnormals = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const float f = simd::Bf16ToFloat(a.bf16[j]);
+    EXPECT_EQ(bf16_row[j], static_cast<double>(f)) << "bf16[" << j << "]";
+    subnormals += std::fpclassify(f) == FP_SUBNORMAL ? 1 : 0;
+    EXPECT_EQ(i8_row[j], static_cast<double>(a.i8[j])) << "int8[" << j << "]";
+  }
+  EXPECT_GT(subnormals, 0u);
+  EXPECT_GT(std::count(i8_row.begin(), i8_row.end(), 127.0), 0);
+  EXPECT_GT(std::count(i8_row.begin(), i8_row.end(), -127.0), 0);
+}
+
+}  // namespace
+}  // namespace leva

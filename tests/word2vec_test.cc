@@ -102,6 +102,18 @@ TEST(Word2VecTest, SequentialFastMatchesLegacyBitwise) {
   ASSERT_TRUE(reference.ok());
   ExpectBitIdentical(fast.node_vectors(), reference->node);
   ExpectBitIdentical(fast.context_vectors(), reference->context);
+
+  // An odd dim runs the kernels' scalar tail (13 = three 4-lane groups + 1).
+  Word2VecOptions odd = options;
+  odd.dim = 13;
+  Word2Vec fast_odd(odd);
+  Rng r3(99);
+  Rng r4(99);
+  ASSERT_TRUE(fast_odd.Train(flat, 50, &r3).ok());
+  const auto reference_odd = ReferenceTrainSequential(flat, 50, odd, &r4);
+  ASSERT_TRUE(reference_odd.ok());
+  ExpectBitIdentical(fast_odd.node_vectors(), reference_odd->node);
+  ExpectBitIdentical(fast_odd.context_vectors(), reference_odd->context);
 }
 
 // The deterministic path runs the batched-dot kernel on copy-on-first-touch
@@ -129,6 +141,11 @@ TEST(Word2VecTest, DeterministicMatchesReferenceBitwise) {
   oversized.epochs = 1;
   ExpectDeterministicMatchesReference(Flatten(RandomCorpus(600, 8, 40, 9)), 40,
                                       oversized, 77);
+
+  Word2VecOptions odd_dim = options;
+  odd_dim.dim = 13;  // exercises the kernels' scalar tail end to end
+  ExpectDeterministicMatchesReference(Flatten(RandomCorpus(3000, 8, 60, 11)),
+                                      60, odd_dim, 31);
 }
 
 // Deterministic-parallel training is a pure function of the seed at any

@@ -1,0 +1,49 @@
+#!/usr/bin/env bash
+# Codegen guard for the explicit-lane SIMD kernels (src/common/simd.h):
+# disassembles the built leva libraries and fails unless the "avx2" clone of
+# every hot multi-versioned caller contains packed 256-bit double mul/add
+# (v{mul,add}pd on ymm registers). A kernel that silently falls back to
+# scalar vmulsd/vaddsd inside the clone still passes every bit-identity
+# test, so only the instructions themselves show the regression.
+#
+#   tools/check_simd_codegen.sh [BUILD_DIR]     (default: build)
+set -euo pipefail
+
+build="${1:-build}"
+shopt -s nullglob
+libs=("$build"/src/*/libleva_*.a)
+if [ "${#libs[@]}" -eq 0 ]; then
+  echo "no leva libraries under $build/src — build first" >&2
+  exit 2
+fi
+
+objdump -d -C --no-show-raw-insn "${libs[@]}" | awk '
+BEGIN {
+  n = split("TrainSentenceShared TrainSentenceShard MergeShardUpdates " \
+            "GatherChunkF64 GatherChunkBf16 GatherChunkI8", want, " ")
+}
+/^[0-9a-f]+ <.*>:$/ {
+  cur = ""
+  if (index($0, "[clone .avx2]>")) {
+    for (i = 1; i <= n; i++) {
+      if (index($0, "::" want[i] "(")) { cur = want[i]; seen[cur] = 1 }
+    }
+  }
+  next
+}
+cur != "" && /v(mul|add)pd[ \t].*%ymm/ { packed[cur]++ }
+END {
+  bad = 0
+  for (i = 1; i <= n; i++) {
+    f = want[i]
+    if (!seen[f]) {
+      printf "FAIL %-20s no [clone .avx2] body found\n", f; bad = 1
+    } else if (packed[f] == 0) {
+      printf "FAIL %-20s avx2 clone has no packed ymm vmulpd/vaddpd\n", f
+      bad = 1
+    } else {
+      printf "ok   %-20s avx2 clone: %d packed ymm vmulpd/vaddpd\n", f, packed[f]
+    }
+  }
+  exit bad
+}'
