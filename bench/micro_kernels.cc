@@ -111,7 +111,20 @@ void BM_RandomizedSVD(benchmark::State& state) {
     benchmark::DoNotOptimize(RandomizedSVD(m, options, &rng));
   }
 }
-BENCHMARK(BM_RandomizedSVD)->Arg(16)->Arg(64);
+BENCHMARK(BM_RandomizedSVD)->Arg(16)->Arg(64)->Arg(256);
+
+// Two-pass modified Gram-Schmidt at the serve model's sketch height (3,581
+// Student nodes) and the MF Fit sketch widths k = rank + 10 of dims 64 and
+// 256. RandomizedSVD runs it power_iterations + 1 times per Fit.
+void BM_GramSchmidtQ(benchmark::State& state) {
+  Rng rng(7);
+  const Matrix a =
+      Matrix::GaussianRandom(3581, static_cast<size_t>(state.range(0)), &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GramSchmidtQ(a));
+  }
+}
+BENCHMARK(BM_GramSchmidtQ)->Arg(74)->Arg(266)->Unit(benchmark::kMillisecond);
 
 void BM_WalkGeneration(benchmark::State& state) {
   Fixture& f = GetFixture();

@@ -7,8 +7,15 @@
 #include <type_traits>
 
 // Shared SIMD plumbing for the hot kernels (featurize gather, skip-gram
-// training): a multi-versioning macro, a prefetch shim, 4-lane vector
-// helpers, and the inline element-wise kernels built on them.
+// training, the dense LA of MF Fit): a multi-versioning macro, a prefetch
+// shim, 4-lane vector helpers, and the inline element-wise kernels built on
+// them.
+//
+// Callers in src/la/ (each a LEVA_TARGET_CLONES function): GramSchmidtQ
+// (Dot, GatherAdd, Scale over rows of Qᵀ), SymmetricEigen (Rotate over rows
+// of D and Vᵀ), the MatMul/MatTMul row-range helpers and the CSR
+// Multiply/TransposeMultiply row helpers (GatherAdd), and
+// Matrix::AddScaled/Scale (GatherAdd, Scale).
 //
 // LEVA_TARGET_CLONES: runtime-dispatched function multi-versioning. Apply it
 // to the HOT OUTER FUNCTION (the loop that calls the kernels below), not to
@@ -275,7 +282,9 @@ LEVA_ALWAYS_INLINE void VecAddDelta(double* x, const double* a,
   });
 }
 
-/// acc[j] += w * src[j]: one weighted fp64 row of the featurize gather.
+/// acc[j] += w * src[j]: one weighted fp64 row of the featurize gather, and
+/// the axpy of every dense-LA inner loop (matmul rows, CSR rows and
+/// scatters, Gram-Schmidt projections, Matrix::AddScaled).
 LEVA_ALWAYS_INLINE void GatherAdd(double* acc, const double* src, double w,
                                   size_t n) {
   ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
@@ -283,6 +292,31 @@ LEVA_ALWAYS_INLINE void GatherAdd(double* acc, const double* src, double w,
     Load(&a, acc + j);
     Load(&s, src + j);
     Store(acc + j, a + w * s);
+  });
+}
+
+/// x[j] *= alpha. Normalizes a Gram-Schmidt column; Matrix::Scale.
+LEVA_ALWAYS_INLINE void Scale(double* x, double alpha, size_t n) {
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V xv;
+    Load(&xv, x + j);
+    Store(x + j, xv * alpha);
+  });
+}
+
+/// Plane rotation of two distinct rows:
+///   x'[j] = c * x[j] - s * y[j];
+///   y'[j] = s * x[j] + c * y[j];
+/// both from the original x[j], y[j]. One Jacobi rotation step of
+/// SymmetricEigen (rows p, q of D and of Vᵀ).
+LEVA_ALWAYS_INLINE void Rotate(double* x, double* y, double c, double s,
+                               size_t n) {
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V xv, yv;
+    Load(&xv, x + j);
+    Load(&yv, y + j);
+    Store(x + j, c * xv - s * yv);
+    Store(y + j, s * xv + c * yv);
   });
 }
 

@@ -4,47 +4,40 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/simd.h"
+
 namespace leva {
-namespace {
 
-// Column dot product helpers on row-major matrices.
-double ColDot(const Matrix& m, size_t c1, size_t c2) {
-  double sum = 0;
-  for (size_t r = 0; r < m.rows(); ++r) sum += m(r, c1) * m(r, c2);
-  return sum;
-}
-
-void ColAxpy(Matrix* m, size_t dst, size_t src, double alpha) {
-  for (size_t r = 0; r < m->rows(); ++r) (*m)(r, dst) += alpha * (*m)(r, src);
-}
-
-void ColScale(Matrix* m, size_t c, double alpha) {
-  for (size_t r = 0; r < m->rows(); ++r) (*m)(r, c) *= alpha;
-}
-
-}  // namespace
-
+// Modified Gram-Schmidt on Qᵀ: row j of qt is column j of Q, so every dot,
+// axpy and scale runs over contiguous memory. The operations and their order
+// are those of column-wise MGS on Q itself; only the layout changes.
+LEVA_TARGET_CLONES
 Matrix GramSchmidtQ(const Matrix& a) {
-  Matrix q = a;
-  const size_t k = q.cols();
+  Matrix qt = a.Transposed();
+  const size_t k = qt.rows();
+  const size_t m = qt.cols();
   for (size_t j = 0; j < k; ++j) {
+    double* qj = qt.RowPtr(j);
     // Two orthogonalization passes for numerical stability.
     for (int pass = 0; pass < 2; ++pass) {
       for (size_t i = 0; i < j; ++i) {
-        const double proj = ColDot(q, j, i);
-        if (proj != 0.0) ColAxpy(&q, j, i, -proj);
+        const double* qi = qt.RowPtr(i);
+        const double proj = simd::Dot(qj, qi, m);
+        if (proj != 0.0) simd::GatherAdd(qj, qi, -proj, m);
       }
     }
-    const double norm = std::sqrt(ColDot(q, j, j));
-    if (norm > 1e-12) {
-      ColScale(&q, j, 1.0 / norm);
-    } else {
-      ColScale(&q, j, 0.0);  // rank-deficient direction
-    }
+    const double norm = std::sqrt(simd::Dot(qj, qj, m));
+    // A norm at or below 1e-12 is a rank-deficient direction: zero it.
+    simd::Scale(qj, norm > 1e-12 ? 1.0 / norm : 0.0, m);
   }
-  return q;
+  return qt.Transposed();
 }
 
+// Cyclic Jacobi. V is kept transposed (vt), so a rotation of columns p, q of
+// V is a rotation of rows p, q of vt. The column pass over D stays strided:
+// once rotated, D is no longer bitwise symmetric, so reading its rows in
+// place of its columns would change the result.
+LEVA_TARGET_CLONES
 Result<EigenResult> SymmetricEigen(const Matrix& a, size_t max_sweeps,
                                    double tol) {
   if (a.rows() != a.cols()) {
@@ -52,7 +45,7 @@ Result<EigenResult> SymmetricEigen(const Matrix& a, size_t max_sweeps,
   }
   const size_t n = a.rows();
   Matrix d = a;
-  Matrix v = Matrix::Identity(n);
+  Matrix vt = Matrix::Identity(n);
 
   for (size_t sweep = 0; sweep < max_sweeps; ++sweep) {
     double off = 0;
@@ -71,25 +64,15 @@ Result<EigenResult> SymmetricEigen(const Matrix& a, size_t max_sweeps,
                          (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
         const double c = 1.0 / std::sqrt(t * t + 1.0);
         const double s = t * c;
-        // Apply the rotation to rows/cols p and q of D and columns of V.
+        // Apply the rotation to cols/rows p and q of D and rows of Vᵀ.
         for (size_t i = 0; i < n; ++i) {
           const double dip = d(i, p);
           const double diq = d(i, q);
           d(i, p) = c * dip - s * diq;
           d(i, q) = s * dip + c * diq;
         }
-        for (size_t i = 0; i < n; ++i) {
-          const double dpi = d(p, i);
-          const double dqi = d(q, i);
-          d(p, i) = c * dpi - s * dqi;
-          d(q, i) = s * dpi + c * dqi;
-        }
-        for (size_t i = 0; i < n; ++i) {
-          const double vip = v(i, p);
-          const double viq = v(i, q);
-          v(i, p) = c * vip - s * viq;
-          v(i, q) = s * vip + c * viq;
-        }
+        simd::Rotate(d.RowPtr(p), d.RowPtr(q), c, s, n);
+        simd::Rotate(vt.RowPtr(p), vt.RowPtr(q), c, s, n);
       }
     }
   }
@@ -103,10 +86,10 @@ Result<EigenResult> SymmetricEigen(const Matrix& a, size_t max_sweeps,
   std::sort(order.begin(), order.end(),
             [&](size_t x, size_t y) { return diag[x] > diag[y]; });
   result.eigenvectors = Matrix(n, n);
-  for (size_t j = 0; j < n; ++j) {
-    result.eigenvalues[j] = diag[order[j]];
-    for (size_t i = 0; i < n; ++i) {
-      result.eigenvectors(i, j) = v(i, order[j]);
+  for (size_t j = 0; j < n; ++j) result.eigenvalues[j] = diag[order[j]];
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      result.eigenvectors(i, j) = vt(order[j], i);
     }
   }
   return result;
@@ -125,10 +108,12 @@ Result<SvdResult> ThinSVD(const Matrix& a, size_t threads) {
   out.u = Matrix(a.rows(), n);
   const Matrix av = MatMul(a, eig.eigenvectors, threads);
   for (size_t j = 0; j < n; ++j) {
-    const double s = std::sqrt(std::max(0.0, eig.eigenvalues[j]));
-    out.singular_values[j] = s;
-    if (s > 1e-12) {
-      for (size_t i = 0; i < a.rows(); ++i) out.u(i, j) = av(i, j) / s;
+    out.singular_values[j] = std::sqrt(std::max(0.0, eig.eigenvalues[j]));
+  }
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      const double s = out.singular_values[j];
+      if (s > 1e-12) out.u(i, j) = av(i, j) / s;
     }
   }
   return out;

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "la/decomp.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
+#include "reference/la_reference.h"
 
 namespace leva {
 namespace {
@@ -312,6 +315,229 @@ TEST_P(RandomizedSvdSweep, RankBoundsRespected) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomizedSvdSweep,
                          ::testing::Values<size_t>(1, 2, 5, 10, 20));
+
+// ---------------------------------------------------------------------------
+// Bitwise differential suite: the production dense-LA kernels against the
+// plain-loop oracles in tests/reference/la_reference.h. Shapes cover every
+// 4-lane tail (sizes 1, 2, 3, 5, 13, 74), and inputs carry exact zeros,
+// disjoint-support (exactly orthogonal) columns, dependent and all-zero
+// columns so each skip and branch of the kernels is taken.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kSizes[] = {1, 2, 3, 5, 13, 74};
+constexpr size_t kThreadCounts[] = {1, 2, 4, 8};
+
+::testing::AssertionResult SameBytes(const std::vector<double>& a,
+                                     const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << a.size() << " vs " << b.size();
+  }
+  if (!a.empty() &&
+      std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+        return ::testing::AssertionFailure()
+               << "first difference at flat index " << i << ": " << a[i]
+               << " vs " << b[i];
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SameBytes(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    return ::testing::AssertionFailure()
+           << "shape " << a.rows() << "x" << a.cols() << " vs " << b.rows()
+           << "x" << b.cols();
+  }
+  return SameBytes(a.data(), b.data());
+}
+
+// Gaussian entries with roughly a third of them set to exactly 0.0.
+Matrix RandomWithZeros(size_t rows, size_t cols, Rng* rng) {
+  Matrix m = Matrix::GaussianRandom(rows, cols, rng);
+  for (double& v : m.mutable_data()) {
+    if (rng->UniformInt(3) == 0) v = 0.0;
+  }
+  return m;
+}
+
+SparseMatrix RandomSparse(size_t rows, size_t cols, size_t per_row, Rng* rng) {
+  std::vector<Triplet> triplets;
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t e = 0; e < per_row; ++e) {
+      triplets.push_back({static_cast<uint32_t>(r),
+                          static_cast<uint32_t>(rng->UniformInt(cols)),
+                          rng->Normal()});
+    }
+  }
+  return SparseMatrix::FromTriplets(rows, cols, std::move(triplets));
+}
+
+TEST(LaReferenceTest, GramSchmidtMatchesOracleOnEveryTail) {
+  Rng rng(301);
+  for (const size_t m : {1, 3, 5, 37, 1000}) {
+    for (const size_t k : kSizes) {
+      const Matrix a = Matrix::GaussianRandom(m, k, &rng);
+      EXPECT_TRUE(SameBytes(GramSchmidtQ(a), ReferenceGramSchmidtQ(a)))
+          << "m=" << m << " k=" << k;
+    }
+  }
+}
+
+TEST(LaReferenceTest, GramSchmidtMatchesOracleOnDegenerateColumns) {
+  Rng rng(302);
+  for (const size_t m : {1, 3, 5, 37, 1000}) {
+    for (const size_t k : kSizes) {
+      Matrix a = RandomWithZeros(m, k, &rng);
+      for (size_t j = 0; j < k; ++j) {
+        switch (j % 4) {
+          case 1:  // all zero: norm <= 1e-12, every proj == 0
+            for (size_t r = 0; r < m; ++r) a(r, j) = 0.0;
+            break;
+          case 2:  // a multiple of column 0: projects to ~0, then zeroed
+            for (size_t r = 0; r < m; ++r) a(r, j) = 3.0 * a(r, 0);
+            break;
+          case 3:  // one nonzero row: exactly orthogonal to many columns
+            for (size_t r = 0; r < m; ++r) a(r, j) = r == j % m ? 1.5 : 0.0;
+            break;
+          default:
+            break;
+        }
+      }
+      EXPECT_TRUE(SameBytes(GramSchmidtQ(a), ReferenceGramSchmidtQ(a)))
+          << "m=" << m << " k=" << k;
+    }
+  }
+}
+
+TEST(LaReferenceTest, SymmetricEigenMatchesOracle) {
+  Rng rng(303);
+  for (const size_t n : kSizes) {
+    const Matrix b = RandomWithZeros(n + 3, n, &rng);
+    Matrix diag(n, n);
+    for (size_t i = 0; i < n; ++i) diag(i, i) = static_cast<double>(i % 3);
+    for (const Matrix& a : {ReferenceMatTMul(b, b), diag}) {
+      const auto got = SymmetricEigen(a);
+      const auto want = ReferenceSymmetricEigen(a);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(want.ok());
+      EXPECT_TRUE(SameBytes(got->eigenvalues, want->eigenvalues)) << "n=" << n;
+      EXPECT_TRUE(SameBytes(got->eigenvectors, want->eigenvectors))
+          << "n=" << n;
+    }
+  }
+}
+
+TEST(LaReferenceTest, DenseMatMulMatchesOracleWithExactZeros) {
+  Rng rng(304);
+  for (const size_t m : {1, 5, 37}) {
+    for (const size_t inner : {1, 3, 13}) {
+      for (const size_t n : kSizes) {
+        const Matrix a = RandomWithZeros(m, inner, &rng);
+        const Matrix b = RandomWithZeros(inner, n, &rng);
+        const Matrix at = RandomWithZeros(inner, m, &rng);
+        const Matrix want = ReferenceMatMul(a, b);
+        const Matrix want_t = ReferenceMatTMul(at, b);
+        for (const size_t threads : kThreadCounts) {
+          EXPECT_TRUE(SameBytes(MatMul(a, b, threads), want))
+              << m << "x" << inner << "x" << n << " threads=" << threads;
+          EXPECT_TRUE(SameBytes(MatTMul(at, b, threads), want_t))
+              << m << "x" << inner << "x" << n << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(LaReferenceTest, SparseProductsMatchOracle) {
+  Rng rng(305);
+  // 2065 rows spread over the maximum of 8 transpose chunks; 600 over 2.
+  for (const size_t rows : {1, 37, 600, 2065}) {
+    const SparseMatrix s = RandomSparse(rows, 90, 4, &rng);
+    for (const size_t k : kSizes) {
+      const Matrix x = RandomWithZeros(90, k, &rng);
+      const Matrix xt = RandomWithZeros(rows, k, &rng);
+      const Matrix want = ReferenceSparseMultiply(s, x);
+      const Matrix want_t = ReferenceSparseTransposeMultiply(s, xt);
+      for (const size_t threads : {1, 2, 3, 4, 8}) {
+        EXPECT_TRUE(SameBytes(s.Multiply(x, threads), want))
+            << "rows=" << rows << " k=" << k << " threads=" << threads;
+        EXPECT_TRUE(SameBytes(s.TransposeMultiply(xt, threads), want_t))
+            << "rows=" << rows << " k=" << k << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(LaReferenceTest, ThinSvdMatchesOracle) {
+  Rng rng(306);
+  for (const size_t n : kSizes) {
+    const Matrix a = RandomWithZeros(2 * n + 7, n, &rng);
+    const auto want = ReferenceThinSVD(a);
+    ASSERT_TRUE(want.ok());
+    for (const size_t threads : kThreadCounts) {
+      const auto got = ThinSVD(a, threads);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(SameBytes(got->singular_values, want->singular_values))
+          << "n=" << n << " threads=" << threads;
+      EXPECT_TRUE(SameBytes(got->u, want->u))
+          << "n=" << n << " threads=" << threads;
+      EXPECT_TRUE(SameBytes(got->v, want->v))
+          << "n=" << n << " threads=" << threads;
+    }
+  }
+}
+
+TEST(LaReferenceTest, RandomizedSvdMatchesOracle) {
+  Rng data_rng(307);
+  // 2065 rows: the transpose products take all 8 chunks.
+  const SparseMatrix a = RandomSparse(2065, 700, 5, &data_rng);
+  for (const size_t rank : {1, 3, 13}) {
+    RandomizedSvdOptions options;
+    options.rank = rank;
+    Rng want_rng(400 + rank);
+    const auto want = ReferenceRandomizedSVD(a, options, &want_rng);
+    ASSERT_TRUE(want.ok());
+    for (const size_t threads : kThreadCounts) {
+      options.threads = threads;
+      Rng got_rng(400 + rank);
+      const auto got = RandomizedSVD(a, options, &got_rng);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(SameBytes(got->singular_values, want->singular_values))
+          << "rank=" << rank << " threads=" << threads;
+      EXPECT_TRUE(SameBytes(got->u, want->u))
+          << "rank=" << rank << " threads=" << threads;
+      EXPECT_TRUE(SameBytes(got->v, want->v))
+          << "rank=" << rank << " threads=" << threads;
+    }
+  }
+}
+
+TEST(LaReferenceTest, PcaFitMatchesOracle) {
+  Rng rng(308);
+  for (const size_t d : kSizes) {
+    const Matrix x = RandomWithZeros(40, d, &rng);
+    const size_t components = (d + 1) / 2;
+    const auto want = ReferencePcaFit(x, components);
+    ASSERT_TRUE(want.ok());
+    Matrix centered = x;
+    for (size_t r = 0; r < x.rows(); ++r) {
+      for (size_t c = 0; c < d; ++c) centered(r, c) -= want->mean[c];
+    }
+    const Matrix want_projected = ReferenceMatMul(centered, want->basis);
+    for (const size_t threads : kThreadCounts) {
+      const auto got = PCA::Fit(x, components, threads);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(SameBytes(got->explained_variance(), want->variance))
+          << "d=" << d << " threads=" << threads;
+      EXPECT_TRUE(SameBytes(got->Transform(x), want_projected))
+          << "d=" << d << " threads=" << threads;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace leva

@@ -200,6 +200,19 @@ TEST(DeterminismTest, SparseMultiply) {
   ExpectBitIdentical(s.Multiply(x, 1), s.Multiply(x, 4));
   const Matrix y = Matrix::GaussianRandom(600, 16, &rng);
   ExpectBitIdentical(s.TransposeMultiply(y, 1), s.TransposeMultiply(y, 4));
+
+  // 2065 rows: all 8 merge chunks, scattered in waves of 1, 3, 4 and 8.
+  std::vector<Triplet> wide;
+  for (size_t i = 0; i < 12000; ++i) {
+    wide.push_back({static_cast<uint32_t>(rng.UniformInt(2065)),
+                    static_cast<uint32_t>(rng.UniformInt(80)), rng.Normal()});
+  }
+  const SparseMatrix s8 = SparseMatrix::FromTriplets(2065, 80, wide);
+  const Matrix y8 = Matrix::GaussianRandom(2065, 13, &rng);
+  const Matrix want = s8.TransposeMultiply(y8, 1);
+  for (const size_t threads : {3, 4, 8}) {
+    ExpectBitIdentical(want, s8.TransposeMultiply(y8, threads));
+  }
 }
 
 LevaGraph TestGraph() {

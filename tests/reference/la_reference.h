@@ -1,0 +1,58 @@
+// Dense-LA oracles for the MF Fit path (la/decomp.h, la/matrix.h,
+// la/sparse.h): column-wise modified Gram-Schmidt on the row-major Q, cyclic
+// Jacobi rotating columns of V, and the scalar matmul / CSR loops. Each is
+// the plain loop form the production kernels must reproduce bit for bit —
+// the production code runs the same IEEE operations in the same order on a
+// different memory layout and on explicit SIMD lanes. Single-threaded: the
+// production kernels' results do not depend on their thread count. Never
+// used outside tests.
+#ifndef LEVA_TESTS_REFERENCE_LA_REFERENCE_H_
+#define LEVA_TESTS_REFERENCE_LA_REFERENCE_H_
+
+#include <vector>
+
+#include "common/result.h"
+#include "common/rng.h"
+#include "la/decomp.h"
+#include "la/matrix.h"
+#include "la/sparse.h"
+
+namespace leva {
+
+/// What GramSchmidtQ must return.
+Matrix ReferenceGramSchmidtQ(const Matrix& a);
+
+/// What SymmetricEigen must return for the same arguments.
+Result<EigenResult> ReferenceSymmetricEigen(const Matrix& a,
+                                            size_t max_sweeps = 30,
+                                            double tol = 1e-12);
+
+/// What MatMul / MatTMul must return at any thread count.
+Matrix ReferenceMatMul(const Matrix& a, const Matrix& b);
+Matrix ReferenceMatTMul(const Matrix& a, const Matrix& b);
+
+/// What SparseMatrix::Multiply / TransposeMultiply must return at any thread
+/// count. The transpose product keeps the production chunk layout: all
+/// chunk partials are scattered first, then merged in chunk order.
+Matrix ReferenceSparseMultiply(const SparseMatrix& a, const Matrix& x);
+Matrix ReferenceSparseTransposeMultiply(const SparseMatrix& a,
+                                        const Matrix& x);
+
+/// ThinSVD / RandomizedSVD composed from the oracle kernels above.
+Result<SvdResult> ReferenceThinSVD(const Matrix& a);
+Result<SvdResult> ReferenceRandomizedSVD(const SparseMatrix& a,
+                                         const RandomizedSvdOptions& options,
+                                         Rng* rng);
+
+/// PCA::Fit composed from the oracle kernels: the fitted column means, the
+/// d x components basis and the explained variances.
+struct ReferencePca {
+  std::vector<double> mean;
+  Matrix basis;
+  std::vector<double> variance;
+};
+Result<ReferencePca> ReferencePcaFit(const Matrix& x, size_t components);
+
+}  // namespace leva
+
+#endif  // LEVA_TESTS_REFERENCE_LA_REFERENCE_H_

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Codegen guard for the explicit-lane SIMD kernels (src/common/simd.h):
 # disassembles the built leva libraries and fails unless the "avx2" clone of
-# every hot multi-versioned caller contains packed 256-bit double mul/add
+# every hot multi-versioned caller (SGNS, featurize gather, and the dense LA
+# of MF Fit) contains packed 256-bit double mul/add
 # (v{mul,add}pd on ymm registers). A kernel that silently falls back to
 # scalar vmulsd/vaddsd inside the clone still passes every bit-identity
 # test, so only the instructions themselves show the regression.
@@ -20,7 +21,9 @@ fi
 objdump -d -C --no-show-raw-insn "${libs[@]}" | awk '
 BEGIN {
   n = split("TrainSentenceShared TrainSentenceShard MergeShardUpdates " \
-            "GatherChunkF64 GatherChunkBf16 GatherChunkI8", want, " ")
+            "GatherChunkF64 GatherChunkBf16 GatherChunkI8 " \
+            "GramSchmidtQ SymmetricEigen MatMulRows MatTMulRows " \
+            "MultiplyRows ScatterRows", want, " ")
 }
 /^[0-9a-f]+ <.*>:$/ {
   cur = ""
