@@ -3,6 +3,7 @@
 // and random-walk generation.
 #include <benchmark/benchmark.h>
 
+#include "common/io.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/pipeline.h"
@@ -366,6 +367,20 @@ void BM_DequantRowI8(benchmark::State& state) {
       static_cast<int64_t>(DequantFixture::kRows * DequantFixture::kDim));
 }
 BENCHMARK(BM_DequantRowI8);
+
+// CRC32C, the checksum on every wire frame, snapshot page and WAL record:
+// one 4 KiB page, one 4-row dim-256 Row+Value FEATURIZE response payload
+// (16 KiB of features + the 26-byte response header), and 8 MiB.
+void BM_Crc32c(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(11);
+  std::string bytes(n, '\0');
+  for (char& b : bytes) b = static_cast<char>(rng.Next());
+  for (auto _ : state) benchmark::DoNotOptimize(Crc32c(bytes));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(16384 + 26)->Arg(8 << 20);
 
 // ---------------------------------------------------------------------------
 // Word2VecThroughput: skip-gram training tokens/sec over a fixed walk

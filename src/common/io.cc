@@ -12,17 +12,28 @@
 #include <cstdlib>
 #include <fstream>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace leva {
 namespace {
 
-// --- CRC32C (Castagnoli, poly 0x82F63B78), slice-by-8 ------------------------
+// --- CRC32C (Castagnoli, poly 0x82F63B78) -----------------------------------
+//
+// Slice-by-8 is the portable path and the test oracle. x86-64 CPUs with
+// SSE4.2 run the crc32 instruction instead, which updates the same
+// bit-reflected register as slice-by-8's inner loop (the ~seed / ~crc
+// inversions stay outside), so both give the same value for every input.
+
+constexpr uint32_t kCrc32cPoly = 0x82F63B78u;
 
 struct Crc32cTables {
   uint32_t t[8][256];
   Crc32cTables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1) ? 0x82F63B78u : 0);
+      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1) ? kCrc32cPoly : 0);
       t[0][i] = c;
     }
     for (uint32_t i = 0; i < 256; ++i) {
@@ -37,6 +48,74 @@ const Crc32cTables& Tables() {
   static const Crc32cTables tables;
   return tables;
 }
+
+#if defined(__x86_64__)
+
+// a * b mod P over GF(2), both operands bit-reflected (bit 31 is x^0). Bit
+// serial, as zlib's multmodp: at most 32 shift/xor steps.
+constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t m = 1u << 31, p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1) ? (b >> 1) ^ kCrc32cPoly : b >> 1;
+  }
+  return p;
+}
+
+// x^(8 * bytes) mod P, reflected: the factor that advances a CRC register
+// past `bytes` zero bytes.
+constexpr uint32_t XPow8nModP(size_t bytes) {
+  uint32_t p = 1u << 31;  // x^0
+  for (size_t i = 0; i < 8 * bytes; ++i) {
+    p = (p & 1) ? (p >> 1) ^ kCrc32cPoly : p >> 1;
+  }
+  return p;
+}
+
+// Bytes per stream of the three-stream loop. crc32q has a 3-cycle latency
+// and a 1-cycle throughput, so three independent streams keep the unit busy;
+// each 3 * kCrcBlock chunk costs two MultModP joins, which 4 KiB blocks
+// amortise to noise.
+constexpr size_t kCrcBlock = 4096;
+constexpr uint32_t kCrcBlockShift = XPow8nModP(kCrcBlock);
+
+__attribute__((target("sse4.2"))) uint64_t Crc32cU64(uint64_t crc,
+                                                     const unsigned char* p) {
+  uint64_t v;
+  memcpy(&v, p, 8);
+  return _mm_crc32_u64(crc, v);
+}
+
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(uint32_t crc,
+                                                       const unsigned char* p,
+                                                       size_t n) {
+  uint64_t c0 = crc;
+  while (n >= 3 * kCrcBlock) {
+    // Stream 0 continues the running CRC over the first block; streams 1
+    // and 2 start from zero on the next two, and linearity joins them:
+    // crc(A || B) = crc(A) * x^(8|B|) + crc_0(B).
+    uint64_t c1 = 0, c2 = 0;
+    for (size_t i = 0; i < kCrcBlock; i += 8) {
+      c0 = Crc32cU64(c0, p + i);
+      c1 = Crc32cU64(c1, p + kCrcBlock + i);
+      c2 = Crc32cU64(c2, p + 2 * kCrcBlock + i);
+    }
+    c0 = MultModP(kCrcBlockShift, static_cast<uint32_t>(c0)) ^ c1;
+    c0 = MultModP(kCrcBlockShift, static_cast<uint32_t>(c0)) ^ c2;
+    p += 3 * kCrcBlock;
+    n -= 3 * kCrcBlock;
+  }
+  for (; n >= 8; p += 8, n -= 8) c0 = Crc32cU64(c0, p);
+  uint32_t c = static_cast<uint32_t>(c0);
+  while (n-- > 0) c = _mm_crc32_u8(c, *p++);
+  return c;
+}
+
+#endif  // __x86_64__
 
 std::string ErrnoMessage(const char* op, const std::string& path) {
   return std::string(op) + " '" + path + "': " + strerror(errno);
@@ -204,7 +283,9 @@ std::string ParentDir(const std::string& path) {
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+namespace internal {
+
+uint32_t Crc32cSliceBy8(const void* data, size_t n, uint32_t seed) {
   const auto& t = Tables();
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
@@ -221,6 +302,20 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
   }
   while (n-- > 0) crc = (crc >> 8) ^ t.t[0][(crc ^ *p++) & 0xFF];
   return ~crc;
+}
+
+}  // namespace internal
+
+uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+#if defined(__x86_64__)
+  // Chosen once per process. Not LEVA_TARGET_CLONES: its IFUNC resolver
+  // crashes under TSan (see common/simd.h).
+  static const bool sse42 = __builtin_cpu_supports("sse4.2");
+  if (sse42) {
+    return ~Crc32cSse42(~seed, static_cast<const unsigned char*>(data), n);
+  }
+#endif
+  return internal::Crc32cSliceBy8(data, n, seed);
 }
 
 Env* Env::Default() {

@@ -14,12 +14,20 @@
 namespace leva {
 
 /// CRC32C (Castagnoli) of `data`, chainable through `seed` (pass a previous
-/// return value to extend the checksum over a new chunk). Software
-/// slice-by-8; the same polynomial RocksDB/LevelDB frame their blocks with.
+/// return value to extend the checksum over a new chunk); the same
+/// polynomial RocksDB/LevelDB frame their blocks with. Runs the SSE4.2
+/// crc32 instruction where the CPU has it, software slice-by-8 elsewhere;
+/// both give the same value for every input.
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
 inline uint32_t Crc32c(std::string_view s, uint32_t seed = 0) {
   return Crc32c(s.data(), s.size(), seed);
 }
+
+namespace internal {
+/// The portable slice-by-8 path of Crc32c, exposed as the oracle tests
+/// compare the hardware path against.
+uint32_t Crc32cSliceBy8(const void* data, size_t n, uint32_t seed);
+}  // namespace internal
 
 /// An open file being written sequentially. Obtained from Env; every method
 /// follows the Status idiom. Close() is idempotent; the destructor closes

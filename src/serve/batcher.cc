@@ -165,9 +165,29 @@ void RequestBatcher::ExecuteBatch(std::vector<FeaturizeJob> batch,
     c.latency_seconds =
         std::chrono::duration<double>(done - job.enqueued_at).count();
     if (result.ok()) {
-      c.payload = EncodeFeaturizeResponse(
-          c.request_id, job_rows, result->NumFeatures(),
-          result->x.RowPtr(row_offset));
+      const size_t width = result->NumFeatures();
+      const size_t bytes = FeaturizeResponseSize(job_rows, width);
+      if (bytes <= kMaxFramePayload) {
+        c.payload = EncodeFeaturizeResponse(c.request_id, job_rows, width,
+                                            result->x.RowPtr(row_offset));
+      } else {
+        // A frame this large would read as stream corruption to every
+        // peer; answer this request alone with an error instead.
+        const size_t max_rows =
+            (kMaxFramePayload - FeaturizeResponseSize(0, width)) /
+            (width * sizeof(double));
+        c.payload = EncodeErrorResponse(
+            Opcode::kFeaturize, c.request_id,
+            Status::InvalidArgument(
+                "FEATURIZE response of " + std::to_string(bytes) +
+                " bytes exceeds the " + std::to_string(kMaxFramePayload) +
+                "-byte frame limit; at " + std::to_string(width) +
+                " features per row at most " + std::to_string(max_rows) +
+                " row(s) fit in one request"));
+        if (stats_ != nullptr) {
+          stats_->featurize_errors.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
     } else {
       c.payload = EncodeErrorResponse(Opcode::kFeaturize, c.request_id,
                                       result.status());

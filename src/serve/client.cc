@@ -16,6 +16,18 @@ namespace {
 Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
+
+// Frames a request, refusing one the server would take for stream
+// corruption (and hang up on).
+Result<std::string> FrameRequest(std::string_view payload) {
+  if (payload.size() > kMaxFramePayload) {
+    return Status::InvalidArgument(
+        "request payload of " + std::to_string(payload.size()) +
+        " bytes exceeds the " + std::to_string(kMaxFramePayload) +
+        "-byte frame limit");
+  }
+  return EncodeFrame(payload);
+}
 }  // namespace
 
 Client::~Client() { Close(); }
@@ -118,7 +130,8 @@ Result<std::string> Client::RecvFrame() {
 Result<DecodedResponse> Client::RoundTrip(std::string_view payload,
                                           uint64_t expect_id) {
   if (fd_ < 0) return Status::FailedPrecondition("client not connected");
-  LEVA_RETURN_IF_ERROR(SendAll(EncodeFrame(payload)));
+  LEVA_ASSIGN_OR_RETURN(const std::string frame, FrameRequest(payload));
+  LEVA_RETURN_IF_ERROR(SendAll(frame));
   LEVA_ASSIGN_OR_RETURN(const std::string response_payload, RecvFrame());
   DecodedResponse response;
   LEVA_RETURN_IF_ERROR(DecodeResponse(response_payload, &response));
@@ -135,7 +148,8 @@ Result<DecodedResponse> Client::RoundTrip(std::string_view payload,
 
 Status Client::Send(std::string_view payload) {
   if (fd_ < 0) return Status::FailedPrecondition("client not connected");
-  return SendAll(EncodeFrame(payload));
+  LEVA_ASSIGN_OR_RETURN(const std::string frame, FrameRequest(payload));
+  return SendAll(frame);
 }
 
 Result<DecodedResponse> Client::ReadResponse() {

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/logging.h"
 #include "common/status.h"
 
 namespace leva::serve {
@@ -87,6 +88,8 @@ const char* OpcodeName(Opcode op) {
 }
 
 std::string EncodeFrame(std::string_view payload) {
+  LEVA_CHECK(payload.size() <= kMaxFramePayload,
+             "frame payload exceeds kMaxFramePayload");
   BufferWriter w;
   w.PutU32(static_cast<uint32_t>(payload.size()));
   w.PutU32(Crc32c(payload));
@@ -193,6 +196,13 @@ std::string EncodeFeaturizeResponse(uint64_t request_id, size_t rows,
   w.PutU32(static_cast<uint32_t>(width));
   w.PutBytes(features, rows * width * sizeof(double));
   return w.Release();
+}
+
+size_t FeaturizeResponseSize(size_t rows, size_t width) {
+  // opcode, request id, status code, empty message (u64 length), u32 rows,
+  // u32 width, then the features.
+  constexpr size_t kHeader = 1 + 8 + 1 + 8 + 4 + 4;
+  return kHeader + rows * width * sizeof(double);
 }
 
 std::string EncodeStatsResponse(

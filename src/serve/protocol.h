@@ -51,7 +51,8 @@ enum class Opcode : uint8_t {
 
 const char* OpcodeName(Opcode op);
 
-/// Wraps `payload` in a length + CRC32C frame.
+/// Wraps `payload` in a length + CRC32C frame. `payload` must be at most
+/// kMaxFramePayload bytes (checked): no peer would accept a longer frame.
 std::string EncodeFrame(std::string_view payload);
 
 /// Outcome of scanning a receive buffer for one complete frame.
@@ -122,6 +123,10 @@ std::string EncodeOkResponse(Opcode opcode, uint64_t request_id);
 /// with the offline Featurize).
 std::string EncodeFeaturizeResponse(uint64_t request_id, size_t rows,
                                     size_t width, const double* features);
+/// Payload size in bytes of the EncodeFeaturizeResponse for `rows` x `width`
+/// features — what the server checks against kMaxFramePayload before
+/// encoding one.
+size_t FeaturizeResponseSize(size_t rows, size_t width);
 /// OK response for STATS: u32 count of (string name, double value) fields.
 std::string EncodeStatsResponse(
     uint64_t request_id,

@@ -208,14 +208,15 @@ struct FakeExec {
   std::mutex mu;
   std::vector<size_t> call_rows;
   std::vector<Completion> completions;
+  size_t width = 2;  ///< features per row: the row's value, then 0.5s
 
   RequestBatcher::Executor executor() {
     return [this](Table rows, std::string, bool) -> Result<MLDataset> {
       MLDataset ds;
-      ds.x = Matrix(rows.NumRows(), 2);
+      ds.x = Matrix(rows.NumRows(), width);
       for (size_t r = 0; r < rows.NumRows(); ++r) {
         ds.x(r, 0) = static_cast<double>(rows.column(0).values[r].as_int());
-        ds.x(r, 1) = 0.5;
+        for (size_t j = 1; j < width; ++j) ds.x(r, j) = 0.5;
       }
       std::lock_guard<std::mutex> lock(mu);
       call_rows.push_back(rows.NumRows());
@@ -306,6 +307,45 @@ TEST(BatcherTest, RowsInGraphRequestsNeverCoalesce) {
   batcher.Stop();
   EXPECT_EQ(fake.call_rows, (std::vector<size_t>{2, 2, 2}))
       << "positional row-node requests must execute as singleton batches";
+}
+
+// An admissible request whose response would not fit in one frame (8192
+// rows x 512 features = 32 MiB + header) gets its own error naming the size,
+// the limit and the row count that fits; its batch-mate is answered as usual.
+TEST(BatcherTest, OversizedResponseIsAPerRequestError) {
+  FakeExec fake;
+  fake.width = 512;
+  BatcherOptions opts;
+  opts.max_batch_rows = 8192 + 2;
+  opts.max_pending_rows = 8192 + 2;
+  opts.max_delay_us = 0;
+  RequestBatcher batcher(opts, fake.executor(), fake.sink(), nullptr);
+  ASSERT_TRUE(batcher.TryEnqueue(MakeJob(1, 0, 2)));
+  ASSERT_TRUE(batcher.TryEnqueue(MakeJob(2, 10, 8192)));
+  batcher.Start();
+  batcher.Stop();
+
+  ASSERT_EQ(fake.call_rows, std::vector<size_t>{8194});
+  ASSERT_EQ(fake.completions.size(), 2u);
+  for (const Completion& c : fake.completions) {
+    ASSERT_LE(c.payload.size(), kMaxFramePayload) << "id " << c.request_id;
+    DecodedResponse r;
+    ASSERT_TRUE(DecodeResponse(c.payload, &r).ok());
+    if (c.request_id == 1) {
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_EQ(r.rows, 2u);
+      EXPECT_EQ(r.width, 512u);
+      continue;
+    }
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+    const std::string& msg = r.status.message();
+    // 8192 x 512 doubles after the 26-byte response header.
+    EXPECT_NE(msg.find(std::to_string(size_t{8192} * 512 * 8 + 26)),
+              std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(kMaxFramePayload)), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("at most 8191 row(s)"), std::string::npos) << msg;
+  }
 }
 
 TEST(BatcherTest, AdmissionBoundRejectsInsteadOfBuffering) {
@@ -564,6 +604,22 @@ TEST(ServerTest, UnknownOpcodeAnswersErrorAndConnectionSurvives) {
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(response->status.message().find("42"), std::string::npos);
+  EXPECT_TRUE(client.Ping().ok()) << "connection must stay usable";
+}
+
+// A request payload past the frame limit is refused by the client before it
+// is sent (the server would take it for stream corruption and hang up).
+TEST(ServerTest, ClientRefusesOversizedRequestAndConnectionSurvives) {
+  LiveServer live(SharedModel().path_a);
+  Client client = live.Connect();
+  std::string payload = EncodeBodylessRequest(Opcode::kPing, 1);
+  payload.resize(size_t{kMaxFramePayload} + 1);
+  auto response = client.RoundTrip(payload, 1);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status().message().find(std::to_string(kMaxFramePayload)),
+            std::string::npos)
+      << response.status().ToString();
   EXPECT_TRUE(client.Ping().ok()) << "connection must stay usable";
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/io.h"
 #include "common/rng.h"
 #include "common/simd.h"
 
@@ -251,6 +252,103 @@ TEST(SimdTest, DequantRowsAreExactWidenings) {
   EXPECT_GT(subnormals, 0u);
   EXPECT_GT(std::count(i8_row.begin(), i8_row.end(), 127.0), 0);
   EXPECT_GT(std::count(i8_row.begin(), i8_row.end(), -127.0), 0);
+}
+
+// --- CRC32C ------------------------------------------------------------------
+//
+// Crc32c runs the SSE4.2 kernel where the CPU has it; these cases compare it
+// with the slice-by-8 oracle (internal::Crc32cSliceBy8) and with the RFC
+// 3720 vectors. The lengths straddle the kernel's three-stream block
+// (3 x 4096 bytes in common/io.cc), its 8-byte steps and its byte tail.
+
+bool HardwareCrc32c() {
+#if defined(__x86_64__)
+  return __builtin_cpu_supports("sse4.2");
+#else
+  return false;
+#endif
+}
+
+constexpr size_t kCrcBlock = 4096;
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.Next());
+  return bytes;
+}
+
+// RFC 3720 section B.4: 32-byte iSCSI test patterns.
+TEST(SimdTest, Crc32cRfc3720Vectors) {
+  unsigned char zeros[32], ones[32], incrementing[32], decrementing[32];
+  for (int i = 0; i < 32; ++i) {
+    zeros[i] = 0x00;
+    ones[i] = 0xFF;
+    incrementing[i] = static_cast<unsigned char>(i);
+    decrementing[i] = static_cast<unsigned char>(31 - i);
+  }
+  const struct {
+    const unsigned char* data;
+    uint32_t crc;
+  } vectors[] = {{zeros, 0x8A9136AAu},
+                 {ones, 0x62A8AB43u},
+                 {incrementing, 0x46DD794Eu},
+                 {decrementing, 0x113FDB5Cu}};
+  for (const auto& v : vectors) {
+    EXPECT_EQ(internal::Crc32cSliceBy8(v.data, 32, 0), v.crc);
+    EXPECT_EQ(Crc32c(v.data, 32), v.crc);
+  }
+}
+
+// Every length up to three blocks + 64 bytes at every start offset 0-7 (so
+// loads are unaligned), cycling through zero and non-zero seeds.
+TEST(SimdTest, Crc32cHardwareMatchesSliceBy8AtEveryLength) {
+  if (!HardwareCrc32c()) GTEST_SKIP() << "CPU has no SSE4.2";
+  const uint32_t seeds[] = {0u, 0xFFFFFFFFu, 0x1EDC6F41u};
+  const size_t max_len = 3 * kCrcBlock + 64;
+  const std::vector<unsigned char> buf = RandomBytes(max_len + 8, 1);
+  for (size_t n = 0; n <= max_len; ++n) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const unsigned char* p = buf.data() + offset;
+      const uint32_t seed = seeds[(n + offset) % 3];
+      ASSERT_EQ(Crc32c(p, n, seed), internal::Crc32cSliceBy8(p, n, seed))
+          << "n=" << n << " offset=" << offset << " seed=" << seed;
+    }
+  }
+}
+
+// Frame- and page-sized buffers at every start offset and several seeds:
+// one 4 KiB page, one 4-row dim-256 Row+Value FEATURIZE response payload
+// (16 KiB of features + 26 header bytes), and 1 MiB.
+TEST(SimdTest, Crc32cHardwareMatchesSliceBy8OnLargeBuffers) {
+  if (!HardwareCrc32c()) GTEST_SKIP() << "CPU has no SSE4.2";
+  const size_t lengths[] = {kCrcBlock, 16384 + 26, size_t{1} << 20};
+  const std::vector<unsigned char> buf = RandomBytes((size_t{1} << 20) + 8, 2);
+  for (const size_t n : lengths) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (const uint32_t seed : {0u, 0xFFFFFFFFu, 0x8A9136AAu}) {
+        const unsigned char* p = buf.data() + offset;
+        ASSERT_EQ(Crc32c(p, n, seed), internal::Crc32cSliceBy8(p, n, seed))
+            << "n=" << n << " offset=" << offset << " seed=" << seed;
+      }
+    }
+  }
+}
+
+// Chaining through `seed` gives the one-shot value at every split point.
+TEST(SimdTest, Crc32cChainingMatchesOneShotAtEverySplit) {
+  const std::vector<unsigned char> buf = RandomBytes(257, 3);
+  const size_t n = buf.size();
+  const uint32_t whole = internal::Crc32cSliceBy8(buf.data(), n, 0);
+  EXPECT_EQ(Crc32c(buf.data(), n), whole);
+  for (size_t k = 0; k <= n; ++k) {
+    const uint32_t sliced = internal::Crc32cSliceBy8(
+        buf.data() + k, n - k, internal::Crc32cSliceBy8(buf.data(), k, 0));
+    const uint32_t dispatched =
+        Crc32c(buf.data() + k, n - k, Crc32c(buf.data(), k));
+    EXPECT_EQ(sliced, whole) << "slice-by-8 split at " << k;
+    EXPECT_EQ(dispatched, whole) << "Crc32c split at " << k;
+  }
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 # disassembles the built leva libraries and fails unless the "avx2" clone of
 # every hot multi-versioned caller (SGNS, featurize gather, and the dense LA
 # of MF Fit) contains packed 256-bit double mul/add
-# (v{mul,add}pd on ymm registers). A kernel that silently falls back to
-# scalar vmulsd/vaddsd inside the clone still passes every bit-identity
-# test, so only the instructions themselves show the regression.
+# (v{mul,add}pd on ymm registers), and unless the SSE4.2 CRC32C kernel
+# (Crc32cSse42, src/common/io.cc) contains the 64-bit crc32q instruction.
+# A kernel that silently falls back to scalar vmulsd/vaddsd inside the
+# clone, or a CRC kernel that falls back to bytewise or table code, still
+# passes every value test, so only the instructions themselves show the
+# regression.
 #
 #   tools/check_simd_codegen.sh [BUILD_DIR]     (default: build)
 set -euo pipefail
@@ -27,6 +30,8 @@ BEGIN {
 }
 /^[0-9a-f]+ <.*>:$/ {
   cur = ""
+  in_crc = index($0, "::Crc32cSse42(") > 0
+  if (in_crc) crc_seen = 1
   if (index($0, "[clone .avx2]>")) {
     for (i = 1; i <= n; i++) {
       if (index($0, "::" want[i] "(")) { cur = want[i]; seen[cur] = 1 }
@@ -35,8 +40,16 @@ BEGIN {
   next
 }
 cur != "" && /v(mul|add)pd[ \t].*%ymm/ { packed[cur]++ }
+in_crc && /[ \t]crc32q[ \t]/ { crc32q++ }
 END {
   bad = 0
+  if (!crc_seen) {
+    printf "FAIL %-20s no body found\n", "Crc32cSse42"; bad = 1
+  } else if (crc32q == 0) {
+    printf "FAIL %-20s no 64-bit crc32q\n", "Crc32cSse42"; bad = 1
+  } else {
+    printf "ok   %-20s %d crc32q\n", "Crc32cSse42", crc32q
+  }
   for (i = 1; i <= n; i++) {
     f = want[i]
     if (!seen[f]) {
