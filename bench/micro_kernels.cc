@@ -383,21 +383,24 @@ void BM_Crc32c(benchmark::State& state) {
 BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(16384 + 26)->Arg(8 << 20);
 
 // ---------------------------------------------------------------------------
-// Word2VecThroughput: skip-gram training tokens/sec over a fixed walk
-// corpus — the skip-gram kernel under the sequential/Hogwild schedule vs
-// the deterministic-parallel merge schedule. The argument is the
-// worker count; items_per_second is corpus tokens per epoch-pass per second.
+// Word2VecThroughput: skip-gram training tokens/sec over a fixed walk corpus
+// under the sharded SGNS schedule. Arguments: the corpus and the worker
+// count; items_per_second is corpus tokens per epoch-pass per second. Two
+// corpora straddle the schedule's small-corpus trade-off: fit_shaped:0 is one
+// 20-step walk per node (~3k sentences, too few shards per epoch for
+// multi-shard rounds), fit_shaped:1 is Fit's walk shape (6 walks of 30
+// steps per node), whose rounds hold two shards.
 // ---------------------------------------------------------------------------
 
 struct W2VFixture {
   FlatCorpus flat;
   size_t vocab = 0;
 
-  W2VFixture() {
+  explicit W2VFixture(bool fit_shaped) {
     Fixture& f = GetFixture();
     WalkOptions options;
-    options.epochs = 1;
-    options.walk_length = 20;
+    options.epochs = fit_shaped ? 6 : 1;
+    options.walk_length = fit_shaped ? 30 : 20;
     options.threads = 1;
     Rng rng(11);
     BatchedWalkGenerator generator(&f.graph, options);
@@ -406,22 +409,19 @@ struct W2VFixture {
   }
 };
 
-W2VFixture& GetW2VFixture() {
-  static W2VFixture* fixture = new W2VFixture();
+W2VFixture& GetW2VFixture(bool fit_shaped) {
+  static W2VFixture* fixtures[2] = {};
+  W2VFixture*& fixture = fixtures[fit_shaped ? 1 : 0];
+  if (fixture == nullptr) fixture = new W2VFixture(fit_shaped);
   return *fixture;
 }
 
-Word2VecOptions W2VBenchOptions() {
+void BM_Word2VecThroughput(benchmark::State& state) {
+  W2VFixture& w = GetW2VFixture(state.range(0) != 0);
   Word2VecOptions options;
   options.dim = 64;
   options.epochs = 1;
-  return options;
-}
-
-void BM_Word2VecThroughputFast(benchmark::State& state) {
-  W2VFixture& w = GetW2VFixture();
-  Word2VecOptions options = W2VBenchOptions();
-  options.threads = static_cast<size_t>(state.range(0));
+  options.threads = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
     Word2Vec model(options);
     Rng rng(12);
@@ -430,22 +430,12 @@ void BM_Word2VecThroughputFast(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(w.flat.num_tokens()));
 }
-BENCHMARK(BM_Word2VecThroughputFast)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_Word2VecThroughputDeterministic(benchmark::State& state) {
-  W2VFixture& w = GetW2VFixture();
-  Word2VecOptions options = W2VBenchOptions();
-  options.deterministic = true;
-  options.threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    Word2Vec model(options);
-    Rng rng(12);
-    benchmark::DoNotOptimize(model.Train(w.flat, w.vocab, &rng));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(w.flat.num_tokens()));
-}
-BENCHMARK(BM_Word2VecThroughputDeterministic)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+// Wall time: the pool's workers do most of the work at threads > 1, which the
+// calling thread's CPU clock would not count.
+BENCHMARK(BM_Word2VecThroughput)
+    ->ArgNames({"fit_shaped", "threads"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4, 8}})
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace leva

@@ -45,7 +45,6 @@ LevaConfig BenchConfig(uint64_t seed, size_t dim) {
   LevaConfig config;
   config.method = EmbeddingMethod::kMatrixFactorization;
   config.embedding_dim = dim;
-  config.word2vec.deterministic = true;
   config.seed = seed;
   return config;
 }

@@ -48,7 +48,6 @@ LevaConfig BenchConfig(EmbeddingMethod method) {
   LevaConfig config;
   config.method = method;
   config.embedding_dim = 32;
-  config.word2vec.deterministic = true;
   config.seed = 7;
   return config;
 }

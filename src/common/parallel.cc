@@ -54,8 +54,7 @@ void ThreadPool::WorkerLoop() {
 size_t ThreadPool::HardwareConcurrency() {
 #if defined(__linux__)
   // CPUs this process may run on: a taskset/cgroup-pinned process must not
-  // size its pool (or pick Hogwild over deterministic SGNS) by the host's
-  // core count.
+  // size its pool by the host's core count.
   cpu_set_t mask;
   CPU_ZERO(&mask);
   if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {

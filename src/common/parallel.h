@@ -77,7 +77,6 @@ void ParallelFor(size_t threads, size_t begin, size_t end, size_t grain,
 namespace rngdomain {
 constexpr uint64_t kWalk = 0xA11CE001;
 constexpr uint64_t kWalkShuffle = 0xA11CE002;
-constexpr uint64_t kWord2Vec = 0xA11CE003;
 constexpr uint64_t kForest = 0xA11CE004;
 constexpr uint64_t kGridSearch = 0xA11CE005;
 constexpr uint64_t kWord2VecDet = 0xA11CE006;

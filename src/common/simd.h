@@ -61,27 +61,12 @@
 #define LEVA_PREFETCH(p)
 #endif
 
-// Marks a function whose data races are by design — the Hogwild SGD path
-// updates weight rows lock-free and tolerates collisions (Recht et al.,
-// NIPS'11). Only used on those kernels, so the deterministic trainer and the
-// rest of the execution layer stay fully TSan-instrumented; code inlined into
-// an annotated function is likewise uninstrumented, which covers the inline
-// kernels above when they land in a Hogwild caller.
-#if defined(__SANITIZE_THREAD__)
-#define LEVA_NO_SANITIZE_THREAD __attribute__((no_sanitize("thread")))
-#else
-#define LEVA_NO_SANITIZE_THREAD
-#endif
-
-// The kernels below must actually inline for two reasons: the target_clones
-// caller pattern (each clone recompiles the kernel loops with its ISA) and
-// the TSan exemption above (instrumentation is decided per containing
-// function, so a kernel only escapes it when inlined into an annotated
-// caller — out-of-line it would be instrumented even in Hogwild, or worse,
-// exempted everywhere if annotated directly). always_inline holds at -O0,
-// which is how sanitizer builds compile. The lane bodies the kernels hand to
-// ForLanes are lambdas — functions of their own — so they carry
-// LEVA_ALWAYS_INLINE_LAMBDA for the same two reasons.
+// The kernels below must actually inline: under the target_clones caller
+// pattern each clone recompiles the kernel loops with its ISA, and an
+// out-of-line kernel would run at the baseline ISA in every clone.
+// always_inline holds at -O0, which is how sanitizer builds compile. The lane
+// bodies the kernels hand to ForLanes are lambdas — functions of their own —
+// so they carry LEVA_ALWAYS_INLINE_LAMBDA for the same reason.
 #if defined(__GNUC__)
 #define LEVA_ALWAYS_INLINE inline __attribute__((always_inline))
 #define LEVA_ALWAYS_INLINE_LAMBDA __attribute__((always_inline))
@@ -258,7 +243,8 @@ LEVA_ALWAYS_INLINE void SkipGramAccum(double g, const double* center,
   });
 }
 
-/// x[j] += d[j]. Applies the accumulated pair gradient to the center vector.
+/// x[j] += d[j]. Applies the accumulated pair gradient to the center vector,
+/// and merges a shard's row delta into the shared weights.
 LEVA_ALWAYS_INLINE void VecAdd(double* x, const double* d, size_t n) {
   ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
     V xv, dv;
@@ -268,17 +254,14 @@ LEVA_ALWAYS_INLINE void VecAdd(double* x, const double* d, size_t n) {
   });
 }
 
-/// x[j] += a[j] - b[j]. Merges one shard's weight delta (local minus
-/// round-start snapshot) into the shared matrix in the deterministic
-/// parallel trainer.
-LEVA_ALWAYS_INLINE void VecAddDelta(double* x, const double* a,
-                                    const double* b, size_t n) {
+/// x[j] -= y[j]. Turns a shard's trained row copy into its delta against
+/// the round-start weights in the sharded SGNS trainer.
+LEVA_ALWAYS_INLINE void VecSub(double* x, const double* y, size_t n) {
   ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
-    V xv, av, bv;
+    V xv, yv;
     Load(&xv, x + j);
-    Load(&av, a + j);
-    Load(&bv, b + j);
-    Store(x + j, xv + (av - bv));
+    Load(&yv, y + j);
+    Store(x + j, xv - yv);
   });
 }
 

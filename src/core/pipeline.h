@@ -58,9 +58,8 @@ struct LevaConfig {
   uint64_t seed = 42;
   /// Worker threads for every parallel stage (walk generation, Word2Vec,
   /// SVD matmuls, batched featurization). 0 = every CPU in the process's
-  /// affinity mask (ResolveThreads). All stages except Hogwild Word2Vec (see
-  /// Word2VecOptions::deterministic) produce bit-identical results at any
-  /// thread count for a fixed seed.
+  /// affinity mask (ResolveThreads). Every stage produces bit-identical
+  /// results at any thread count for a fixed seed.
   size_t threads = 0;
   /// Rows per serving batch in Featurize: tokens are textified, interned, and
   /// resolved batch by batch, bounding the textified-column working set on
@@ -411,9 +410,10 @@ class LevaPipeline {
   /// added the applied-WAL position (offset + record count) to the meta
   /// section so recovery after a crash replays exactly the unapplied tail of
   /// the update log; version 6 dropped the walk engine fields from the
-  /// config again (one walk engine remains). Older versions are rejected
-  /// with an error naming both versions.
-  static constexpr uint32_t kSnapshotVersion = 6;
+  /// config again (one walk engine remains); version 7 dropped the SGNS
+  /// trainer selection bool (one trainer remains). Older versions are
+  /// rejected with an error naming both versions.
+  static constexpr uint32_t kSnapshotVersion = 7;
 
  private:
   // Mean of the value-node embeddings of `tokens` into `out` (zeros when no

@@ -4,7 +4,7 @@
 //
 //   manifest:
 //     [8]  magic "LEVASNP1"
-//     [4]  u32 format version (6)
+//     [4]  u32 format version (7)
 //     [4]  u32 config hash       crc32c of the "config" section payload
 //     [4]  u32 section count
 //     per section:
@@ -96,7 +96,6 @@ void SaveConfig(const LevaConfig& c, BufferWriter* out) {
   out->PutU64(c.word2vec.epochs);
   out->PutDouble(c.word2vec.unigram_power);
   out->PutU64(c.word2vec.threads);
-  out->PutBool(c.word2vec.deterministic);
 
   out->PutU64(c.mf.dim);
   out->PutU64(c.mf.oversample);
@@ -175,7 +174,6 @@ Status LoadConfig(BufferReader* in, LevaConfig* c) {
   LEVA_RETURN_IF_ERROR(in->GetU64(&c->word2vec.epochs));
   LEVA_RETURN_IF_ERROR(in->GetDouble(&c->word2vec.unigram_power));
   LEVA_RETURN_IF_ERROR(in->GetU64(&c->word2vec.threads));
-  LEVA_RETURN_IF_ERROR(in->GetBool(&c->word2vec.deterministic));
 
   LEVA_RETURN_IF_ERROR(in->GetU64(&c->mf.dim));
   LEVA_RETURN_IF_ERROR(in->GetU64(&c->mf.oversample));

@@ -1,10 +1,9 @@
 #include "embed/word2vec.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <limits>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "common/parallel.h"
@@ -18,22 +17,27 @@ namespace {
 constexpr int kExpTableSize = 1000;
 constexpr double kMaxExp = 6.0;
 
-// Sentences per Hogwild / deterministic shard.
-constexpr size_t kSentenceGrain = 64;
-
 // Stack capacity for a skip-gram pair's batched target list (positive +
 // negatives). `negative` options at or beyond this fall back to the serial
 // reference interleaving.
 constexpr size_t kMaxDotBatch = 16;
 
-// Maximum sentences per deterministic-parallel merge round (a multiple of
-// kSentenceGrain so shard boundaries line up at any round offset). Shards
-// within a round train against the weights frozen at the round start; a
-// bounded round keeps the staleness — and therefore the summed-delta
-// overshoot on hub rows — small while still amortizing the merge barrier.
-// The actual round size shrinks with the corpus (see TrainDeterministic) so
-// tiny corpora don't collapse into a single stale batch update.
-constexpr size_t kDetRound = 16 * kSentenceGrain;
+// The shard schedule. Every shard copies each weight row it touches and
+// merges it back, and a shard's negatives reach nearly every token type of
+// the corpus, so a shard costs about one pass over the corpus's rows whatever
+// its length. Sizing a shard to at least kShardTokensPerType tokens per
+// token type keeps that copy a small share of the shard's training;
+// kMinShardSentences keeps tiny-vocabulary corpora from being cut into
+// shards of a handful of sentences.
+constexpr size_t kMinShardSentences = 64;
+constexpr size_t kShardTokensPerType = 8;
+// Shards within a round train against the weights frozen at the round start,
+// so the size of a round bounds the staleness — and the summed-delta
+// overshoot on hub rows. A round holds up to kMaxRoundShards shards, and
+// fewer on a corpus of under kMinRoundsPerEpoch full rounds per epoch, so
+// each round stays a small slice of the epoch.
+constexpr size_t kMaxRoundShards = 4;
+constexpr size_t kMinRoundsPerEpoch = 8;
 
 struct SigmoidTable {
   double values[kExpTableSize];
@@ -66,6 +70,7 @@ struct TrainPlan {
   AliasTable negatives;
   size_t total_tokens = 0;
   size_t total_steps = 1;
+  size_t types = 0;  // distinct tokens of the corpus
 };
 
 TrainPlan MakePlan(const std::vector<double>& freq, size_t total_tokens,
@@ -78,6 +83,7 @@ TrainPlan MakePlan(const std::vector<double>& freq, size_t total_tokens,
   std::vector<double> noise(vocab_size);
   for (size_t i = 0; i < vocab_size; ++i) {
     noise[i] = std::pow(freq[i], options.unigram_power);
+    plan.types += freq[i] > 0;
   }
   plan.negatives = AliasTable(noise);
 
@@ -94,7 +100,7 @@ TrainPlan MakePlan(const std::vector<double>& freq, size_t total_tokens,
   return plan;
 }
 
-// Weight initialization shared by every path; consumes rng in a fixed order.
+// Cold-start weight initialization; consumes rng in a fixed order.
 void InitWeights(size_t vocab_size, size_t dim, Rng* rng, Matrix* node,
                  Matrix* context) {
   *node = Matrix(vocab_size, dim);
@@ -118,81 +124,119 @@ void Subsample(const TrainPlan& plan, std::span<const uint32_t> sentence,
   }
 }
 
-// Row access of the sequential and Hogwild paths: straight into the shared
-// weight matrices. A context row's slot is its row id.
-struct SharedRows {
-  Matrix* node;
-  Matrix* context;
-
-  double* NodeRow(uint32_t row) { return node->RowPtr(row); }
-  uint32_t ContextSlot(uint32_t row) { return row; }
-  double* ContextRow(uint32_t slot) { return context->RowPtr(slot); }
+// Sentences per shard and shards per round: a pure function of the corpus,
+// never of the thread count, so the output is thread-count invariant.
+struct ShardSchedule {
+  size_t shard_sentences = 0;
+  size_t round_shards = 0;
 };
 
-// Copy-on-first-touch rows of one weight matrix that one deterministic
-// shard updates. `cur` holds the shard's working copies (plain sequential
-// SGD within the shard), `orig` the round-start snapshot, so the merge
-// applies cur - orig per row. Insertion order is recorded in `rows` and is a
-// pure function of the shard's sentences, making the merge order
-// thread-count invariant.
+ShardSchedule MakeSchedule(size_t sentences, const TrainPlan& plan) {
+  ShardSchedule schedule;
+  // ceil(kShardTokensPerType * types / mean sentence length).
+  schedule.shard_sentences = std::max(
+      kMinShardSentences,
+      (kShardTokensPerType * plan.types * sentences + plan.total_tokens - 1) /
+          plan.total_tokens);
+  const size_t shards =
+      (sentences + schedule.shard_sentences - 1) / schedule.shard_sentences;
+  schedule.round_shards =
+      std::clamp<size_t>(shards / kMinRoundsPerEpoch, 1, kMaxRoundShards);
+  return schedule;
+}
+
+constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+// Copy-on-first-touch rows of one weight matrix that one shard updates.
+// `cur` holds the shard's working copies (plain sequential SGD within the
+// shard) and, once the shard is done, their deltas against the frozen
+// source. `slot` maps a row id to its copy; first-touch order is recorded in
+// `rows` and is a pure function of the shard's sentences, making the merge
+// order thread-count invariant. The arenas live across rounds, so their
+// capacity is reused.
 struct ShardRows {
-  std::unordered_map<uint32_t, uint32_t> slot;
+  std::vector<uint32_t> slot;  // vocab-sized, kNoSlot where untouched
   std::vector<uint32_t> rows;
   std::vector<double> cur;
-  std::vector<double> orig;
 
+  // Forgets the previous shard's rows, resetting only the slots it set.
+  void Clear() {
+    for (const uint32_t row : rows) slot[row] = kNoSlot;
+    rows.clear();
+    cur.clear();
+  }
   // Slot of `row`, copying it in on first touch. May grow the arena, which
   // invalidates every pointer previously returned by Row.
   uint32_t Touch(const Matrix& m, uint32_t row, size_t dim) {
-    const auto [it, inserted] =
-        slot.emplace(row, static_cast<uint32_t>(rows.size()));
-    if (inserted) {
+    uint32_t s = slot[row];
+    if (s == kNoSlot) {
+      s = static_cast<uint32_t>(rows.size());
+      slot[row] = s;
       rows.push_back(row);
       const double* src = m.RowPtr(row);
       cur.insert(cur.end(), src, src + dim);
-      orig.insert(orig.end(), src, src + dim);
     }
-    return it->second;
+    return s;
   }
   double* Row(uint32_t s, size_t dim) {
     return cur.data() + static_cast<size_t>(s) * dim;
   }
 };
 
-// Row access of one deterministic shard: reads the weights frozen at the
-// round start, writes private copies merged at the round barrier.
+// Row access of one shard: reads the weights frozen at the round start,
+// writes private copies merged at the round barrier. The only shard of a
+// round has no one to be isolated from, so it trains on the shared rows in
+// place (`in_place`), with no copy, delta or merge.
 struct ShardUpdate {
-  const Matrix* node_src = nullptr;
-  const Matrix* context_src = nullptr;
+  Matrix* node_src = nullptr;
+  Matrix* context_src = nullptr;
   size_t dim = 0;
+  bool in_place = false;
   ShardRows node;
   ShardRows ctx;
 
   double* NodeRow(uint32_t row) {
+    if (in_place) return node_src->RowPtr(row);
     return node.Row(node.Touch(*node_src, row, dim), dim);
   }
   uint32_t ContextSlot(uint32_t row) {
-    return ctx.Touch(*context_src, row, dim);
+    return in_place ? row : ctx.Touch(*context_src, row, dim);
   }
-  double* ContextRow(uint32_t s) { return ctx.Row(s, dim); }
+  double* ContextRow(uint32_t s) {
+    return in_place ? context_src->RowPtr(s) : ctx.Row(s, dim);
+  }
 };
 
-// Merges the per-shard weight deltas in fixed sentence-shard order (and
+// Turns a finished shard's row copies into deltas, cur -= src. The sources
+// are frozen for the round, so every shard does this in parallel before the
+// barrier, and the merge adds exactly the cur - src it would have computed.
+LEVA_TARGET_CLONES
+void ShardDeltas(ShardUpdate* u) {
+  const size_t dim = u->dim;
+  for (size_t i = 0; i < u->node.rows.size(); ++i) {
+    simd::VecSub(u->node.cur.data() + i * dim,
+                 u->node_src->RowPtr(u->node.rows[i]), dim);
+  }
+  for (size_t i = 0; i < u->ctx.rows.size(); ++i) {
+    simd::VecSub(u->ctx.cur.data() + i * dim,
+                 u->context_src->RowPtr(u->ctx.rows[i]), dim);
+  }
+}
+
+// Merges a round's shard deltas in fixed sentence-shard order (and
 // row-first-touch order within a shard) — both pure functions of the seed,
 // never of the thread count.
 LEVA_TARGET_CLONES
-void MergeShardUpdates(std::vector<ShardUpdate>* updates, size_t dim,
+void MergeShardUpdates(std::span<ShardUpdate> updates, size_t dim,
                        Matrix* node, Matrix* context) {
-  for (ShardUpdate& u : *updates) {
+  for (ShardUpdate& u : updates) {
     for (size_t i = 0; i < u.node.rows.size(); ++i) {
-      simd::VecAddDelta(node->RowPtr(u.node.rows[i]),
-                        u.node.cur.data() + i * dim,
-                        u.node.orig.data() + i * dim, dim);
+      simd::VecAdd(node->RowPtr(u.node.rows[i]), u.node.cur.data() + i * dim,
+                   dim);
     }
     for (size_t i = 0; i < u.ctx.rows.size(); ++i) {
-      simd::VecAddDelta(context->RowPtr(u.ctx.rows[i]),
-                        u.ctx.cur.data() + i * dim,
-                        u.ctx.orig.data() + i * dim, dim);
+      simd::VecAdd(context->RowPtr(u.ctx.rows[i]), u.ctx.cur.data() + i * dim,
+                   dim);
     }
   }
 }
@@ -207,17 +251,14 @@ struct SentenceScratch {
       : grad(options.dim), negs(options.negative) {}
 };
 
-// The skip-gram SGD kernel over the subsampled sentence in scratch->kept.
-// Position pos takes learning-rate step base_step + pos + 1. `rows` decides how weight rows are
-// reached (SharedRows or ShardUpdate); context rows are first resolved to
-// slots — which may grow a shard's row arena — and only then to pointers.
-// Always inlined into the two entry points below, whose attributes (ISA
-// clones, the Hogwild TSan exemption) then apply to its loops.
-template <typename Rows>
-LEVA_ALWAYS_INLINE void TrainSentence(const Word2VecOptions& options,
-                                      const TrainPlan& plan,
-                                      size_t base_step, Rng* r, Rows* rows,
-                                      SentenceScratch* scratch) {
+// The skip-gram SGD kernel over the subsampled sentence in scratch->kept,
+// on one shard's rows. Position pos takes learning-rate step
+// base_step + pos + 1. Context rows are first resolved to slots — which may
+// grow the shard's row arena — and only then to pointers.
+LEVA_TARGET_CLONES
+void TrainSentenceShard(const Word2VecOptions& options, const TrainPlan& plan,
+                        size_t base_step, Rng* r, ShardUpdate* rows,
+                        SentenceScratch* scratch) {
   const size_t dim = options.dim;
   const std::vector<uint32_t>& kept = scratch->kept;
   double* g = scratch->grad.data();
@@ -308,71 +349,45 @@ LEVA_ALWAYS_INLINE void TrainSentence(const Word2VecOptions& options,
   }
 }
 
-// Sequential and Hogwild entry point. Under Hogwild the reads and writes of
-// shared rows are intentionally unsynchronized (sparse updates collide
-// rarely), so this instantiation alone is exempt from TSan.
-LEVA_TARGET_CLONES
-LEVA_NO_SANITIZE_THREAD
-void TrainSentenceShared(const Word2VecOptions& options, const TrainPlan& plan,
-                         size_t base_step, Rng* r, SharedRows rows,
-                         SentenceScratch* scratch) {
-  TrainSentence(options, plan, base_step, r, &rows, scratch);
-}
-
-// Deterministic-shard entry point: shared rows are only read (frozen for the
-// round), so it stays TSan-instrumented.
-LEVA_TARGET_CLONES
-void TrainSentenceShard(const Word2VecOptions& options, const TrainPlan& plan,
-                        size_t base_step, Rng* r, ShardUpdate* rows,
-                        SentenceScratch* scratch) {
-  TrainSentence(options, plan, base_step, r, rows, scratch);
-}
-
-// Deterministic-parallel trainer: shards of kSentenceGrain sentences train
-// against the weights frozen at the start of a kDetRound-sentence round,
-// each shard doing plain sequential SGD on private row copies; the shard
-// deltas merge in fixed shard order at the round barrier. Output is a pure
+// Shards of a round train against the weights frozen at the round start,
+// each doing plain sequential SGD on private row copies; the shard deltas
+// merge in fixed shard order at the round barrier. Output is a pure
 // function of (corpus, seed) at any thread count.
-Status TrainDeterministic(const Word2VecOptions& options,
-                          const FlatCorpus& corpus, const TrainPlan& plan,
-                          size_t threads, Rng* rng, Matrix* node,
-                          Matrix* context) {
-  const size_t dim = options.dim;
+void TrainShards(const Word2VecOptions& options, const FlatCorpus& corpus,
+                 const TrainPlan& plan, size_t threads, Rng* rng, Matrix* node,
+                 Matrix* context) {
   const size_t num_sentences = corpus.size();
   const auto& offsets = corpus.offsets();
-  const size_t shards_per_epoch =
-      (num_sentences + kSentenceGrain - 1) / kSentenceGrain;
+  const ShardSchedule schedule = MakeSchedule(num_sentences, plan);
+  const size_t grain = schedule.shard_sentences;
+  const size_t round_size = schedule.round_shards * grain;
+  const size_t shards_per_epoch = (num_sentences + grain - 1) / grain;
   const uint64_t base_seed = rng->Next();
 
-  // Round size scales with the corpus (roughly eight merge rounds per epoch,
-  // capped at kDetRound): a corpus smaller than ~8 shards runs one shard per
-  // round, which is plain sequential SGD with periodic (no-op) merges, while
-  // large corpora amortize the barrier over the full 16-shard round. A pure
-  // function of the corpus size — never of the thread count — so the output
-  // stays thread-count invariant.
-  const size_t round_size =
-      std::clamp<size_t>(num_sentences / (8 * kSentenceGrain), 1,
-                         kDetRound / kSentenceGrain) *
-      kSentenceGrain;
-
+  // One arena set per shard of a round, reused by every round.
+  std::vector<ShardUpdate> updates(schedule.round_shards);
+  for (ShardUpdate& u : updates) {
+    u.node_src = node;
+    u.context_src = context;
+    u.dim = options.dim;
+    u.node.slot.assign(node->rows(), kNoSlot);
+    u.ctx.slot.assign(context->rows(), kNoSlot);
+  }
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
     for (size_t rb = 0; rb < num_sentences; rb += round_size) {
       const size_t re = std::min(num_sentences, rb + round_size);
-      const size_t round_shards =
-          (re - rb + kSentenceGrain - 1) / kSentenceGrain;
-      std::vector<ShardUpdate> updates(round_shards);
-
-      // Workers only READ node/context (frozen for the round) and write
-      // shard-private state, so this is race-free by construction; the merge
-      // below happens after the ParallelFor barrier.
-      ParallelFor(threads, rb, re, kSentenceGrain, [&](size_t b, size_t e) {
-        ShardUpdate& u = updates[(b - rb) / kSentenceGrain];
-        u.node_src = node;
-        u.context_src = context;
-        u.dim = dim;
-        Rng shard_rng =
-            StreamRng(base_seed, rngdomain::kWord2VecDet,
-                      epoch * shards_per_epoch + b / kSentenceGrain);
+      const size_t round_shards = (re - rb + grain - 1) / grain;
+      // With several shards, workers only READ node/context (frozen for the
+      // round) and write shard-private state, so this is race-free by
+      // construction; the merge below happens after the ParallelFor barrier.
+      // A one-shard round runs inline on this thread.
+      ParallelFor(threads, rb, re, grain, [&](size_t b, size_t e) {
+        ShardUpdate& u = updates[(b - rb) / grain];
+        u.in_place = round_shards == 1;
+        u.node.Clear();
+        u.ctx.Clear();
+        Rng shard_rng = StreamRng(base_seed, rngdomain::kWord2VecDet,
+                                  epoch * shards_per_epoch + b / grain);
         SentenceScratch scratch(options);
         for (size_t s = b; s < e; ++s) {
           Subsample(plan, corpus[s], &shard_rng, &scratch.kept);
@@ -383,12 +398,14 @@ Status TrainDeterministic(const Word2VecOptions& options,
                              epoch * plan.total_tokens + offsets[s],
                              &shard_rng, &u, &scratch);
         }
+        if (!u.in_place) ShardDeltas(&u);
       });
-
-      MergeShardUpdates(&updates, dim, node, context);
+      if (round_shards > 1) {
+        MergeShardUpdates({updates.data(), round_shards}, options.dim, node,
+                          context);
+      }
     }
   }
-  return Status::OK();
 }
 
 }  // namespace
@@ -441,51 +458,8 @@ Status Word2Vec::Train(const FlatCorpus& corpus, size_t vocab_size, Rng* rng) {
     InitWeights(vocab_size, dim, rng, &node_, &context_);
   }
 
-  const size_t threads = ResolveThreads(options_.threads);
-  if (options_.deterministic) {
-    return TrainDeterministic(options_, corpus, plan, threads, rng, &node_,
-                              &context_);
-  }
-
-  // Global position in the learning-rate schedule, batched from per-token to
-  // per-sentence: one relaxed fetch_add covers a sentence's kept tokens, and
-  // each position derives its step from the returned base — the sequential
-  // path sees exactly the per-token step values of the reference trainer.
-  std::atomic<size_t> steps{0};
-  const SharedRows rows{&node_, &context_};
-  auto train_sentences = [&](size_t b, size_t e, Rng* r) {
-    SentenceScratch scratch(options_);
-    for (size_t s = b; s < e; ++s) {
-      Subsample(plan, corpus[s], r, &scratch.kept);
-      const size_t base =
-          steps.fetch_add(scratch.kept.size(), std::memory_order_relaxed);
-      TrainSentenceShared(options_, plan, base, r, rows, &scratch);
-    }
-  };
-
-  if (threads <= 1) {
-    // Sequential update order: bit-identical to the reference trainer in
-    // tests/reference/word2vec_reference.cc (pinned in
-    // tests/word2vec_test.cc).
-    for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      train_sentences(0, corpus.size(), rng);
-    }
-    return Status::OK();
-  }
-
-  // Hogwild: shard sentences across the pool with a per-shard RNG stream.
-  // The stream layout (base seed, epoch, shard) is thread-count invariant,
-  // but the unsynchronized weight updates are not — see Word2VecOptions.
-  const uint64_t base_seed = rng->Next();
-  const size_t shards = (corpus.size() + kSentenceGrain - 1) / kSentenceGrain;
-  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    ParallelFor(threads, 0, corpus.size(), kSentenceGrain,
-                [&](size_t b, size_t e) {
-                  Rng shard_rng = StreamRng(base_seed, rngdomain::kWord2Vec,
-                                            epoch * shards + b / kSentenceGrain);
-                  train_sentences(b, e, &shard_rng);
-                });
-  }
+  TrainShards(options_, corpus, plan, ResolveThreads(options_.threads), rng,
+              &node_, &context_);
   return Status::OK();
 }
 

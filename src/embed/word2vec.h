@@ -26,36 +26,23 @@ struct Word2VecOptions {
   /// Unigram distortion exponent for the negative-sampling distribution.
   double unigram_power = 0.75;
   /// Worker threads (0 = every CPU in the process's affinity mask, see
-  /// ResolveThreads). With more than one thread and
-  /// `deterministic == false`, sentence shards are trained Hogwild-style:
-  /// lock-free SGD on the shared weight matrices (Recht et al. 2011). Sparse
-  /// gradients make update collisions rare, so quality matches sequential
-  /// training, but the floating-point result depends on interleaving and is
-  /// NOT reproducible run-to-run.
+  /// ResolveThreads). Only where the work runs: the trained vectors are a
+  /// pure function of the corpus, options and seed at any thread count.
   size_t threads = 1;
-  /// Reproducible parallel training: sentence shards compute their updates
-  /// against the weights frozen at the start of a fixed-size sentence round,
-  /// each shard applying its own updates to private row copies, and the
-  /// per-shard weight deltas are merged into the shared matrices in fixed
-  /// sentence-shard order at the round barrier. The output is a pure
-  /// function of the seed at ANY thread count (pinned 1/2/4/8 in tests) —
-  /// this mode is no longer forced onto the sequential path. Note the result
-  /// differs from `threads == 1, deterministic == false` (which follows the
-  /// exact classic SGD order): determinism here means thread-count
-  /// invariance, not sequential equivalence.
-  bool deterministic = false;
 };
 
 class Word2Vec {
  public:
   explicit Word2Vec(Word2VecOptions options = {}) : options_(options) {}
 
-  /// Trains on `corpus`; token ids must be < vocab_size. Every mode runs
-  /// the same skip-gram sentence kernel, in one of three schedules: the
-  /// sequential path (threads <= 1), the deterministic-parallel merge path
-  /// (options.deterministic), or Hogwild. The sequential and deterministic
-  /// schedules are pinned bit-identical to the oracles in
-  /// tests/reference/word2vec_reference.h.
+  /// Trains on `corpus`; token ids must be < vocab_size. Sentences are cut
+  /// into shards and the shards into merge rounds; every shard of a round
+  /// runs plain sequential SGD on private copies of the weights frozen at
+  /// the round start, and the shards' weight deltas are added back in shard
+  /// order at the round barrier (a round's only shard trains in place).
+  /// Shard and round sizes depend on the corpus alone, never on `threads`,
+  /// so any thread count gives the same bits. The schedule is pinned to the
+  /// oracle in tests/reference/word2vec_reference.h.
   Status Train(const FlatCorpus& corpus, size_t vocab_size, Rng* rng);
 
   /// Stages `node` as the initial node-vector matrix for the NEXT Train

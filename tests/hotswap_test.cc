@@ -37,7 +37,6 @@ LevaConfig TestConfig(uint64_t seed) {
   LevaConfig config;
   config.method = EmbeddingMethod::kMatrixFactorization;
   config.embedding_dim = 8;
-  config.word2vec.deterministic = true;
   config.seed = seed;
   return config;
 }

@@ -4,6 +4,7 @@
 // output at any thread count for a fixed seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -18,6 +19,8 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/pipeline.h"
+#include "datagen/synthetic.h"
 #include "embed/mf.h"
 #include "embed/walks_batched.h"
 #include "embed/word2vec.h"
@@ -284,7 +287,6 @@ TEST(DeterminismTest, Word2VecDeterministicMode) {
   Word2VecOptions o1;
   o1.dim = 8;
   o1.epochs = 2;
-  o1.deterministic = true;
   Word2VecOptions o4 = o1;
   o1.threads = 1;
   o4.threads = 4;
@@ -295,6 +297,30 @@ TEST(DeterminismTest, Word2VecDeterministicMode) {
   ASSERT_TRUE(m1.Train(*corpus, g.NumNodes(), &r1).ok());
   ASSERT_TRUE(m4.Train(*corpus, g.NumNodes(), &r4).ok());
   ExpectBitIdentical(m1.node_vectors(), m4.node_vectors());
+}
+
+// The default configuration end to end: an RW Fit (walks, then SGNS with
+// multi-shard merge rounds on this corpus) gives the same embedding bytes at
+// every thread count.
+TEST(DeterminismTest, PipelineRandomWalkFitDefaultConfig) {
+  auto data = GenerateStudent(8, 0, 9);
+  ASSERT_TRUE(data.ok());
+  std::vector<double> reference;
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    LevaConfig config;
+    config.method = EmbeddingMethod::kRandomWalk;
+    config.threads = threads;
+    LevaPipeline p(config);
+    ASSERT_TRUE(p.Fit(data->db).ok());
+    const ArrayView<double> d = p.embedding().data();
+    if (threads == 1) {
+      reference.assign(d.begin(), d.end());
+    } else {
+      ASSERT_EQ(d.size(), reference.size());
+      EXPECT_TRUE(std::equal(d.begin(), d.end(), reference.begin()));
+    }
+  }
 }
 
 MLDataset BlobData(size_t n, Rng* rng) {

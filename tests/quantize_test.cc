@@ -43,7 +43,6 @@ LevaConfig TestConfig() {
   LevaConfig config;
   config.method = EmbeddingMethod::kMatrixFactorization;
   config.embedding_dim = 8;
-  config.word2vec.deterministic = true;
   config.seed = 5;
   return config;
 }

@@ -14,8 +14,9 @@
 namespace leva {
 namespace {
 
-constexpr size_t kShardSentences = 64;
-constexpr size_t kMaxRoundShards = 16;
+constexpr size_t kMinShardSentences = 64;
+constexpr size_t kShardTokensPerType = 8;
+constexpr size_t kMaxRoundShards = 4;
 
 // Table-driven sigmoid over [-6, 6] with 1000 entries, as in word2vec.c.
 class Sigmoid {
@@ -46,6 +47,7 @@ struct Plan {
   AliasTable negatives;
   size_t total_tokens = 0;
   size_t total_steps = 1;
+  size_t types = 0;  // distinct corpus tokens
   Sigmoid sigmoid;
 };
 
@@ -65,6 +67,7 @@ Result<Plan> MakePlan(const FlatCorpus& corpus, size_t vocab_size,
   plan.total_tokens = corpus.num_tokens();
   if (plan.total_tokens == 0) return Status::InvalidArgument("empty corpus");
   plan.total_steps = std::max<size_t>(1, options.epochs * plan.total_tokens);
+  for (const double f : freq) plan.types += f > 0 ? 1 : 0;
   std::vector<double> noise(vocab_size);
   for (size_t i = 0; i < vocab_size; ++i) {
     noise[i] = std::pow(freq[i], options.unigram_power);
@@ -94,10 +97,10 @@ ReferenceEmbedding InitWeights(size_t vocab_size, size_t dim, Rng* rng) {
 }
 
 // Scalar skip-gram SGD over one sentence. Kept position pos takes
-// learning-rate step base_step + pos + 1. Returns the kept token count.
-size_t TrainSentence(const Word2VecOptions& options, const Plan& plan,
-                     std::span<const uint32_t> sentence, size_t base_step,
-                     Rng* r, ReferenceEmbedding* w) {
+// learning-rate step base_step + pos + 1.
+void TrainSentence(const Word2VecOptions& options, const Plan& plan,
+                   std::span<const uint32_t> sentence, size_t base_step, Rng* r,
+                   ReferenceEmbedding* w) {
   const size_t dim = options.dim;
   std::vector<uint32_t> kept;
   for (const uint32_t t : sentence) {
@@ -138,7 +141,6 @@ size_t TrainSentence(const Word2VecOptions& options, const Plan& plan,
       for (size_t j = 0; j < dim; ++j) center[j] += grad[j];
     }
   }
-  return kept.size();
 }
 
 // m += local - frozen, element by element.
@@ -158,21 +160,6 @@ void ExpectBitIdentical(const Matrix& a, const Matrix& b) {
 
 }  // namespace
 
-Result<ReferenceEmbedding> ReferenceTrainSequential(
-    const FlatCorpus& corpus, size_t vocab_size, const Word2VecOptions& options,
-    Rng* rng) {
-  auto plan = MakePlan(corpus, vocab_size, options);
-  if (!plan.ok()) return plan.status();
-  ReferenceEmbedding w = InitWeights(vocab_size, options.dim, rng);
-  size_t steps = 0;
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    for (size_t s = 0; s < corpus.size(); ++s) {
-      steps += TrainSentence(options, *plan, corpus[s], steps, rng, &w);
-    }
-  }
-  return w;
-}
-
 Result<ReferenceEmbedding> ReferenceTrainDeterministic(
     const FlatCorpus& corpus, size_t vocab_size, const Word2VecOptions& options,
     Rng* rng) {
@@ -181,26 +168,43 @@ Result<ReferenceEmbedding> ReferenceTrainDeterministic(
   ReferenceEmbedding w = InitWeights(vocab_size, options.dim, rng);
   const uint64_t base_seed = rng->Next();
   const size_t sentences = corpus.size();
+  // At least kShardTokensPerType tokens per distinct token in a shard, by
+  // the mean sentence length (tokens / sentences), and never under
+  // kMinShardSentences sentences.
+  size_t shard_sentences = kShardTokensPerType * plan->types * sentences /
+                           plan->total_tokens;
+  if (shard_sentences * plan->total_tokens <
+      kShardTokensPerType * plan->types * sentences) {
+    ++shard_sentences;  // round up
+  }
+  shard_sentences = std::max(kMinShardSentences, shard_sentences);
   const size_t shards_per_epoch =
-      (sentences + kShardSentences - 1) / kShardSentences;
-  // About eight rounds per epoch, one to kMaxRoundShards shards each.
+      (sentences + shard_sentences - 1) / shard_sentences;
+  // At least eight rounds per epoch, one to kMaxRoundShards shards each.
   const size_t round_sentences =
-      std::clamp<size_t>(sentences / (8 * kShardSentences), 1,
-                         kMaxRoundShards) *
-      kShardSentences;
+      std::clamp<size_t>(shards_per_epoch / 8, 1, kMaxRoundShards) *
+      shard_sentences;
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
+    // Trains the shard starting at sentence b (ending at e) on *target.
+    auto train_shard = [&](size_t b, size_t e, ReferenceEmbedding* target) {
+      Rng shard_rng = StreamRng(base_seed, rngdomain::kWord2VecDet,
+                                epoch * shards_per_epoch + b / shard_sentences);
+      for (size_t s = b; s < e; ++s) {
+        TrainSentence(options, *plan, corpus[s],
+                      epoch * plan->total_tokens + corpus.offsets()[s],
+                      &shard_rng, target);
+      }
+    };
     for (size_t rb = 0; rb < sentences; rb += round_sentences) {
       const size_t re = std::min(sentences, rb + round_sentences);
+      if (re - rb <= shard_sentences) {
+        train_shard(rb, re, &w);  // a round's only shard trains in place
+        continue;
+      }
       const ReferenceEmbedding frozen = w;
-      for (size_t b = rb; b < re; b += kShardSentences) {
+      for (size_t b = rb; b < re; b += shard_sentences) {
         ReferenceEmbedding local = frozen;
-        Rng shard_rng = StreamRng(base_seed, rngdomain::kWord2VecDet,
-                                  epoch * shards_per_epoch + b / kShardSentences);
-        for (size_t s = b; s < std::min(re, b + kShardSentences); ++s) {
-          TrainSentence(options, *plan, corpus[s],
-                        epoch * plan->total_tokens + corpus.offsets()[s],
-                        &shard_rng, &local);
-        }
+        train_shard(b, std::min(re, b + shard_sentences), &local);
         AddDelta(local.node, frozen.node, &w.node);
         AddDelta(local.context, frozen.context, &w.context);
       }
@@ -216,7 +220,6 @@ void ExpectDeterministicMatchesReference(const FlatCorpus& corpus,
   Rng ref_rng(seed);
   auto ref = ReferenceTrainDeterministic(corpus, vocab_size, options, &ref_rng);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-  options.deterministic = true;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     options.threads = threads;

@@ -25,7 +25,7 @@ enum class Kernel {
   kSkipGramInit,
   kSkipGramAccum,
   kVecAdd,
-  kVecAddDelta,
+  kVecSub,
   kGatherAdd,
   kMeanStore,
   kMeanStoreDup,
@@ -37,7 +37,7 @@ enum class Kernel {
 
 constexpr Kernel kKernels[] = {
     Kernel::kSkipGramInit,   Kernel::kSkipGramAccum,
-    Kernel::kVecAdd,         Kernel::kVecAddDelta,
+    Kernel::kVecAdd,         Kernel::kVecSub,
     Kernel::kGatherAdd,      Kernel::kMeanStore,
     Kernel::kMeanStoreDup,   Kernel::kGatherAddBf16,
     Kernel::kDequantGatherAdd, Kernel::kDequantRowBf16,
@@ -63,8 +63,8 @@ LEVA_ALWAYS_INLINE void Dispatch(Kernel k, const Args& a) {
       return simd::SkipGramAccum(a.s, a.x, a.y, a.z, a.n);
     case Kernel::kVecAdd:
       return simd::VecAdd(a.x, a.y, a.n);
-    case Kernel::kVecAddDelta:
-      return simd::VecAddDelta(a.x, a.y, a.z, a.n);
+    case Kernel::kVecSub:
+      return simd::VecSub(a.x, a.y, a.n);
     case Kernel::kGatherAdd:
       return simd::GatherAdd(a.x, a.y, a.s, a.n);
     case Kernel::kMeanStore:
@@ -102,8 +102,8 @@ void RunScalar(Kernel k, const Args& a) {
       case Kernel::kVecAdd:
         a.x[j] += a.y[j];
         break;
-      case Kernel::kVecAddDelta:
-        a.x[j] += a.y[j] - a.z[j];
+      case Kernel::kVecSub:
+        a.x[j] -= a.y[j];
         break;
       case Kernel::kGatherAdd:
         a.x[j] += a.s * a.y[j];

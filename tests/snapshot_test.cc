@@ -44,8 +44,6 @@ LevaConfig TestConfig(EmbeddingMethod method) {
   config.walks.epochs = 3;
   config.walks.walk_length = 10;
   config.word2vec.epochs = 1;
-  // RW embeddings must be reproducibly comparable at any thread count.
-  config.word2vec.deterministic = true;
   config.seed = 5;
   return config;
 }
@@ -242,41 +240,47 @@ TEST(SnapshotTest, RejectsVersionSkew) {
       << s.ToString();
 }
 
-// v5 differs from v6 only inside the config section (v6 dropped the walk
-// engine byte and threshold), so a v5 file is a complete, well-formed
-// snapshot whose config would misparse. The version field alone must turn it
-// away, before any section is read.
+// v5 and v6 differ from v7 only inside the config section (v6 dropped the
+// walk engine byte and threshold, v7 the SGNS trainer bool), so a v5 or v6
+// file is a complete, well-formed snapshot whose config would misparse. The
+// version field alone must turn it away, before any section is read.
 TEST(SnapshotTest, RejectsV5SnapshotByVersion) {
-  static_assert(LevaPipeline::kSnapshotVersion == 6);
+  static_assert(LevaPipeline::kSnapshotVersion == 7);
   const Fixture f = MakeFixture();
   LevaPipeline fitted(TestConfig(EmbeddingMethod::kMatrixFactorization));
   ASSERT_TRUE(fitted.Fit(f.ds.db).ok());
-  const std::string path = TempPath("v5_full.leva");
-  ASSERT_TRUE(fitted.SaveSnapshot(path).ok());
-  std::string bytes = ReadAll(path);
-  bytes[8] = 5;  // version field, little-endian u32 at offset 8
-  WriteAll(path, bytes);
+  for (const char old_version : {5, 6}) {
+    SCOPED_TRACE("v" + std::to_string(old_version));
+    const std::string path = TempPath("old_version_full.leva");
+    ASSERT_TRUE(fitted.SaveSnapshot(path).ok());
+    std::string bytes = ReadAll(path);
+    bytes[8] = old_version;  // version field, little-endian u32 at offset 8
+    WriteAll(path, bytes);
 
-  for (const bool use_mmap : {false, true}) {
-    LevaPipeline p;
-    SnapshotLoadOptions opts;
-    opts.use_mmap = use_mmap;
-    const Status s = p.LoadSnapshot(path, nullptr, opts);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(s.message().find("version 5"), std::string::npos)
-        << s.ToString();
-    EXPECT_NE(s.message().find("version 6"), std::string::npos)
-        << s.ToString();
-    EXPECT_NE(s.message().find("re-save"), std::string::npos) << s.ToString();
+    for (const bool use_mmap : {false, true}) {
+      LevaPipeline p;
+      SnapshotLoadOptions opts;
+      opts.use_mmap = use_mmap;
+      const Status s = p.LoadSnapshot(path, nullptr, opts);
+      ASSERT_FALSE(s.ok());
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(s.message().find("version " + std::to_string(old_version)),
+                std::string::npos)
+          << s.ToString();
+      EXPECT_NE(s.message().find("version 7"), std::string::npos)
+          << s.ToString();
+      EXPECT_NE(s.message().find("re-save"), std::string::npos)
+          << s.ToString();
+    }
   }
 }
 
 // A good-faith file in ANY retired format — v1 (element-wise layout with a
 // whole-file trailing CRC), v2 (first page-aligned bulk layout), v3 (walk
 // engine config), v4 (quantized tiers), v5 (applied-WAL position, still with
-// the walk engine config) — must be turned away with an error naming both its
-// version and ours — never parsed, never a crash. The fixtures are
+// the walk engine config), v6 (SGNS trainer selection bool) — must be turned
+// away with an error naming both its version and ours — never parsed, never a
+// crash. The fixtures are
 // synthesized: every version shares the same 8-byte magic followed by a u32
 // version field, which is all the reader may look at before rejecting.
 TEST(SnapshotTest, RejectsEveryRetiredVersionNamingBothVersions) {

@@ -54,7 +54,6 @@ LevaConfig TestConfig(EmbeddingMethod method) {
   config.walks.epochs = 3;
   config.walks.walk_length = 10;
   config.word2vec.epochs = 1;
-  config.word2vec.deterministic = true;
   config.seed = 5;
   return config;
 }
@@ -274,51 +273,66 @@ TEST(UpdateTest, SnapshotAfterUpdateRoundTripsAndRecordsWalPosition) {
   ExpectBitIdentical(RowNodeOut(p, f), RowNodeOut(loaded, f));
 }
 
+// Runs at 1 and at 4 threads: the live and the recovered model must match
+// each other at each thread count, and across the two.
 TEST(UpdateTest, RecoveryReplaysTailAndIsIdempotent) {
   const Fixture f = MakeFixture();
-  LevaPipeline p(TestConfig(EmbeddingMethod::kRandomWalk));
-  ASSERT_TRUE(p.Fit(f.fit_db).ok());
-  const std::string base_snap = TempPath("base.leva");
-  ASSERT_TRUE(p.SaveSnapshot(base_snap).ok());
+  MLDataset at_one_thread;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string tag = std::to_string(threads);
+    LevaConfig config = TestConfig(EmbeddingMethod::kRandomWalk);
+    config.threads = threads;
+    LevaPipeline p(config);
+    ASSERT_TRUE(p.Fit(f.fit_db).ok());
+    const std::string base_snap = TempPath("base" + tag + ".leva");
+    ASSERT_TRUE(p.SaveSnapshot(base_snap).ok());
 
-  // Two acknowledged batches after the snapshot.
-  const size_t half = kFitRows + (kStudents - kFitRows) / 2;
-  const Table batch1 = SliceRows(*f.full_base, kFitRows, half);
-  const Table batch2 = SliceRows(*f.full_base, half, kStudents);
-  const std::string wal_path = TempPath("tail.wal");
-  {
-    auto wal = UpdateLog::Open(wal_path);
-    ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE(p.Update(batch1, wal.value().get()).ok());
-    ASSERT_TRUE(p.Update(batch2, wal.value().get()).ok());
-    ASSERT_TRUE(wal.value()->Close().ok());
+    // Two acknowledged batches after the snapshot.
+    const size_t half = kFitRows + (kStudents - kFitRows) / 2;
+    const Table batch1 = SliceRows(*f.full_base, kFitRows, half);
+    const Table batch2 = SliceRows(*f.full_base, half, kStudents);
+    const std::string wal_path = TempPath("tail" + tag + ".wal");
+    {
+      auto wal = UpdateLog::Open(wal_path);
+      ASSERT_TRUE(wal.ok());
+      ASSERT_TRUE(p.Update(batch1, wal.value().get()).ok());
+      ASSERT_TRUE(p.Update(batch2, wal.value().get()).ok());
+      ASSERT_TRUE(wal.value()->Close().ok());
+    }
+    const MLDataset expected = RowNodeOut(p, f);
+    if (threads == 1) {
+      at_one_thread = expected;
+    } else {
+      ExpectBitIdentical(at_one_thread, expected);
+    }
+
+    // Crash-restart: load the pre-update snapshot and replay the tail. The
+    // recovered model must be bit-identical to the one the live updates
+    // built.
+    LevaPipeline r1;
+    ASSERT_TRUE(r1.LoadSnapshot(base_snap).ok());
+    auto n1 = r1.RecoverFromLog(wal_path);
+    ASSERT_TRUE(n1.ok()) << n1.status().ToString();
+    EXPECT_EQ(n1.value(), 2u);
+    ExpectBitIdentical(expected, RowNodeOut(r1, f));
+
+    // Idempotence, form 1: a second replay on the same pipeline applies
+    // nothing and changes nothing.
+    auto n2 = r1.RecoverFromLog(wal_path);
+    ASSERT_TRUE(n2.ok());
+    EXPECT_EQ(n2.value(), 0u);
+    ExpectBitIdentical(expected, RowNodeOut(r1, f));
+
+    // Idempotence, form 2: recovery run twice from scratch is byte-identical
+    // to recovery run once.
+    LevaPipeline r2;
+    ASSERT_TRUE(r2.LoadSnapshot(base_snap).ok());
+    ASSERT_TRUE(r2.RecoverFromLog(wal_path).ok());
+    ASSERT_TRUE(r2.RecoverFromLog(wal_path).ok());
+    ExpectBitIdentical(RowNodeOut(r1, f), RowNodeOut(r2, f));
+    ExpectBitIdentical(ComposedOut(r1, f), ComposedOut(r2, f));
   }
-  const MLDataset expected = RowNodeOut(p, f);
-
-  // Crash-restart: load the pre-update snapshot and replay the tail. The
-  // recovered model must be bit-identical to the one the live updates built.
-  LevaPipeline r1;
-  ASSERT_TRUE(r1.LoadSnapshot(base_snap).ok());
-  auto n1 = r1.RecoverFromLog(wal_path);
-  ASSERT_TRUE(n1.ok()) << n1.status().ToString();
-  EXPECT_EQ(n1.value(), 2u);
-  ExpectBitIdentical(expected, RowNodeOut(r1, f));
-
-  // Idempotence, form 1: a second replay on the same pipeline applies
-  // nothing and changes nothing.
-  auto n2 = r1.RecoverFromLog(wal_path);
-  ASSERT_TRUE(n2.ok());
-  EXPECT_EQ(n2.value(), 0u);
-  ExpectBitIdentical(expected, RowNodeOut(r1, f));
-
-  // Idempotence, form 2: recovery run twice from scratch is byte-identical
-  // to recovery run once.
-  LevaPipeline r2;
-  ASSERT_TRUE(r2.LoadSnapshot(base_snap).ok());
-  ASSERT_TRUE(r2.RecoverFromLog(wal_path).ok());
-  ASSERT_TRUE(r2.RecoverFromLog(wal_path).ok());
-  ExpectBitIdentical(RowNodeOut(r1, f), RowNodeOut(r2, f));
-  ExpectBitIdentical(ComposedOut(r1, f), ComposedOut(r2, f));
 }
 
 TEST(UpdateTest, TornTrailingRecordIsSkippedAndTruncatedOnReopen) {

@@ -1,8 +1,7 @@
 // Differential and determinism suites for the embedding-training fast path:
-// the sequential trainer and the deterministic-parallel merge trainer are
-// pinned bit-identical to the SGNS oracles in tests/reference/ (the latter
-// at 1/2/4/8 threads), and the walk corpora they train on are pinned to the
-// per-walker reference generator. These tests carry the `determinism` ctest label and are run
+// the sharded SGNS trainer is pinned bit-identical to the SGNS oracle in
+// tests/reference/ at 1/2/4/8 threads, and the walk corpora it trains on are
+// pinned to the per-walker reference generator. These tests carry the `determinism` ctest label and are run
 // under TSan (LEVA_SANITIZE=thread) to keep the parallel paths race-free.
 #include <gtest/gtest.h>
 
@@ -82,46 +81,14 @@ TEST(FlatCorpusTest, FlattenMatchesNested) {
   EXPECT_EQ(flat.offsets(), (std::vector<size_t>{0, 3, 4}));
 }
 
-// The sequential fast path (SIMD kernels, batched lr counter, reused
-// gradient buffer) must reproduce the reference trainer bit-for-bit.
-TEST(Word2VecTest, SequentialFastMatchesLegacyBitwise) {
-  const FlatCorpus flat = Flatten(RandomCorpus(300, 12, 50, 42));
-
-  Word2VecOptions options;
-  options.dim = 24;
-  options.window = 3;
-  options.negative = 4;
-  options.epochs = 2;
-  options.threads = 1;
-
-  Word2Vec fast(options);
-  Rng r1(99);
-  Rng r2(99);
-  ASSERT_TRUE(fast.Train(flat, 50, &r1).ok());
-  const auto reference = ReferenceTrainSequential(flat, 50, options, &r2);
-  ASSERT_TRUE(reference.ok());
-  ExpectBitIdentical(fast.node_vectors(), reference->node);
-  ExpectBitIdentical(fast.context_vectors(), reference->context);
-
-  // An odd dim runs the kernels' scalar tail (13 = three 4-lane groups + 1).
-  Word2VecOptions odd = options;
-  odd.dim = 13;
-  Word2Vec fast_odd(odd);
-  Rng r3(99);
-  Rng r4(99);
-  ASSERT_TRUE(fast_odd.Train(flat, 50, &r3).ok());
-  const auto reference_odd = ReferenceTrainSequential(flat, 50, odd, &r4);
-  ASSERT_TRUE(reference_odd.ok());
-  ExpectBitIdentical(fast_odd.node_vectors(), reference_odd->node);
-  ExpectBitIdentical(fast_odd.context_vectors(), reference_odd->context);
-}
-
-// The deterministic path runs the batched-dot kernel on copy-on-first-touch
-// shard rows; it must reproduce the deterministic-shard oracle (serial
-// interleaved sampling, full-matrix shard copies) bit-for-bit at every
-// thread count. The configs cover full-width merge rounds, a 6-token
-// vocabulary where a pair's negatives repeat (the kernel's serial fallback),
-// and negative >= 16 (the oversized-batch fallback).
+// The trainer runs the batched-dot kernel on copy-on-first-touch shard rows;
+// it must reproduce the sharded oracle (serial interleaved sampling,
+// full-matrix shard copies) bit-for-bit at every thread count. The configs
+// cover full-width merge rounds, a 6-token vocabulary where a pair's
+// negatives repeat (the kernel's serial fallback), negative >= 16 (the
+// oversized-batch fallback), an odd dim, and a vocabulary large enough that
+// the shard size follows the token-type count instead of its 64-sentence
+// floor, still with four-shard rounds.
 TEST(Word2VecTest, DeterministicMatchesReferenceBitwise) {
   Word2VecOptions options;
   options.dim = 12;
@@ -146,12 +113,16 @@ TEST(Word2VecTest, DeterministicMatchesReferenceBitwise) {
   odd_dim.dim = 13;  // exercises the kernels' scalar tail end to end
   ExpectDeterministicMatchesReference(Flatten(RandomCorpus(3000, 8, 60, 11)),
                                       60, odd_dim, 31);
+
+  Word2VecOptions wide_vocab = options;
+  wide_vocab.epochs = 1;
+  ExpectDeterministicMatchesReference(Flatten(RandomCorpus(20000, 8, 150, 12)),
+                                      150, wide_vocab, 41);
 }
 
-// Deterministic-parallel training is a pure function of the seed at any
-// thread count. 9000 sentences is enough for full-width (16-shard) merge
-// rounds with several round barriers per epoch, and 2 epochs cover the
-// epoch loop.
+// Training is a pure function of the seed at any thread count. 9000
+// sentences is enough for full-width (4-shard) merge rounds with many round
+// barriers per epoch, and 2 epochs cover the epoch loop.
 TEST(Word2VecTest, DeterministicParallelThreadInvariance) {
   const FlatCorpus flat = Flatten(RandomCorpus(9000, 8, 80, 7));
 
@@ -160,7 +131,6 @@ TEST(Word2VecTest, DeterministicParallelThreadInvariance) {
   options.window = 3;
   options.negative = 3;
   options.epochs = 2;
-  options.deterministic = true;
 
   Matrix reference_node;
   Matrix reference_ctx;
@@ -206,37 +176,18 @@ std::vector<std::vector<uint32_t>> ClusterCorpus(size_t sentences) {
   return corpus;
 }
 
-// Hogwild training is not bit-reproducible, but its statistical quality must
-// hold: co-occurring tokens end up far more similar than cross-cluster ones.
+// Frozen round-start weights may slow convergence but must not break it:
+// co-occurring tokens end up far more similar than cross-cluster ones.
+// 1600 sentences make 25 64-sentence shards, trained in rounds of three.
 // Subsampling is off — with a 4-token vocab every token is "frequent" and
 // the subsampler would (correctly) discard ~93% of the corpus.
-TEST(Word2VecTest, HogwildQualityFloor) {
-  const FlatCorpus flat = Flatten(ClusterCorpus(400));
-  Word2VecOptions options;
-  options.dim = 16;
-  options.epochs = 4;
-  options.threads = 4;
-  options.subsample = 0;
-  Word2Vec model(options);
-  Rng rng(31);
-  ASSERT_TRUE(model.Train(flat, 4, &rng).ok());
-  const Matrix& vecs = model.node_vectors();
-  EXPECT_GT(Cosine(vecs, 0, 1), 0.5);
-  EXPECT_GT(Cosine(vecs, 2, 3), 0.5);
-  EXPECT_GT(Cosine(vecs, 0, 1), Cosine(vecs, 0, 2));
-  EXPECT_GT(Cosine(vecs, 2, 3), Cosine(vecs, 1, 3));
-}
-
-// The deterministic merge path must match that quality floor too — frozen
-// round-start weights may slow convergence but must not break it.
 TEST(Word2VecTest, DeterministicParallelQualityFloor) {
-  const FlatCorpus flat = Flatten(ClusterCorpus(400));
+  const FlatCorpus flat = Flatten(ClusterCorpus(1600));
   Word2VecOptions options;
   options.dim = 16;
   options.epochs = 4;
   options.threads = 4;
   options.subsample = 0;
-  options.deterministic = true;
   Word2Vec model(options);
   Rng rng(31);
   ASSERT_TRUE(model.Train(flat, 4, &rng).ok());

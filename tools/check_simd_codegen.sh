@@ -23,7 +23,7 @@ fi
 
 objdump -d -C --no-show-raw-insn "${libs[@]}" | awk '
 BEGIN {
-  n = split("TrainSentenceShared TrainSentenceShard MergeShardUpdates " \
+  n = split("TrainSentenceShard MergeShardUpdates " \
             "GatherChunkF64 GatherChunkBf16 GatherChunkI8 " \
             "GramSchmidtQ SymmetricEigen MatMulRows MatTMulRows " \
             "MultiplyRows ScatterRows", want, " ")
