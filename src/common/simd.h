@@ -8,8 +8,8 @@
 
 // Shared SIMD plumbing for the hot kernels (featurize gather, skip-gram
 // training, the dense LA of MF Fit): a multi-versioning macro, a prefetch
-// shim, 4-lane vector helpers, and the inline element-wise kernels built on
-// them.
+// shim, 32-byte lane helpers (4 doubles or 8 floats), and the inline
+// element-wise kernels built on them.
 //
 // Callers in src/la/ (each a LEVA_TARGET_CLONES function): GramSchmidtQ
 // (Dot, GatherAdd, Scale over rows of Qᵀ), SymmetricEigen (Rotate over rows
@@ -21,11 +21,12 @@
 // to the HOT OUTER FUNCTION (the loop that calls the kernels below), not to
 // the kernels themselves: the kernels are always-inline, so each clone
 // inlines them and compiles their lanes with its own ISA — one 256-bit ymm
-// vmulpd/vaddpd per 4 lanes in the "avx2" clone, an SSE2 xmm pair in the
-// "default" clone — with zero per-call dispatch overhead.
+// vmulpd/vaddpd per 4 fp64 lanes (vmulps/vaddps per 8 fp32 lanes) in the
+// "avx2" clone, an SSE2 xmm pair in the "default" clone — with zero per-call
+// dispatch overhead.
 //
-// Explicit lanes: the element-wise kernels are written on a 4-double GCC
-// vector type (F64x4, see ForLanes below), not as plain `for (j < n)` loops
+// Explicit lanes: the element-wise kernels are written on 32-byte GCC vector
+// types (F64x4, F32x8, see ForLanes below), not as plain `for (j < n)` loops
 // left to the auto-vectorizer. At -O2 (the default RelWithDebInfo build)
 // GCC 12 runs the vectorizer with its "very-cheap" cost model, which rejects
 // any loop whose trip count is not known to be a multiple of the vector
@@ -35,13 +36,16 @@
 //
 // Bit-exactness contract: every lane performs the same correctly-rounded
 // IEEE mul/add/div, in the same order, as the scalar loop it replaces (each
-// kernel's tail evaluates that very expression on plain doubles), so every
-// clone produces the same bits. FMA-capable targets (avx512f, or avx2+fma)
-// are deliberately excluded: contracting mul+add into a single-rounding fma
-// would change the bits, and the differential tests pin bit-identity against
-// the scalar reference paths. Reductions (Dot below) are written in strict
-// source order — without -ffast-math the compiler cannot reassociate them,
-// so every clone rounds them identically too.
+// kernel's tail evaluates that very expression on plain doubles or floats),
+// so every clone produces the same bits. FMA-capable targets (avx512f, or
+// avx2+fma) are deliberately excluded: contracting mul+add into a
+// single-rounding fma would change the bits, and the differential tests pin
+// bit-identity against the scalar reference paths
+// (tools/check_simd_codegen.sh fails on any fma instruction in a guarded
+// avx2 clone). Reductions spell out their order:
+// the fp64 Dot is strict source order, the fp32 Dot a fixed 8-lane partial-
+// sum tree. Without -ffast-math the compiler cannot reassociate either, so
+// every clone rounds them identically too.
 //
 // ThreadSanitizer exclusion: target_clones dispatches through an IFUNC whose
 // resolver runs during relocation, before the TSan runtime is initialized —
@@ -81,127 +85,71 @@ namespace simd {
 // None of these kernels may use FMA contraction or reassociation: each is
 // the bit-exact form of a scalar reference loop (see above).
 
-/// Strict-order dot product sum_j a[j]*b[j]. The accumulation order is the
-/// plain source order at every ISA level, so the result is bit-identical to
-/// the scalar reference loop.
+/// Strict-order fp64 dot product sum_j a[j]*b[j] (GramSchmidtQ). The
+/// accumulation order is the plain source order at every ISA level, so the
+/// result is bit-identical to the scalar reference loop.
 LEVA_ALWAYS_INLINE double Dot(const double* a, const double* b, size_t n) {
   double dot = 0.0;
   for (size_t j = 0; j < n; ++j) dot += a[j] * b[j];
   return dot;
 }
 
-/// Strict-order dot products of `c` against `nt` DISTINCT rows:
-///   out[t] = sum_j c[j] * rows[t][j]
-/// with each sum accumulated in plain source order, so every out[t] is
-/// bit-identical to Dot(c, rows[t], n). Rows are processed in interleaved
-/// groups (6/4/2-wide) whose serial FP-add chains overlap in the pipeline:
-/// a single dot's chain of dependent adds is the latency bottleneck of the
-/// skip-gram loop, and six independent chains run in roughly the time of
-/// one. Callers must guarantee the rows are pairwise distinct (aliased rows
-/// would still produce the same bits here, but the skip-gram caller relies
-/// on distinctness so later row UPDATES cannot feed earlier dots).
-LEVA_ALWAYS_INLINE void DotBatch(const double* c, double* const* rows, size_t nt,
-                     size_t n, double* out) {
-  size_t t = 0;
-  for (; t + 6 <= nt; t += 6) {
-    const double* __restrict r0 = rows[t];
-    const double* __restrict r1 = rows[t + 1];
-    const double* __restrict r2 = rows[t + 2];
-    const double* __restrict r3 = rows[t + 3];
-    const double* __restrict r4 = rows[t + 4];
-    const double* __restrict r5 = rows[t + 5];
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0, s5 = 0.0;
-    for (size_t j = 0; j < n; ++j) {
-      const double cj = c[j];
-      s0 += cj * r0[j];
-      s1 += cj * r1[j];
-      s2 += cj * r2[j];
-      s3 += cj * r3[j];
-      s4 += cj * r4[j];
-      s5 += cj * r5[j];
-    }
-    out[t] = s0;
-    out[t + 1] = s1;
-    out[t + 2] = s2;
-    out[t + 3] = s3;
-    out[t + 4] = s4;
-    out[t + 5] = s5;
-  }
-  for (; t + 4 <= nt; t += 4) {
-    const double* __restrict r0 = rows[t];
-    const double* __restrict r1 = rows[t + 1];
-    const double* __restrict r2 = rows[t + 2];
-    const double* __restrict r3 = rows[t + 3];
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (size_t j = 0; j < n; ++j) {
-      const double cj = c[j];
-      s0 += cj * r0[j];
-      s1 += cj * r1[j];
-      s2 += cj * r2[j];
-      s3 += cj * r3[j];
-    }
-    out[t] = s0;
-    out[t + 1] = s1;
-    out[t + 2] = s2;
-    out[t + 3] = s3;
-  }
-  for (; t + 2 <= nt; t += 2) {
-    const double* __restrict r0 = rows[t];
-    const double* __restrict r1 = rows[t + 1];
-    double s0 = 0.0, s1 = 0.0;
-    for (size_t j = 0; j < n; ++j) {
-      const double cj = c[j];
-      s0 += cj * r0[j];
-      s1 += cj * r1[j];
-    }
-    out[t] = s0;
-    out[t + 1] = s1;
-  }
-  for (; t < nt; ++t) out[t] = Dot(c, rows[t], n);
-}
-
 // ---------------------------------------------------------------------------
-// Lanes. F64x4 holds four doubles: one ymm register where AVX is enabled
-// (the "avx2" clone), an xmm pair otherwise. Loads and stores go through
-// memcpy, so rows need no alignment. No vector value crosses a function
-// boundary — the helpers take pointers and references, and every kernel body
-// is an always-inline lambda — because passing a 32-byte vector by value in
-// a translation unit compiled without AVX changes the calling convention
-// (GCC's -Wpsabi).
+// Lanes. F64x4 holds four doubles and F32x8 eight floats: one ymm register
+// where AVX is enabled (the "avx2" clone), an xmm pair otherwise. Loads and
+// stores go through memcpy, so rows need no alignment. No vector value
+// crosses a function boundary — the helpers take pointers and references,
+// and every kernel body is an always-inline lambda — because passing a
+// 32-byte vector by value in a translation unit compiled without AVX changes
+// the calling convention (GCC's -Wpsabi).
 using F64x4 = double __attribute__((vector_size(32)));
-constexpr size_t kLanes = 4;
+using F32x8 = float __attribute__((vector_size(32)));
 
-/// Runs `body.template operator()<F64x4>(j)` on every full group of kLanes
-/// elements of [0, n), then `body.template operator()<double>(j)` on each
-/// remaining element. A kernel passes one generic body, so its scalar tail
-/// evaluates the lanes' own expression on plain doubles.
-template <typename Body>
+/// The 32-byte lane group of element type T, and its lane count.
+template <typename T>
+using Lanes = std::conditional_t<std::is_same_v<T, float>, F32x8, F64x4>;
+template <typename T>
+constexpr size_t kLanes = sizeof(Lanes<T>) / sizeof(T);
+
+/// Runs `body.template operator()<Lanes<T>>(j)` on every full lane group of
+/// [0, n), then `body.template operator()<T>(j)` on each remaining element.
+/// A kernel passes one generic body, so its scalar tail evaluates the lanes'
+/// own expression on plain T.
+template <typename T = double, typename Body>
 LEVA_ALWAYS_INLINE void ForLanes(size_t n, Body&& body) {
   size_t j = 0;
-  for (; j + kLanes <= n; j += kLanes) body.template operator()<F64x4>(j);
-  for (; j < n; ++j) body.template operator()<double>(j);
+  for (; j + kLanes<T> <= n; j += kLanes<T>) {
+    body.template operator()<Lanes<T>>(j);
+  }
+  for (; j < n; ++j) body.template operator()<T>(j);
 }
 
 /// *v = p[0 .. lanes of V).
-template <typename V>
-LEVA_ALWAYS_INLINE void Load(V* v, const double* p) {
+template <typename V, typename T>
+LEVA_ALWAYS_INLINE void Load(V* v, const T* p) {
   std::memcpy(v, p, sizeof(V));
 }
 
 /// p[0 .. lanes of V) = v. A lane group is stored as two 16-byte halves:
 /// without AVX, GCC routes a whole 32-byte vector store through a stack
 /// temporary (a spill and reload per store), while the halves are plain
-/// movupd pairs; with AVX they cost no more than one ymm store.
-template <typename V>
-LEVA_ALWAYS_INLINE void Store(double* p, const V& v) {
-  if constexpr (std::is_same_v<V, double>) {
+/// movupd/movups pairs; with AVX they cost no more than one ymm store.
+template <typename T, typename V>
+LEVA_ALWAYS_INLINE void Store(T* p, const V& v) {
+  if constexpr (std::is_same_v<V, T>) {
     *p = v;
-  } else {
+  } else if constexpr (std::is_same_v<T, double>) {
     using F64x2 = double __attribute__((vector_size(16)));
     const F64x2 lo = __builtin_shufflevector(v, v, 0, 1);
     const F64x2 hi = __builtin_shufflevector(v, v, 2, 3);
     std::memcpy(p, &lo, sizeof(lo));
     std::memcpy(p + 2, &hi, sizeof(hi));
+  } else {
+    using F32x4 = float __attribute__((vector_size(16)));
+    const F32x4 lo = __builtin_shufflevector(v, v, 0, 1, 2, 3);
+    const F32x4 hi = __builtin_shufflevector(v, v, 4, 5, 6, 7);
+    std::memcpy(p, &lo, sizeof(lo));
+    std::memcpy(p + 4, &hi, sizeof(hi));
   }
 }
 
@@ -211,19 +159,45 @@ LEVA_ALWAYS_INLINE void Store(double* p, const V& v) {
 // node and context rows from distinct matrices, caller-private gradient and
 // accumulator buffers, and output rows distinct from their sources.
 
+// Skip-gram (SGNS) kernels. The trainer keeps its node and context rows in
+// fp32 (src/embed/word2vec.cc), so these run on F32x8 lanes: eight floats
+// per ymm, half the bytes per touched row of the fp64 form.
+
+/// Fixed-order fp32 dot product: eight partial sums s_l over the elements
+/// j < 8 * floor(n / 8) with j mod 8 == l, combined as
+///   ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)),
+/// then the remaining elements added one at a time in order. One lane group
+/// is one partial-sum vector, so the eight adds of a group run in parallel
+/// where the strict source order is a chain of n dependent adds. The order
+/// is written out, never left to the compiler, so every clone, ISA and
+/// thread count gives the same bits.
+LEVA_ALWAYS_INLINE float Dot(const float* a, const float* b, size_t n) {
+  F32x8 s = {};
+  size_t j = 0;
+  for (; j + kLanes<float> <= n; j += kLanes<float>) {
+    F32x8 x, y;
+    Load(&x, a + j);
+    Load(&y, b + j);
+    s = s + x * y;
+  }
+  float dot = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+  for (; j < n; ++j) dot += a[j] * b[j];
+  return dot;
+}
+
 /// First (positive-sample) step of a skip-gram pair:
-///   grad[j]   = g * target[j] + 0.0;
+///   grad[j]   = g * target[j] + 0.0f;
 ///   target[j] += g * center[j];
-/// The `+ 0.0` reproduces the reference path's zeroed-buffer accumulation
-/// (`0.0 + x` normalizes -0.0 exactly like the fill-then-add it replaces)
+/// The `+ 0.0f` reproduces the reference path's zeroed-buffer accumulation
+/// (`0.0f + x` normalizes -0.0f exactly like the fill-then-add it replaces)
 /// without paying a separate std::fill pass over the gradient buffer.
-LEVA_ALWAYS_INLINE void SkipGramInit(double g, const double* center,
-                                     double* target, double* grad, size_t n) {
-  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+LEVA_ALWAYS_INLINE void SkipGramInit(float g, const float* center,
+                                     float* target, float* grad, size_t n) {
+  ForLanes<float>(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
     V t, c;
     Load(&t, target + j);
     Load(&c, center + j);
-    Store(grad + j, g * t + 0.0);
+    Store(grad + j, g * t + 0.0f);
     Store(target + j, t + g * c);
   });
 }
@@ -231,9 +205,9 @@ LEVA_ALWAYS_INLINE void SkipGramInit(double g, const double* center,
 /// Negative-sample step of a skip-gram pair:
 ///   grad[j]   += g * target[j];
 ///   target[j] += g * center[j];
-LEVA_ALWAYS_INLINE void SkipGramAccum(double g, const double* center,
-                                      double* target, double* grad, size_t n) {
-  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+LEVA_ALWAYS_INLINE void SkipGramAccum(float g, const float* center,
+                                      float* target, float* grad, size_t n) {
+  ForLanes<float>(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
     V t, c, d;
     Load(&t, target + j);
     Load(&c, center + j);
@@ -244,9 +218,9 @@ LEVA_ALWAYS_INLINE void SkipGramAccum(double g, const double* center,
 }
 
 /// x[j] += d[j]. Applies the accumulated pair gradient to the center vector,
-/// and merges a shard's row delta into the shared weights.
-LEVA_ALWAYS_INLINE void VecAdd(double* x, const double* d, size_t n) {
-  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+/// and merges a shard's node-row delta into the shared weights.
+LEVA_ALWAYS_INLINE void VecAdd(float* x, const float* d, size_t n) {
+  ForLanes<float>(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
     V xv, dv;
     Load(&xv, x + j);
     Load(&dv, d + j);
@@ -254,16 +228,31 @@ LEVA_ALWAYS_INLINE void VecAdd(double* x, const double* d, size_t n) {
   });
 }
 
+/// x[j] += d[j] / c. Merges a shard's context-row delta, averaged over the
+/// c shards of the round that touched the row (a true division: c == 1
+/// adds d exactly as VecAdd does).
+LEVA_ALWAYS_INLINE void VecAddDiv(float* x, const float* d, float c,
+                                  size_t n) {
+  ForLanes<float>(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V xv, dv;
+    Load(&xv, x + j);
+    Load(&dv, d + j);
+    Store(x + j, xv + dv / c);
+  });
+}
+
 /// x[j] -= y[j]. Turns a shard's trained row copy into its delta against
 /// the round-start weights in the sharded SGNS trainer.
-LEVA_ALWAYS_INLINE void VecSub(double* x, const double* y, size_t n) {
-  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+LEVA_ALWAYS_INLINE void VecSub(float* x, const float* y, size_t n) {
+  ForLanes<float>(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
     V xv, yv;
     Load(&xv, x + j);
     Load(&yv, y + j);
     Store(x + j, xv - yv);
   });
 }
+
+// The dense-LA and featurize kernels below run on fp64 F64x4 lanes.
 
 /// acc[j] += w * src[j]: one weighted fp64 row of the featurize gather, and
 /// the axpy of every dense-LA inner loop (matmul rows, CSR rows and

@@ -17,10 +17,10 @@ namespace {
 constexpr int kExpTableSize = 1000;
 constexpr double kMaxExp = 6.0;
 
-// Stack capacity for a skip-gram pair's batched target list (positive +
-// negatives). `negative` options at or beyond this fall back to the serial
-// reference interleaving.
-constexpr size_t kMaxDotBatch = 16;
+// Stack capacity for a skip-gram pair's target list (positive + negatives).
+// `negative` options at or beyond this fall back to the serial reference
+// interleaving.
+constexpr size_t kMaxPairTargets = 16;
 
 // The shard schedule. Every shard copies each weight row it touches and
 // merges it back, and a shard's negatives reach nearly every token type of
@@ -32,10 +32,9 @@ constexpr size_t kMaxDotBatch = 16;
 constexpr size_t kMinShardSentences = 64;
 constexpr size_t kShardTokensPerType = 8;
 // Shards within a round train against the weights frozen at the round start,
-// so the size of a round bounds the staleness — and the summed-delta
-// overshoot on hub rows. A round holds up to kMaxRoundShards shards, and
-// fewer on a corpus of under kMinRoundsPerEpoch full rounds per epoch, so
-// each round stays a small slice of the epoch.
+// so the size of a round bounds the staleness. A round holds up to
+// kMaxRoundShards shards, and fewer on a corpus of under kMinRoundsPerEpoch
+// full rounds per epoch, so each round stays a small slice of the epoch.
 constexpr size_t kMaxRoundShards = 4;
 constexpr size_t kMinRoundsPerEpoch = 8;
 
@@ -100,14 +99,36 @@ TrainPlan MakePlan(const std::vector<double>& freq, size_t total_tokens,
   return plan;
 }
 
-// Cold-start weight initialization; consumes rng in a fixed order.
-void InitWeights(size_t vocab_size, size_t dim, Rng* rng, Matrix* node,
-                 Matrix* context) {
-  *node = Matrix(vocab_size, dim);
-  *context = Matrix(vocab_size, dim);
-  for (size_t i = 0; i < vocab_size; ++i) {
+// The trainer's working form of a weight matrix: vocab x dim fp32 rows,
+// row-major, zero-initialized. Train narrows its inputs into this form and
+// widens the result back to fp64 once, at the end.
+struct Weights {
+  size_t rows;
+  size_t dim;
+  std::vector<float> data;
+
+  Weights(size_t rows, size_t dim)
+      : rows(rows), dim(dim), data(rows * dim, 0.0f) {}
+  float* Row(size_t i) { return data.data() + i * dim; }
+  const float* Row(size_t i) const { return data.data() + i * dim; }
+  // The fp64 matrix of the same values (exact). Frees the fp32 rows, so
+  // widening the second matrix does not also hold the first one's fp32 rows.
+  Matrix Widen() && {
+    Matrix m(rows, dim);
+    std::copy(data.begin(), data.end(), m.mutable_data().begin());
+    std::vector<float>().swap(data);
+    return m;
+  }
+};
+
+// The cold-start draw of node rows first..rows: (U(0,1) - 0.5) / dim,
+// computed in fp64 and rounded to fp32, consuming rng in row-major order.
+void InitNodeRows(size_t first, Rng* rng, Weights* node) {
+  const size_t dim = node->dim;
+  for (size_t i = first; i < node->rows; ++i) {
     for (size_t j = 0; j < dim; ++j) {
-      (*node)(i, j) = (rng->Uniform() - 0.5) / static_cast<double>(dim);
+      node->Row(i)[j] = static_cast<float>((rng->Uniform() - 0.5) /
+                                           static_cast<double>(dim));
     }
   }
 }
@@ -157,7 +178,7 @@ constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
 struct ShardRows {
   std::vector<uint32_t> slot;  // vocab-sized, kNoSlot where untouched
   std::vector<uint32_t> rows;
-  std::vector<double> cur;
+  std::vector<float> cur;
 
   // Forgets the previous shard's rows, resetting only the slots it set.
   void Clear() {
@@ -167,18 +188,18 @@ struct ShardRows {
   }
   // Slot of `row`, copying it in on first touch. May grow the arena, which
   // invalidates every pointer previously returned by Row.
-  uint32_t Touch(const Matrix& m, uint32_t row, size_t dim) {
+  uint32_t Touch(const Weights& m, uint32_t row, size_t dim) {
     uint32_t s = slot[row];
     if (s == kNoSlot) {
       s = static_cast<uint32_t>(rows.size());
       slot[row] = s;
       rows.push_back(row);
-      const double* src = m.RowPtr(row);
+      const float* src = m.Row(row);
       cur.insert(cur.end(), src, src + dim);
     }
     return s;
   }
-  double* Row(uint32_t s, size_t dim) {
+  float* Row(uint32_t s, size_t dim) {
     return cur.data() + static_cast<size_t>(s) * dim;
   }
 };
@@ -188,22 +209,22 @@ struct ShardRows {
 // round has no one to be isolated from, so it trains on the shared rows in
 // place (`in_place`), with no copy, delta or merge.
 struct ShardUpdate {
-  Matrix* node_src = nullptr;
-  Matrix* context_src = nullptr;
+  Weights* node_src = nullptr;
+  Weights* context_src = nullptr;
   size_t dim = 0;
   bool in_place = false;
   ShardRows node;
   ShardRows ctx;
 
-  double* NodeRow(uint32_t row) {
-    if (in_place) return node_src->RowPtr(row);
+  float* NodeRow(uint32_t row) {
+    if (in_place) return node_src->Row(row);
     return node.Row(node.Touch(*node_src, row, dim), dim);
   }
   uint32_t ContextSlot(uint32_t row) {
     return in_place ? row : ctx.Touch(*context_src, row, dim);
   }
-  double* ContextRow(uint32_t s) {
-    return in_place ? context_src->RowPtr(s) : ctx.Row(s, dim);
+  float* ContextRow(uint32_t s) {
+    return in_place ? context_src->Row(s) : ctx.Row(s, dim);
   }
 };
 
@@ -215,28 +236,40 @@ void ShardDeltas(ShardUpdate* u) {
   const size_t dim = u->dim;
   for (size_t i = 0; i < u->node.rows.size(); ++i) {
     simd::VecSub(u->node.cur.data() + i * dim,
-                 u->node_src->RowPtr(u->node.rows[i]), dim);
+                 u->node_src->Row(u->node.rows[i]), dim);
   }
   for (size_t i = 0; i < u->ctx.rows.size(); ++i) {
     simd::VecSub(u->ctx.cur.data() + i * dim,
-                 u->context_src->RowPtr(u->ctx.rows[i]), dim);
+                 u->context_src->Row(u->ctx.rows[i]), dim);
   }
 }
 
 // Merges a round's shard deltas in fixed sentence-shard order (and
 // row-first-touch order within a shard) — both pure functions of the seed,
-// never of the thread count.
+// never of the thread count. Node-row deltas are summed. A context row's
+// delta is divided by the number of the round's shards that touched the
+// row: every shard computed its delta from the same round-start rows, and
+// on a hub row (one nearly every shard draws as a positive or a negative)
+// those deltas point the same way, so their plain sum overshoots R-fold in
+// an R-shard round and can diverge. The shards' slot indexes still hold
+// their touched rows here (a shard clears them when it next starts), so the
+// count is a pure function of the shards' sentences too.
 LEVA_TARGET_CLONES
 void MergeShardUpdates(std::span<ShardUpdate> updates, size_t dim,
-                       Matrix* node, Matrix* context) {
+                       Weights* node, Weights* context) {
   for (ShardUpdate& u : updates) {
     for (size_t i = 0; i < u.node.rows.size(); ++i) {
-      simd::VecAdd(node->RowPtr(u.node.rows[i]), u.node.cur.data() + i * dim,
+      simd::VecAdd(node->Row(u.node.rows[i]), u.node.cur.data() + i * dim,
                    dim);
     }
     for (size_t i = 0; i < u.ctx.rows.size(); ++i) {
-      simd::VecAdd(context->RowPtr(u.ctx.rows[i]), u.ctx.cur.data() + i * dim,
-                   dim);
+      const uint32_t row = u.ctx.rows[i];
+      size_t touches = 0;
+      for (const ShardUpdate& v : updates) {
+        touches += v.ctx.slot[row] != kNoSlot;
+      }
+      simd::VecAddDiv(context->Row(row), u.ctx.cur.data() + i * dim,
+                      static_cast<float>(touches), dim);
     }
   }
 }
@@ -244,7 +277,7 @@ void MergeShardUpdates(std::span<ShardUpdate> updates, size_t dim,
 // Per-worker buffers of the skip-gram kernel.
 struct SentenceScratch {
   std::vector<uint32_t> kept;
-  std::vector<double> grad;
+  std::vector<float> grad;
   std::vector<uint32_t> negs;
 
   explicit SentenceScratch(const Word2VecOptions& options)
@@ -261,7 +294,7 @@ void TrainSentenceShard(const Word2VecOptions& options, const TrainPlan& plan,
                         SentenceScratch* scratch) {
   const size_t dim = options.dim;
   const std::vector<uint32_t>& kept = scratch->kept;
-  double* g = scratch->grad.data();
+  float* g = scratch->grad.data();
   uint32_t* negs = scratch->negs.data();
   for (size_t pos = 0; pos < kept.size(); ++pos) {
     const size_t step = base_step + pos + 1;
@@ -279,7 +312,7 @@ void TrainSentenceShard(const Word2VecOptions& options, const TrainPlan& plan,
       const uint32_t ctx = kept[cpos];
       // Node and context rows live in separate arenas, so resolving context
       // slots below never moves the center row.
-      double* center_vec = rows->NodeRow(center);
+      float* center_vec = rows->NodeRow(center);
       // Draw the pair's negatives up front — the same draws in the same
       // order as the reference's interleaved sampling — and assemble the
       // pair's target list: the positive context first, then every negative
@@ -287,11 +320,11 @@ void TrainSentenceShard(const Word2VecOptions& options, const TrainPlan& plan,
       for (size_t k = 0; k < options.negative; ++k) {
         negs[k] = plan.negatives.Sample(r);
       }
-      uint32_t tids[kMaxDotBatch];
-      double* targets[kMaxDotBatch];
-      double dots[kMaxDotBatch];
+      uint32_t tids[kMaxPairTargets];
+      float* targets[kMaxPairTargets];
+      float dots[kMaxPairTargets];
       size_t nt = 0;
-      bool distinct = options.negative < kMaxDotBatch;
+      bool distinct = options.negative < kMaxPairTargets;
       if (distinct) {
         tids[nt++] = ctx;
         for (size_t k = 0; k < options.negative; ++k) {
@@ -303,16 +336,21 @@ void TrainSentenceShard(const Word2VecOptions& options, const TrainPlan& plan,
       }
       if (distinct) {
         // All targets hit distinct context rows, so no update in this pair
-        // feeds a later dot: compute every dot up front with the interleaved
-        // batch kernel (bit-identical sums, ~one dot-chain's latency), then
-        // apply the updates in the reference order. k == 0 initializes the
-        // gradient buffer in-kernel, so no std::fill per pair.
+        // feeds a later dot: compute every dot up front, then apply the
+        // updates in the reference order. The same bits as the serial loop
+        // below, which alone runs ~15% (1 thread) to ~21% (4 threads) fewer
+        // tokens/s on the fit-shaped corpus (EXPERIMENTS.md). k == 0
+        // initializes the gradient buffer in-kernel, so no std::fill per
+        // pair.
         for (size_t t = 0; t < nt; ++t) tids[t] = rows->ContextSlot(tids[t]);
         for (size_t t = 0; t < nt; ++t) targets[t] = rows->ContextRow(tids[t]);
-        simd::DotBatch(center_vec, targets, nt, dim, dots);
+        for (size_t t = 0; t < nt; ++t) {
+          dots[t] = simd::Dot(center_vec, targets[t], dim);
+        }
         for (size_t t = 0; t < nt; ++t) {
           const double label = t == 0 ? 1.0 : 0.0;
-          const double gcoef = (label - Sigmoid(dots[t])) * lr;
+          const float gcoef =
+              static_cast<float>((label - Sigmoid(dots[t])) * lr);
           if (t == 0) {
             simd::SkipGramInit(gcoef, center_vec, targets[t], g, dim);
           } else {
@@ -334,9 +372,9 @@ void TrainSentenceShard(const Word2VecOptions& options, const TrainPlan& plan,
             if (target == ctx) continue;
             label = 0.0;
           }
-          double* target_vec = rows->ContextRow(rows->ContextSlot(target));
-          const double dot = simd::Dot(center_vec, target_vec, dim);
-          const double gcoef = (label - Sigmoid(dot)) * lr;
+          float* target_vec = rows->ContextRow(rows->ContextSlot(target));
+          const float dot = simd::Dot(center_vec, target_vec, dim);
+          const float gcoef = static_cast<float>((label - Sigmoid(dot)) * lr);
           if (k == 0) {
             simd::SkipGramInit(gcoef, center_vec, target_vec, g, dim);
           } else {
@@ -354,8 +392,8 @@ void TrainSentenceShard(const Word2VecOptions& options, const TrainPlan& plan,
 // merge in fixed shard order at the round barrier. Output is a pure
 // function of (corpus, seed) at any thread count.
 void TrainShards(const Word2VecOptions& options, const FlatCorpus& corpus,
-                 const TrainPlan& plan, size_t threads, Rng* rng, Matrix* node,
-                 Matrix* context) {
+                 const TrainPlan& plan, size_t threads, Rng* rng,
+                 Weights* node, Weights* context) {
   const size_t num_sentences = corpus.size();
   const auto& offsets = corpus.offsets();
   const ShardSchedule schedule = MakeSchedule(num_sentences, plan);
@@ -365,13 +403,14 @@ void TrainShards(const Word2VecOptions& options, const FlatCorpus& corpus,
   const uint64_t base_seed = rng->Next();
 
   // One arena set per shard of a round, reused by every round.
+  const size_t vocab_size = node->rows;
   std::vector<ShardUpdate> updates(schedule.round_shards);
   for (ShardUpdate& u : updates) {
     u.node_src = node;
     u.context_src = context;
     u.dim = options.dim;
-    u.node.slot.assign(node->rows(), kNoSlot);
-    u.ctx.slot.assign(context->rows(), kNoSlot);
+    u.node.slot.assign(vocab_size, kNoSlot);
+    u.ctx.slot.assign(vocab_size, kNoSlot);
   }
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
     for (size_t rb = 0; rb < num_sentences; rb += round_size) {
@@ -411,6 +450,9 @@ void TrainShards(const Word2VecOptions& options, const FlatCorpus& corpus,
 }  // namespace
 
 Status Word2Vec::Train(const FlatCorpus& corpus, size_t vocab_size, Rng* rng) {
+  // A staged warm start belongs to this call, whether it succeeds or not.
+  const bool warm = std::exchange(warm_, false);
+  Matrix warm_node = std::exchange(warm_node_, Matrix());
   if (rng == nullptr) return Status::InvalidArgument("rng is required");
   if (vocab_size == 0) return Status::InvalidArgument("empty vocabulary");
   const size_t dim = options_.dim;
@@ -426,40 +468,35 @@ Status Word2Vec::Train(const FlatCorpus& corpus, size_t vocab_size, Rng* rng) {
   if (total_tokens == 0) return Status::InvalidArgument("empty corpus");
 
   const TrainPlan plan = MakePlan(freq, total_tokens, options_);
-  if (warm_) {
-    // Warm start: adopt the staged node vectors, random-init only the new
-    // vocabulary tail (same draw as a cold start would give those rows),
-    // zero context — continuing SGD from a fitted model.
-    const Matrix warm = std::move(warm_node_);
-    warm_node_ = Matrix();
-    warm_ = false;
-    if (warm.cols() != dim) {
+  Weights node(vocab_size, dim);
+  Weights context(vocab_size, dim);  // zero, cold or warm
+  size_t first_drawn = 0;
+  if (warm) {
+    // Warm start: adopt the staged node vectors (rounded to fp32) and
+    // random-init only the new vocabulary tail, the same draw a cold start
+    // gives those rows — continuing SGD from a fitted model.
+    if (warm_node.cols() != dim) {
       return Status::InvalidArgument(
-          "warm-start matrix has dim " + std::to_string(warm.cols()) +
+          "warm-start matrix has dim " + std::to_string(warm_node.cols()) +
           ", expected " + std::to_string(dim));
     }
-    if (warm.rows() > vocab_size) {
+    if (warm_node.rows() > vocab_size) {
       return Status::InvalidArgument(
-          "warm-start matrix has " + std::to_string(warm.rows()) +
+          "warm-start matrix has " + std::to_string(warm_node.rows()) +
           " rows but vocab size is " + std::to_string(vocab_size));
     }
-    node_ = Matrix(vocab_size, dim);
-    context_ = Matrix(vocab_size, dim);
-    if (warm.rows() > 0) {
-      std::copy(warm.data().begin(), warm.data().end(),
-                node_.mutable_data().begin());
-    }
-    for (size_t i = warm.rows(); i < vocab_size; ++i) {
-      for (size_t j = 0; j < dim; ++j) {
-        node_(i, j) = (rng->Uniform() - 0.5) / static_cast<double>(dim);
-      }
-    }
-  } else {
-    InitWeights(vocab_size, dim, rng, &node_, &context_);
+    std::transform(warm_node.data().begin(), warm_node.data().end(),
+                   node.data.begin(),
+                   [](double v) { return static_cast<float>(v); });
+    first_drawn = warm_node.rows();
+    warm_node = Matrix();  // narrowed: free the fp64 copy before training
   }
+  InitNodeRows(first_drawn, rng, &node);
 
   TrainShards(options_, corpus, plan, ResolveThreads(options_.threads), rng,
-              &node_, &context_);
+              &node, &context);
+  node_ = std::move(node).Widen();
+  context_ = std::move(context).Widen();
   return Status::OK();
 }
 

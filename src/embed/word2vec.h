@@ -35,24 +35,30 @@ class Word2Vec {
  public:
   explicit Word2Vec(Word2VecOptions options = {}) : options_(options) {}
 
-  /// Trains on `corpus`; token ids must be < vocab_size. Sentences are cut
-  /// into shards and the shards into merge rounds; every shard of a round
-  /// runs plain sequential SGD on private copies of the weights frozen at
-  /// the round start, and the shards' weight deltas are added back in shard
-  /// order at the round barrier (a round's only shard trains in place).
-  /// Shard and round sizes depend on the corpus alone, never on `threads`,
-  /// so any thread count gives the same bits. The schedule is pinned to the
-  /// oracle in tests/reference/word2vec_reference.h.
+  /// Trains on `corpus`; token ids must be < vocab_size. The weights train
+  /// as fp32 rows (dots in a fixed 8-lane order, simd::Dot) and are widened
+  /// to the fp64 matrices below once, at the end. Sentences are cut into
+  /// shards and the shards into merge rounds; every shard of a round runs
+  /// plain sequential SGD on private copies of the weights frozen at the
+  /// round start, and the shards' weight deltas are merged back in shard
+  /// order at the round barrier: node-row deltas summed, each context-row
+  /// delta divided by the number of the round's shards that touched that
+  /// row (a round's only shard trains in place). Shard and round sizes
+  /// depend on the corpus alone, never on `threads`, so any thread count
+  /// gives the same bits. The schedule is pinned to the oracle in
+  /// tests/reference/word2vec_reference.h.
   Status Train(const FlatCorpus& corpus, size_t vocab_size, Rng* rng);
 
   /// Stages `node` as the initial node-vector matrix for the NEXT Train
   /// call (the streaming-update warm start: continue SGNS from a previously
   /// fitted embedding instead of random init). Rows 0..node.rows() are
-  /// adopted verbatim; rows past them — new vocabulary — are initialized by
-  /// the standard (U(0,1)-0.5)/dim draw, and the context matrix starts at
-  /// zero exactly as a cold start does. Consumed by that Train (a second
-  /// Train cold-starts again); `node.cols()` must equal options().dim and
-  /// rows() must not exceed the trained vocab_size, checked at Train time.
+  /// adopted rounded to fp32 (exact for rows this trainer produced); rows
+  /// past them — new vocabulary — are initialized by the standard
+  /// (U(0,1)-0.5)/dim draw, and the context matrix starts at zero exactly as
+  /// a cold start does. Consumed by that Train, whether it succeeds or fails
+  /// (a second Train cold-starts again); `node.cols()` must equal
+  /// options().dim and rows() must not exceed the trained vocab_size,
+  /// checked at Train time.
   void WarmStart(Matrix node) {
     warm_node_ = std::move(node);
     warm_ = true;

@@ -1,8 +1,10 @@
 // Skip-gram SGNS oracle for Word2Vec::Train. It is written out with scalar
-// loops, its own sigmoid table and its own training plan, and samples every
-// negative interleaved with the updates of its pair (the classic word2vec
-// order), so it shares nothing with the production kernel but the options
-// struct and the RNG. Single-threaded by design; never used outside tests.
+// fp32 loops (the dot as eight explicit accumulators), its own sigmoid table
+// and its own training plan, keeps full-matrix shard copies, and samples
+// every negative interleaved with the updates of its pair (the classic
+// word2vec order), so it shares nothing with the production kernel but the
+// options struct and the RNG. Single-threaded by design; never used outside
+// tests.
 #ifndef LEVA_TESTS_REFERENCE_WORD2VEC_REFERENCE_H_
 #define LEVA_TESTS_REFERENCE_WORD2VEC_REFERENCE_H_
 
@@ -16,7 +18,8 @@
 
 namespace leva {
 
-/// Trained node (input) and context (output) vectors, vocab_size x dim.
+/// Trained node (input) and context (output) vectors, vocab_size x dim,
+/// widened from the fp32 rows they trained as.
 struct ReferenceEmbedding {
   Matrix node;
   Matrix context;
@@ -27,9 +30,11 @@ struct ReferenceEmbedding {
 /// length)) sentences, where `types` counts the distinct corpus tokens, and
 /// the shards into rounds of clamp(shards per epoch / 8, 1, 4) shards. Every
 /// shard of a round trains sequentially on its own copy of the round-start
-/// weights, and the shards' weight deltas are added back in shard order at
-/// the round end; the only shard of a round trains on the weights in place.
-/// `options.threads` is ignored.
+/// fp32 weights, and the shards' weight deltas are added back in shard order
+/// at the round end: node rows summed, each context row's delta divided by
+/// the number of the round's shards that touched that row. The only shard
+/// of a round trains on the weights in place. Node rows start as
+/// (U(0,1) - 0.5) / dim rounded to fp32. `options.threads` is ignored.
 Result<ReferenceEmbedding> ReferenceTrainDeterministic(
     const FlatCorpus& corpus, size_t vocab_size, const Word2VecOptions& options,
     Rng* rng);

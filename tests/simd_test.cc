@@ -22,10 +22,6 @@ namespace leva {
 namespace {
 
 enum class Kernel {
-  kSkipGramInit,
-  kSkipGramAccum,
-  kVecAdd,
-  kVecSub,
   kGatherAdd,
   kMeanStore,
   kMeanStoreDup,
@@ -36,10 +32,8 @@ enum class Kernel {
 };
 
 constexpr Kernel kKernels[] = {
-    Kernel::kSkipGramInit,   Kernel::kSkipGramAccum,
-    Kernel::kVecAdd,         Kernel::kVecSub,
-    Kernel::kGatherAdd,      Kernel::kMeanStore,
-    Kernel::kMeanStoreDup,   Kernel::kGatherAddBf16,
+    Kernel::kGatherAdd,        Kernel::kMeanStore,
+    Kernel::kMeanStoreDup,     Kernel::kGatherAddBf16,
     Kernel::kDequantGatherAdd, Kernel::kDequantRowBf16,
     Kernel::kDequantRowI8,
 };
@@ -57,14 +51,6 @@ struct Args {
 
 LEVA_ALWAYS_INLINE void Dispatch(Kernel k, const Args& a) {
   switch (k) {
-    case Kernel::kSkipGramInit:
-      return simd::SkipGramInit(a.s, a.x, a.y, a.z, a.n);
-    case Kernel::kSkipGramAccum:
-      return simd::SkipGramAccum(a.s, a.x, a.y, a.z, a.n);
-    case Kernel::kVecAdd:
-      return simd::VecAdd(a.x, a.y, a.n);
-    case Kernel::kVecSub:
-      return simd::VecSub(a.x, a.y, a.n);
     case Kernel::kGatherAdd:
       return simd::GatherAdd(a.x, a.y, a.s, a.n);
     case Kernel::kMeanStore:
@@ -91,20 +77,6 @@ void RunCloned(Kernel k, const Args& a) { Dispatch(k, a); }
 void RunScalar(Kernel k, const Args& a) {
   for (size_t j = 0; j < a.n; ++j) {
     switch (k) {
-      case Kernel::kSkipGramInit:
-        a.z[j] = a.s * a.y[j] + 0.0;
-        a.y[j] += a.s * a.x[j];
-        break;
-      case Kernel::kSkipGramAccum:
-        a.z[j] += a.s * a.y[j];
-        a.y[j] += a.s * a.x[j];
-        break;
-      case Kernel::kVecAdd:
-        a.x[j] += a.y[j];
-        break;
-      case Kernel::kVecSub:
-        a.x[j] -= a.y[j];
-        break;
       case Kernel::kGatherAdd:
         a.x[j] += a.s * a.y[j];
         break;
@@ -212,26 +184,6 @@ TEST(SimdTest, KernelsMatchScalarLoopsAtEveryLength) {
   }
 }
 
-// g * target[j] is -0.0 whenever the signs differ and one factor is zero; the
-// kernel's `+ 0.0` must turn that into +0.0 in every lane and in the tail,
-// exactly like the zero-fill-then-accumulate it stands for.
-TEST(SimdTest, SkipGramInitNormalizesNegativeZero) {
-  for (const size_t n : kLengths) {
-    for (const bool cloned : {false, true}) {
-      SCOPED_TRACE("n=" + std::to_string(n) + (cloned ? " cloned" : " plain"));
-      Rows rows(n, n);
-      for (double& t : rows.y) t = 0.0;
-      Args a = rows.Operands();
-      a.s = -1.0;  // -1.0 * +0.0 == -0.0
-      (cloned ? RunCloned : RunPlain)(Kernel::kSkipGramInit, a);
-      for (size_t j = 0; j < n; ++j) {
-        EXPECT_EQ(a.z[j], 0.0);
-        EXPECT_FALSE(std::signbit(a.z[j])) << "grad[" << j << "] is -0.0";
-      }
-    }
-  }
-}
-
 // The bf16 and int8 loads must be exact widenings: a dequantized row equals
 // its codes converted one element at a time, subnormals and ±127 included.
 TEST(SimdTest, DequantRowsAreExactWidenings) {
@@ -252,6 +204,237 @@ TEST(SimdTest, DequantRowsAreExactWidenings) {
   EXPECT_GT(subnormals, 0u);
   EXPECT_GT(std::count(i8_row.begin(), i8_row.end(), 127.0), 0);
   EXPECT_GT(std::count(i8_row.begin(), i8_row.end(), -127.0), 0);
+}
+
+double DotPlain(const double* a, const double* b, size_t n) {
+  return simd::Dot(a, b, n);
+}
+
+LEVA_TARGET_CLONES
+double DotCloned(const double* a, const double* b, size_t n) {
+  return simd::Dot(a, b, n);
+}
+
+// The fp64 Dot (GramSchmidtQ) is the strict source-order sum, at every
+// length 0-40 and at 64 and 100.
+TEST(SimdTest, DotMatchesStrictOrderLoopAtEveryLength) {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 40; ++n) lengths.push_back(n);
+  lengths.push_back(64);
+  lengths.push_back(100);
+  for (const size_t n : lengths) {
+    for (const bool cloned : {false, true}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + (cloned ? " cloned" : " plain"));
+      Rows rows(n, 500 + n);
+      const Args a = rows.Operands();
+      double want = 0.0;
+      for (size_t j = 0; j < n; ++j) want += a.x[j] * a.y[j];
+      const double got = (cloned ? DotCloned : DotPlain)(a.x, a.y, n);
+      EXPECT_EQ(0, std::memcmp(&got, &want, sizeof(double)));
+    }
+  }
+}
+
+// --- fp32 skip-gram kernels --------------------------------------------------
+//
+// The SGNS trainer's kernels run on 8-float lanes. Same checks as above, at
+// every length 0-40 (every tail length, whole groups, groups plus a tail)
+// and at the trainer's dims 64 and 100.
+
+enum class Kernel32 {
+  kSkipGramInit,
+  kSkipGramAccum,
+  kVecAdd,
+  kVecAddDiv,
+  kVecSub,
+  kDot,
+};
+
+constexpr Kernel32 kKernels32[] = {
+    Kernel32::kSkipGramInit, Kernel32::kSkipGramAccum, Kernel32::kVecAdd,
+    Kernel32::kVecAddDiv,    Kernel32::kVecSub,        Kernel32::kDot,
+};
+
+std::vector<size_t> Lengths32() {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 40; ++n) lengths.push_back(n);
+  lengths.push_back(64);
+  lengths.push_back(100);
+  return lengths;
+}
+
+struct Args32 {
+  float s = 0.0f;  // g, or the merge divisor
+  float *x = nullptr, *y = nullptr, *z = nullptr;
+  float* dot = nullptr;  // kDot's result
+  size_t n = 0;
+};
+
+LEVA_ALWAYS_INLINE void Dispatch32(Kernel32 k, const Args32& a) {
+  switch (k) {
+    case Kernel32::kSkipGramInit:
+      return simd::SkipGramInit(a.s, a.x, a.y, a.z, a.n);
+    case Kernel32::kSkipGramAccum:
+      return simd::SkipGramAccum(a.s, a.x, a.y, a.z, a.n);
+    case Kernel32::kVecAdd:
+      return simd::VecAdd(a.x, a.y, a.n);
+    case Kernel32::kVecAddDiv:
+      return simd::VecAddDiv(a.x, a.y, a.s, a.n);
+    case Kernel32::kVecSub:
+      return simd::VecSub(a.x, a.y, a.n);
+    case Kernel32::kDot:
+      *a.dot = simd::Dot(a.x, a.y, a.n);
+      return;
+  }
+}
+
+void RunPlain32(Kernel32 k, const Args32& a) { Dispatch32(k, a); }
+
+LEVA_TARGET_CLONES
+void RunCloned32(Kernel32 k, const Args32& a) { Dispatch32(k, a); }
+
+// Eight accumulators over j % 8 for the whole groups of eight, summed
+// pairwise, then the tail in order: the trainer's dot, written out
+// independently of the lane kernel.
+float EightAccumulatorDot(const float* a, const float* b, size_t n) {
+  float s0 = 0, s1 = 0, s2 = 0, s3 = 0, s4 = 0, s5 = 0, s6 = 0, s7 = 0;
+  const size_t whole = n - n % 8;
+  for (size_t j = 0; j < whole; j += 8) {
+    s0 += a[j] * b[j];
+    s1 += a[j + 1] * b[j + 1];
+    s2 += a[j + 2] * b[j + 2];
+    s3 += a[j + 3] * b[j + 3];
+    s4 += a[j + 4] * b[j + 4];
+    s5 += a[j + 5] * b[j + 5];
+    s6 += a[j + 6] * b[j + 6];
+    s7 += a[j + 7] * b[j + 7];
+  }
+  float dot = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
+  for (size_t j = whole; j < n; ++j) dot += a[j] * b[j];
+  return dot;
+}
+
+// The scalar loop each fp32 kernel stands for.
+void RunScalar32(Kernel32 k, const Args32& a) {
+  if (k == Kernel32::kDot) {
+    *a.dot = EightAccumulatorDot(a.x, a.y, a.n);
+    return;
+  }
+  for (size_t j = 0; j < a.n; ++j) {
+    switch (k) {
+      case Kernel32::kSkipGramInit:
+        a.z[j] = a.s * a.y[j] + 0.0f;
+        a.y[j] += a.s * a.x[j];
+        break;
+      case Kernel32::kSkipGramAccum:
+        a.z[j] += a.s * a.y[j];
+        a.y[j] += a.s * a.x[j];
+        break;
+      case Kernel32::kVecAdd:
+        a.x[j] += a.y[j];
+        break;
+      case Kernel32::kVecAddDiv:
+        a.x[j] += a.y[j] / a.s;
+        break;
+      case Kernel32::kVecSub:
+        a.x[j] -= a.y[j];
+        break;
+      case Kernel32::kDot:
+        break;
+    }
+  }
+}
+
+// fp32 rows laid out like Rows: one element into the allocation, ending
+// where it ends.
+struct Rows32 {
+  std::vector<float> x, y, z;
+  float dot = 0.0f;
+  size_t n;
+
+  Rows32(size_t n, uint64_t seed) : n(n) {
+    Rng r(seed);
+    for (std::vector<float>* v : {&x, &y, &z}) {
+      v->resize(n + 1);
+      for (float& f : *v) f = static_cast<float>(r.Uniform(-2.0, 2.0));
+    }
+  }
+
+  Args32 Operands() {
+    Args32 a;
+    a.s = -0.75f;
+    a.x = x.data() + 1;
+    a.y = y.data() + 1;
+    a.z = z.data() + 1;
+    a.dot = &dot;
+    a.n = n;
+    return a;
+  }
+};
+
+void ExpectSameBits32(const std::vector<float>& got,
+                      const std::vector<float>& want, const char* row) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+      << "row " << row;
+}
+
+TEST(SimdTest, F32KernelsMatchScalarLoopsAtEveryLength) {
+  for (const Kernel32 k : kKernels32) {
+    for (const size_t n : Lengths32()) {
+      for (const bool cloned : {false, true}) {
+        SCOPED_TRACE("fp32 kernel " + std::to_string(static_cast<int>(k)) +
+                     " n=" + std::to_string(n) +
+                     (cloned ? " cloned" : " plain"));
+        const uint64_t seed = 7000 + 1000 * static_cast<uint64_t>(k) + n;
+        Rows32 want(n, seed);
+        Rows32 got(n, seed);
+        RunScalar32(k, want.Operands());
+        (cloned ? RunCloned32 : RunPlain32)(k, got.Operands());
+        ExpectSameBits32(got.x, want.x, "x");
+        ExpectSameBits32(got.y, want.y, "y");
+        ExpectSameBits32(got.z, want.z, "z");
+        EXPECT_EQ(0, std::memcmp(&got.dot, &want.dot, sizeof(float)));
+      }
+    }
+  }
+}
+
+// The lane order is a real choice: on these rows the kernel (pinned to the
+// 8-accumulator order above) rounds differently from the strict source-order
+// sum at some lengths, so the check above would catch a kernel that summed
+// in source order.
+TEST(SimdTest, F32DotFollowsEightLaneOrderNotSourceOrder) {
+  size_t differs = 0;
+  for (const size_t n : Lengths32()) {
+    Rows32 rows(n, 90 + n);
+    const Args32 a = rows.Operands();
+    float strict = 0.0f;
+    for (size_t j = 0; j < n; ++j) strict += a.x[j] * a.y[j];
+    const float lanes = simd::Dot(a.x, a.y, n);
+    differs += std::memcmp(&lanes, &strict, sizeof(float)) != 0 ? 1 : 0;
+  }
+  EXPECT_GT(differs, 0u);
+}
+
+// g * target[j] is -0.0f whenever the signs differ and one factor is zero;
+// the kernel's `+ 0.0f` must turn that into +0.0f in every lane and in the
+// tail, exactly like the zero-fill-then-accumulate it stands for.
+TEST(SimdTest, SkipGramInitNormalizesNegativeZero) {
+  for (const size_t n : Lengths32()) {
+    for (const bool cloned : {false, true}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + (cloned ? " cloned" : " plain"));
+      Rows32 rows(n, n);
+      for (float& t : rows.y) t = 0.0f;
+      Args32 a = rows.Operands();
+      a.s = -1.0f;  // -1.0f * +0.0f == -0.0f
+      (cloned ? RunCloned32 : RunPlain32)(Kernel32::kSkipGramInit, a);
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(a.z[j], 0.0f);
+        EXPECT_FALSE(std::signbit(a.z[j])) << "grad[" << j << "] is -0.0";
+      }
+    }
+  }
 }
 
 // --- CRC32C ------------------------------------------------------------------

@@ -198,6 +198,86 @@ TEST(Word2VecTest, DeterministicParallelQualityFloor) {
   EXPECT_GT(Cosine(vecs, 2, 3), Cosine(vecs, 1, 3));
 }
 
+// Rounds of several shards on a 4-token vocabulary: every shard touches
+// every context row, and the shards' deltas on those hub rows, all computed
+// from the same round-start weights, point the same way. Summed, they
+// overshoot R-fold in an R-shard round and training diverges (max
+// |node·ctx| of ~1e12 at 3200 sentences and ~1e22 at 6400, and most seeds
+// failing the quality floor at 1600). Dividing each context row's delta by
+// the number of shards that touched it keeps every seed bounded and
+// separated. 1600 sentences train in three-shard rounds, 6400 in four-shard
+// rounds. Two epochs (DeterministicParallelQualityFloor trains four) keep
+// the 40 fits near a second; summed deltas fail every one of them.
+TEST(Word2VecTest, ShardedRoundsStayBoundedOnHubRows) {
+  Word2VecOptions options;
+  options.dim = 16;
+  options.epochs = 2;
+  options.threads = 4;
+  options.subsample = 0;
+  for (const size_t sentences : {1600u, 6400u}) {
+    const FlatCorpus flat = Flatten(ClusterCorpus(sentences));
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("sentences=" + std::to_string(sentences) +
+                   " seed=" + std::to_string(seed));
+      Word2Vec model(options);
+      Rng rng(seed);
+      ASSERT_TRUE(model.Train(flat, 4, &rng).ok());
+      const Matrix& vecs = model.node_vectors();
+      EXPECT_GT(Cosine(vecs, 0, 1), 0.5);
+      EXPECT_GT(Cosine(vecs, 2, 3), 0.5);
+      EXPECT_GT(Cosine(vecs, 0, 1), Cosine(vecs, 0, 2));
+      EXPECT_GT(Cosine(vecs, 2, 3), Cosine(vecs, 1, 3));
+      double max_dot = 0;
+      for (size_t i = 0; i < 4; ++i) {
+        for (size_t c = 0; c < 4; ++c) {
+          double dot = 0;
+          for (size_t j = 0; j < options.dim; ++j) {
+            dot += vecs(i, j) * model.context_vectors()(c, j);
+          }
+          max_dot = std::max(max_dot, std::abs(dot));
+        }
+      }
+      EXPECT_LE(max_dot, 8.0);
+    }
+  }
+}
+
+// A staged WarmStart belongs to the next Train even when that Train fails:
+// after a failed call, a valid Train must cold-start, bit-identical to a
+// fresh model's. Covers each early error: null rng, empty vocabulary, a
+// token past the vocabulary, and an empty corpus.
+TEST(Word2VecTest, FailedTrainConsumesWarmStart) {
+  const FlatCorpus flat = Flatten(RandomCorpus(300, 8, 30, 3));
+  const FlatCorpus out_of_range = Flatten({{1, 2, 40}});
+  Word2VecOptions options;
+  options.dim = 8;
+  options.epochs = 1;
+  Word2Vec fresh(options);
+  Rng fresh_rng(17);
+  ASSERT_TRUE(fresh.Train(flat, 30, &fresh_rng).ok());
+
+  Matrix warm(30, options.dim);
+  for (double& v : warm.mutable_data()) v = 0.25;
+  for (int failure = 0; failure < 4; ++failure) {
+    SCOPED_TRACE("failure " + std::to_string(failure));
+    Word2Vec model(options);
+    model.WarmStart(warm);
+    Rng rng(1);
+    Status failed;
+    switch (failure) {
+      case 0: failed = model.Train(flat, 30, nullptr); break;
+      case 1: failed = model.Train(flat, 0, &rng); break;
+      case 2: failed = model.Train(out_of_range, 30, &rng); break;
+      default: failed = model.Train(FlatCorpus(), 30, &rng); break;
+    }
+    EXPECT_FALSE(failed.ok());
+    Rng cold_rng(17);
+    ASSERT_TRUE(model.Train(flat, 30, &cold_rng).ok());
+    ExpectBitIdentical(model.node_vectors(), fresh.node_vectors());
+    ExpectBitIdentical(model.context_vectors(), fresh.context_vectors());
+  }
+}
+
 LevaGraph WalkGraph() {
   TextifiedTable t;
   t.table_name = "t";

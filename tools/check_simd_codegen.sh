@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
 # Codegen guard for the explicit-lane SIMD kernels (src/common/simd.h):
 # disassembles the built leva libraries and fails unless the "avx2" clone of
-# every hot multi-versioned caller (SGNS, featurize gather, and the dense LA
-# of MF Fit) contains packed 256-bit double mul/add
-# (v{mul,add}pd on ymm registers), and unless the SSE4.2 CRC32C kernel
+# every hot multi-versioned caller contains packed 256-bit arithmetic on ymm
+# registers — fp32 v{mul,add,sub}ps for the SGNS trainer (TrainSentenceShard,
+# MergeShardUpdates, ShardDeltas), fp64 v{mul,add}pd for the featurize
+# gather and the dense LA of MF Fit — and unless the SSE4.2 CRC32C kernel
 # (Crc32cSse42, src/common/io.cc) contains the 64-bit crc32q instruction.
-# A kernel that silently falls back to scalar vmulsd/vaddsd inside the
-# clone, or a CRC kernel that falls back to bytewise or table code, still
-# passes every value test, so only the instructions themselves show the
-# regression.
+# A kernel that silently falls back to scalar code inside the clone (or to
+# the wrong precision), or a CRC kernel that falls back to bytewise or table
+# code, still passes every value test, so only the instructions themselves
+# show the regression.
+#
+# It also fails if any guarded avx2 clone contains a fused multiply-add
+# (vfmadd/vfmsub/vfnmadd/vfnmsub): the kernels' bit-exactness contract rounds
+# every mul and add separately, and a clone compiled with fma enabled would
+# contract them and change the bits.
 #
 #   tools/check_simd_codegen.sh [BUILD_DIR]     (default: build)
 set -euo pipefail
@@ -23,10 +29,13 @@ fi
 
 objdump -d -C --no-show-raw-insn "${libs[@]}" | awk '
 BEGIN {
-  n = split("TrainSentenceShard MergeShardUpdates " \
+  n = split("TrainSentenceShard MergeShardUpdates ShardDeltas " \
             "GatherChunkF64 GatherChunkBf16 GatherChunkI8 " \
             "GramSchmidtQ SymmetricEigen MatMulRows MatTMulRows " \
             "MultiplyRows ScatterRows", want, " ")
+  # The SGNS trainer trains on fp32 rows; everything else is fp64.
+  split("TrainSentenceShard MergeShardUpdates ShardDeltas", f32, " ")
+  for (i in f32) is_f32[f32[i]] = 1
 }
 /^[0-9a-f]+ <.*>:$/ {
   cur = ""
@@ -39,7 +48,9 @@ BEGIN {
   }
   next
 }
-cur != "" && /v(mul|add)pd[ \t].*%ymm/ { packed[cur]++ }
+cur != "" && is_f32[cur] && /v(mul|add|sub)ps[ \t].*%ymm/ { packed[cur]++ }
+cur != "" && !is_f32[cur] && /v(mul|add)pd[ \t].*%ymm/ { packed[cur]++ }
+cur != "" && /[ \t]vf(n)?m(add|sub)/ { fma[cur]++ }
 in_crc && /[ \t]crc32q[ \t]/ { crc32q++ }
 END {
   bad = 0
@@ -52,13 +63,17 @@ END {
   }
   for (i = 1; i <= n; i++) {
     f = want[i]
+    ops = is_f32[f] ? "vmulps/vaddps/vsubps" : "vmulpd/vaddpd"
     if (!seen[f]) {
       printf "FAIL %-20s no [clone .avx2] body found\n", f; bad = 1
+    } else if (fma[f] > 0) {
+      printf "FAIL %-20s avx2 clone has %d fused multiply-add(s)\n", f, fma[f]
+      bad = 1
     } else if (packed[f] == 0) {
-      printf "FAIL %-20s avx2 clone has no packed ymm vmulpd/vaddpd\n", f
+      printf "FAIL %-20s avx2 clone has no packed ymm %s\n", f, ops
       bad = 1
     } else {
-      printf "ok   %-20s avx2 clone: %d packed ymm vmulpd/vaddpd\n", f, packed[f]
+      printf "ok   %-20s avx2 clone: %d packed ymm %s\n", f, packed[f], ops
     }
   }
   exit bad
