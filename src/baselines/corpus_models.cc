@@ -3,19 +3,39 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "la/decomp.h"
 
 namespace leva {
+namespace {
+// Each row enters the corpus this many times, in column order and then
+// shuffled (cells have no order); one copy left SGNS ~10 steps per token
+// type, too few to leave the init (EXPERIMENTS.md "Word2Vec baseline").
+constexpr size_t kRowSentences = 10;
+
+// All-but-the-top (Mu & Viswanath, ICLR 2018): drops the mean and the top
+// principal direction, which alone would make every averaged row alike.
+Status RemoveCommonComponent(Matrix* vectors) {
+  LEVA_ASSIGN_OR_RETURN(const PCA pca, PCA::Fit(*vectors, 1));
+  const Matrix along = pca.Transform(*vectors);
+  for (size_t r = 0; r < vectors->rows(); ++r) {
+    for (size_t c = 0; c < vectors->cols(); ++c) {
+      (*vectors)(r, c) -= pca.mean()[c] + along(r, 0) * pca.basis()(c, 0);
+    }
+  }
+  return Status::OK();
+}
+}  // namespace
 
 Status DirectWord2VecModel::Fit(const Database& db) {
   Rng rng(seed_);
   textifier_ = Textifier(textify_options_);
   LEVA_RETURN_IF_ERROR(textifier_.Fit(db));
 
-  // Vocabulary and per-row sentences, appended straight into the flat
-  // corpus (empty rows are dropped by EndSentence).
+  // Vocabulary and one sentence per row (empty rows are dropped by
+  // EndSentence).
   std::unordered_map<std::string, uint32_t> vocab;
   std::vector<std::string> vocab_tokens;
-  FlatCorpus corpus;
+  FlatCorpus rows;
   token_row_freq_.clear();
   total_rows_ = 0;
 
@@ -27,33 +47,39 @@ Status DirectWord2VecModel::Fit(const Database& db) {
         auto [it, inserted] =
             vocab.emplace(tok.token, static_cast<uint32_t>(vocab.size()));
         if (inserted) vocab_tokens.push_back(tok.token);
-        corpus.PushToken(it->second);
+        rows.PushToken(it->second);
         if (!seen_in_row[tok.token]) {
           seen_in_row[tok.token] = true;
           token_row_freq_[tok.token] += 1.0;
         }
       }
-      corpus.EndSentence();
+      rows.EndSentence();
       ++total_rows_;
     }
   }
   if (vocab.empty()) return Status::InvalidArgument("no tokens in database");
 
+  FlatCorpus corpus;
+  std::vector<uint32_t> shuffled;
+  for (size_t copy = 0; copy < kRowSentences; ++copy) {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      shuffled.assign(rows[r].begin(), rows[r].end());
+      if (copy > 0) rng.Shuffle(&shuffled);
+      corpus.AppendSentence(shuffled);
+    }
+  }
+
   Word2Vec model(w2v_options_);
   LEVA_RETURN_IF_ERROR(model.Train(corpus, vocab.size(), &rng));
 
+  Matrix vectors = model.node_vectors();
+  LEVA_RETURN_IF_ERROR(RemoveCommonComponent(&vectors));
   embedding_ = Embedding(w2v_options_.dim);
-  const Matrix& vectors = model.node_vectors();
   for (size_t i = 0; i < vocab_tokens.size(); ++i) {
     LEVA_RETURN_IF_ERROR(embedding_.Put(
         vocab_tokens[i], {vectors.RowPtr(i), vectors.cols()}));
   }
   return Status::OK();
-}
-
-double DirectWord2VecModel::TokenWeight(const std::string& token) const {
-  (void)token;
-  return 1.0;
 }
 
 double DeeperModel::TokenWeight(const std::string& token) const {

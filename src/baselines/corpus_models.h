@@ -11,9 +11,10 @@
 
 namespace leva {
 
-/// The Table 5 "Word2Vec" baseline: textifies every row into a sentence and
-/// trains word embeddings directly, losing the relational structure. Rows are
-/// featurized as the mean of their token vectors.
+/// The Table 5 "Word2Vec" baseline: textifies every row into sentences (its
+/// cells in column order, then shuffled) and trains word embeddings directly,
+/// losing the relational structure. Rows are featurized as the mean of their
+/// token vectors, whose common component Fit removes.
 class DirectWord2VecModel : public EmbeddingModel {
  public:
   DirectWord2VecModel(Word2VecOptions w2v, TextifyOptions textify,
@@ -29,7 +30,7 @@ class DirectWord2VecModel : public EmbeddingModel {
 
  protected:
   /// Token weight used when averaging (1.0 here; DeepER overrides with IDF).
-  virtual double TokenWeight(const std::string& token) const;
+  virtual double TokenWeight(const std::string&) const { return 1.0; }
 
   Word2VecOptions w2v_options_;
   TextifyOptions textify_options_;

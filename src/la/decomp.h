@@ -62,6 +62,8 @@ class PCA {
   Matrix Transform(const Matrix& x) const;
 
   size_t components() const { return basis_.cols(); }
+  const std::vector<double>& mean() const { return mean_; }
+  const Matrix& basis() const { return basis_; }  ///< d x k
   const std::vector<double>& explained_variance() const { return variance_; }
 
  private:

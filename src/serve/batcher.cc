@@ -20,9 +20,9 @@ uint64_t HashCombine(uint64_t seed, std::string_view s) {
   seed ^= h + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);
   return seed;
 }
-}  // namespace
 
-uint64_t RequestBatcher::SchemaSignature(const FeaturizeRequest& request) {
+// Schema fingerprint two requests must share to share a batch.
+uint64_t SchemaSignature(const FeaturizeRequest& request) {
   uint64_t sig = HashCombine(0, request.rows.name());
   sig = HashCombine(sig, request.target_column);
   for (const Column& c : request.rows.columns()) {
@@ -32,6 +32,7 @@ uint64_t RequestBatcher::SchemaSignature(const FeaturizeRequest& request) {
   }
   return sig;
 }
+}  // namespace
 
 RequestBatcher::RequestBatcher(BatcherOptions options, Executor executor,
                                CompletionSink sink, ServerStats* stats)
@@ -54,7 +55,7 @@ bool RequestBatcher::TryEnqueue(FeaturizeJob job) {
   job.enqueued_at = std::chrono::steady_clock::now();
   pending_rows_ += rows;
   queue_.push_back(std::move(job));
-  cv_.notify_all();
+  cv_.notify_one();  // the dispatcher is the only waiter
   return true;
 }
 
@@ -77,20 +78,6 @@ void RequestBatcher::DispatchLoop() {
   while (true) {
     cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (queue_.empty()) break;  // stopped and drained
-
-    // Hold the oldest request for up to max_delay_us hoping peers arrive to
-    // coalesce with — unless it already has a full batch behind it, can
-    // never coalesce (rows_in_graph), or we are draining.
-    if (!stop_ && !queue_.front().request.rows_in_graph &&
-        pending_rows_ < options_.max_batch_rows) {
-      const auto deadline =
-          queue_.front().enqueued_at +
-          std::chrono::microseconds(options_.max_delay_us);
-      cv_.wait_until(lock, deadline, [&] {
-        return stop_ || pending_rows_ >= options_.max_batch_rows;
-      });
-      if (queue_.empty()) continue;
-    }
 
     // Collect the maximal same-schema prefix within the row budget. The
     // first job always ships (even oversized, even in-graph) so nothing can

@@ -24,12 +24,11 @@ namespace leva::serve {
 
 /// Batching and backpressure policy.
 struct BatcherOptions {
-  /// Coalescing target: a batch flushes as soon as its rows reach this.
-  /// 1 disables coalescing — every request executes alone (the baseline the
-  /// serving bench compares against).
+  /// Row cap of one batch. 1 disables coalescing — every request executes
+  /// alone (the baseline the serving bench compares against).
   size_t max_batch_rows = 256;
-  /// How long the oldest pending request may wait for peers to coalesce
-  /// with before the batch flushes anyway.
+  /// Ignored: the dispatcher never holds a request back (see
+  /// RequestBatcher). Kept only while levabench still assigns it.
   size_t max_delay_us = 1000;
   /// Admission bound: total rows admitted-but-unexecuted. An arrival that
   /// would exceed it is rejected (the server answers OVERLOADED) instead of
@@ -55,13 +54,13 @@ struct Completion {
 };
 
 /// Coalesces concurrent FEATURIZE requests into one blocked-gather Featurize
-/// call. Requests are admitted from the I/O loop into a bounded queue; a
-/// dispatcher thread forms batches under a max-rows/max-delay policy —
-/// flush when `max_batch_rows` are pending, or when the oldest request has
-/// waited `max_delay_us` — executes them through the supplied executor (the
-/// pipeline's batched Featurize, whose gather fans out on the common
-/// parallel.h pool), slices the result matrix back per request, and hands
-/// the completions to the sink.
+/// call. Requests are admitted from the I/O loop into a bounded queue. A
+/// dispatcher thread waits only while the queue is empty; whenever it is
+/// free it takes the largest same-schema prefix of the queue, up to
+/// `max_batch_rows` (smart batching: what queued while one batch executed is
+/// the next batch). It runs each batch through the supplied executor (the
+/// pipeline's batched Featurize), slices the result matrix back per request,
+/// and hands the completions to the sink.
 ///
 /// Coalescing is sound because a row's feature vector is a pure function of
 /// the row and the served model — Featurize output is documented invariant
@@ -96,9 +95,6 @@ class RequestBatcher {
   void Stop();
 
   size_t PendingRows() const;
-
-  /// Schema fingerprint two requests must share to share a batch.
-  static uint64_t SchemaSignature(const FeaturizeRequest& request);
 
  private:
   void DispatchLoop();

@@ -109,10 +109,9 @@ Status Server::Start() {
   io_thread_ = std::thread([this] { EventLoop(); });
   started_ = true;
   LEVA_LOG(kInfo, "leva_served listening on %s:%u (max_batch_rows=%zu, "
-           "max_delay_us=%zu, max_pending_rows=%zu)",
+           "max_pending_rows=%zu)",
            options_.host.c_str(), unsigned{port_},
-           options_.batcher.max_batch_rows, options_.batcher.max_delay_us,
-           options_.batcher.max_pending_rows);
+           options_.batcher.max_batch_rows, options_.batcher.max_pending_rows);
   return Status::OK();
 }
 

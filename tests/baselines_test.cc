@@ -5,6 +5,7 @@
 #include "baselines/graph_models.h"
 #include "baselines/leva_model.h"
 #include "baselines/tabular.h"
+#include "datagen/datasets.h"
 #include "datagen/synthetic.h"
 #include "ml/featurize.h"
 
@@ -123,6 +124,31 @@ TEST(CorpusModelsTest, DirectWord2VecFitsAndFeaturizes) {
   const auto vec = model.RowVector(*base, 0, "target", true);
   ASSERT_TRUE(vec.ok());
   EXPECT_EQ(vec->size(), 8u);
+}
+
+// The token vectors must move well off their random init. Init draws each
+// element from U(-0.5, 0.5) / dim, so the expected sum of squares at init is
+// vocab / (12 dim). Fit removes the mean and the top principal direction, so
+// what stays is what training learned beyond one common direction. With one
+// sentence per row the Table 5 options trained so little that the whole
+// embedding ended near its init sum (2.68 against 2.15 here).
+TEST(CorpusModelsTest, DirectWord2VecVectorsLeaveTheirInit) {
+  auto data = GenerateSynthetic(DatasetConfigByName("genes").value());
+  ASSERT_TRUE(data.ok());
+  Word2VecOptions w2v;  // the Table 5 options
+  w2v.dim = 64;
+  w2v.epochs = 2;
+  DirectWord2VecModel model(w2v, {}, 3);
+  ASSERT_TRUE(model.Fit(data->db).ok());
+  const Embedding& emb = model.embedding();
+  double sum_sq = 0;
+  for (const std::string& key : emb.keys()) {
+    for (const double v : emb.Get(key)) sum_sq += v * v;
+  }
+  const double at_init =
+      static_cast<double>(emb.size()) / (12.0 * static_cast<double>(w2v.dim));
+  EXPECT_GT(sum_sq, 4 * at_init)
+      << "sum of squares " << sum_sq << " vs ~" << at_init << " at init";
 }
 
 TEST(CorpusModelsTest, DeeperWeightsDiffer) {

@@ -11,7 +11,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -226,8 +229,19 @@ struct FakeExec {
     return [this](std::vector<Completion> batch) {
       std::lock_guard<std::mutex> lock(mu);
       for (Completion& c : batch) completions.push_back(std::move(c));
+      completed.notify_all();
     };
   }
+  /// Blocks until `n` completions have arrived or `timeout` has passed;
+  /// true if they arrived.
+  bool WaitForCompletions(size_t n, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu);
+    return completed.wait_for(lock, timeout,
+                              [&] { return completions.size() >= n; });
+  }
+
+ private:
+  std::condition_variable completed;
 };
 
 FeaturizeJob MakeJob(uint64_t id, int64_t first_value, size_t rows,
@@ -250,7 +264,6 @@ TEST(BatcherTest, CoalescesSameSchemaAndSlicesPerRequest) {
   FakeExec fake;
   BatcherOptions opts;
   opts.max_batch_rows = 8;
-  opts.max_delay_us = 0;
   RequestBatcher batcher(opts, fake.executor(), fake.sink(), nullptr);
   // Enqueue before Start so the dispatcher sees one full queue.
   for (uint64_t j = 0; j < 4; ++j) {
@@ -279,7 +292,6 @@ TEST(BatcherTest, SchemaChangeAndRowBudgetCutBatches) {
   FakeExec fake;
   BatcherOptions opts;
   opts.max_batch_rows = 8;
-  opts.max_delay_us = 0;
   RequestBatcher batcher(opts, fake.executor(), fake.sink(), nullptr);
   ASSERT_TRUE(batcher.TryEnqueue(MakeJob(0, 0, 2)));
   ASSERT_TRUE(batcher.TryEnqueue(MakeJob(1, 10, 2)));
@@ -296,7 +308,6 @@ TEST(BatcherTest, RowsInGraphRequestsNeverCoalesce) {
   FakeExec fake;
   BatcherOptions opts;
   opts.max_batch_rows = 64;
-  opts.max_delay_us = 0;
   RequestBatcher batcher(opts, fake.executor(), fake.sink(), nullptr);
   for (uint64_t j = 0; j < 3; ++j) {
     ASSERT_TRUE(batcher.TryEnqueue(
@@ -317,7 +328,6 @@ TEST(BatcherTest, OversizedResponseIsAPerRequestError) {
   BatcherOptions opts;
   opts.max_batch_rows = 8192 + 2;
   opts.max_pending_rows = 8192 + 2;
-  opts.max_delay_us = 0;
   RequestBatcher batcher(opts, fake.executor(), fake.sink(), nullptr);
   ASSERT_TRUE(batcher.TryEnqueue(MakeJob(1, 0, 2)));
   ASSERT_TRUE(batcher.TryEnqueue(MakeJob(2, 10, 8192)));
@@ -361,6 +371,61 @@ TEST(BatcherTest, AdmissionBoundRejectsInsteadOfBuffering) {
   batcher.Start();
   batcher.Stop();
   EXPECT_EQ(fake.completions.size(), 2u);
+}
+
+// No hold: a free dispatcher runs a lone request at once. max_delay_us is
+// ignored; were it honoured, this request would wait 5 s for peers.
+TEST(BatcherTest, LoneRequestOnIdleDispatcherRunsAtOnce) {
+  FakeExec fake;
+  BatcherOptions opts;
+  opts.max_batch_rows = 64;
+  opts.max_delay_us = 5'000'000;
+  RequestBatcher batcher(opts, fake.executor(), fake.sink(), nullptr);
+  batcher.Start();
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(batcher.TryEnqueue(MakeJob(0, 0, 2)));
+  ASSERT_TRUE(fake.WaitForCompletions(1, std::chrono::seconds(30)));
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  EXPECT_LT(waited, 1.0) << "a lone request was held back for peers";
+  batcher.Stop();
+  EXPECT_EQ(fake.call_rows, std::vector<size_t>{2});
+}
+
+// Requests that queue while a batch executes run together as the next
+// batch. The executor blocks on a latch during batch 1, so the split is
+// deterministic: the first request alone, then all the queued ones.
+TEST(BatcherTest, RequestsQueuedDuringABatchRunAsTheNextBatch) {
+  FakeExec fake;
+  std::latch entered(1);
+  std::latch release(1);
+  std::atomic<bool> first{true};
+  RequestBatcher::Executor inner = fake.executor();
+  RequestBatcher::Executor blocking =
+      [&](Table rows, std::string target, bool in_graph) {
+        if (first.exchange(false)) {
+          entered.count_down();
+          release.wait();
+        }
+        return inner(std::move(rows), std::move(target), in_graph);
+      };
+  BatcherOptions opts;
+  opts.max_batch_rows = 64;
+  RequestBatcher batcher(opts, blocking, fake.sink(), nullptr);
+  batcher.Start();
+  ASSERT_TRUE(batcher.TryEnqueue(MakeJob(0, 0, 2)));
+  entered.wait();  // batch 1 is executing
+  constexpr uint64_t kQueued = 8;
+  for (uint64_t j = 1; j <= kQueued; ++j) {
+    // EXPECT, not ASSERT: returning early would leave batch 1 blocked.
+    EXPECT_TRUE(batcher.TryEnqueue(
+        MakeJob(j, static_cast<int64_t>(j) * 10, 2)));
+  }
+  release.count_down();
+  batcher.Stop();
+  EXPECT_EQ(fake.call_rows, (std::vector<size_t>{2, 2 * kQueued}));
+  EXPECT_EQ(fake.completions.size(), kQueued + 1);
 }
 
 TEST(BatcherTest, StopDrainsAdmittedWorkAndRejectsNewWork) {
@@ -545,7 +610,6 @@ TEST(ServerTest, ConcurrentClientsCoalesceBitIdentically) {
   const ServedModel& m = SharedModel();
   ServerOptions options;
   options.batcher.max_batch_rows = 64;
-  options.batcher.max_delay_us = 2000;
   LiveServer live(m.path_a, options);
 
   constexpr size_t kClients = 6;
@@ -858,7 +922,6 @@ TEST(ServeRaceTest, ResponsesBitMatchExactlyOneGenerationAcrossReloads) {
   const ServedModel& m = SharedModel();
   ServerOptions options;
   options.batcher.max_batch_rows = 64;
-  options.batcher.max_delay_us = 500;
   LiveServer live(m.path_a, options);
 
   constexpr size_t kClients = 4;

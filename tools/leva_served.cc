@@ -8,7 +8,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/pipeline.h"
@@ -32,63 +31,52 @@ void PrintUsage() {
       "ephemeral)]\n"
       "                   [--port-file FILE (write the bound port)]\n"
       "                   [--max-batch-rows N (1 disables coalescing)]\n"
-      "                   [--max-delay-us N] [--max-pending-rows N]\n"
-      "                   [--drain-timeout-ms N] [--threads N (0 = all)]\n"
-      "                   [--mmap] [--no-verify-pages]\n");
+      "                   [--max-pending-rows N] [--drain-timeout-ms N]\n"
+      "                   [--threads N (0 = all)] [--mmap] "
+      "[--no-verify-pages]\n"
+      "Batches never wait to fill: requests that queue while one runs form "
+      "the next.\n");
 }
 
 bool ParseArgs(int argc, char** argv, ServedOptions* options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
+    // Read the flag's value into *out; false when it is missing.
+    auto value = [&](std::string* out) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        return nullptr;
+        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+        return false;
       }
-      return argv[++i];
+      *out = argv[++i];
+      return true;
+    };
+    auto size_value = [&](size_t* out) {
+      std::string v;
+      if (!value(&v)) return false;
+      *out = static_cast<size_t>(std::atoll(v.c_str()));
+      return true;
     };
     if (arg == "--help" || arg == "-h") {
       options->show_help = true;
       return true;
     } else if (arg == "--model") {
-      const char* v = next("--model");
-      if (v == nullptr) return false;
-      options->model = v;
+      if (!value(&options->model)) return false;
     } else if (arg == "--host") {
-      const char* v = next("--host");
-      if (v == nullptr) return false;
-      options->server.host = v;
+      if (!value(&options->server.host)) return false;
     } else if (arg == "--port") {
-      const char* v = next("--port");
-      if (v == nullptr) return false;
-      options->server.port = static_cast<uint16_t>(std::atoi(v));
+      size_t port = 0;
+      if (!size_value(&port)) return false;
+      options->server.port = static_cast<uint16_t>(port);
     } else if (arg == "--port-file") {
-      const char* v = next("--port-file");
-      if (v == nullptr) return false;
-      options->port_file = v;
+      if (!value(&options->port_file)) return false;
     } else if (arg == "--max-batch-rows") {
-      const char* v = next("--max-batch-rows");
-      if (v == nullptr) return false;
-      options->server.batcher.max_batch_rows =
-          static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--max-delay-us") {
-      const char* v = next("--max-delay-us");
-      if (v == nullptr) return false;
-      options->server.batcher.max_delay_us =
-          static_cast<size_t>(std::atoll(v));
+      if (!size_value(&options->server.batcher.max_batch_rows)) return false;
     } else if (arg == "--max-pending-rows") {
-      const char* v = next("--max-pending-rows");
-      if (v == nullptr) return false;
-      options->server.batcher.max_pending_rows =
-          static_cast<size_t>(std::atoll(v));
+      if (!size_value(&options->server.batcher.max_pending_rows)) return false;
     } else if (arg == "--drain-timeout-ms") {
-      const char* v = next("--drain-timeout-ms");
-      if (v == nullptr) return false;
-      options->server.drain_timeout_ms = static_cast<size_t>(std::atoll(v));
+      if (!size_value(&options->server.drain_timeout_ms)) return false;
     } else if (arg == "--threads") {
-      const char* v = next("--threads");
-      if (v == nullptr) return false;
-      options->threads = static_cast<size_t>(std::atoll(v));
+      if (!size_value(&options->threads)) return false;
     } else if (arg == "--mmap") {
       options->load.use_mmap = true;
     } else if (arg == "--no-verify-pages") {
