@@ -114,9 +114,9 @@ void BM_RandomizedSVD(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomizedSVD)->Arg(16)->Arg(64)->Arg(256);
 
-// Two-pass modified Gram-Schmidt at the serve model's sketch height (3,581
-// Student nodes) and the MF Fit sketch widths k = rank + 10 of dims 64 and
-// 256. RandomizedSVD runs it power_iterations + 1 times per Fit.
+// Gram-Schmidt QR at the serve model's sketch height (3,581 Student nodes)
+// and the MF Fit sketch widths k = rank + 10 of dims 64 and 256.
+// RandomizedSVD runs it power_iterations + 1 times per Fit.
 void BM_GramSchmidtQ(benchmark::State& state) {
   Rng rng(7);
   const Matrix a =
@@ -126,6 +126,25 @@ void BM_GramSchmidtQ(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GramSchmidtQ)->Arg(74)->Arg(266)->Unit(benchmark::kMillisecond);
+
+// The symmetric eigenproblem of ThinSVD inside RandomizedSVD at the same
+// widths: the k x k Gram of a 3,581 x k matrix whose column scales decay
+// geometrically (0.97 per column), so the spectrum falls off like an MF
+// sketch's instead of clustering like a square Gaussian's.
+void BM_SymmetricEigen(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  Rng rng(8);
+  Matrix b = Matrix::GaussianRandom(3581, k, &rng);
+  for (size_t r = 0; r < b.rows(); ++r) {
+    double scale = 1.0;
+    for (size_t c = 0; c < k; ++c, scale *= 0.97) b(r, c) *= scale;
+  }
+  const Matrix gram = MatTMul(b, b);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SymmetricEigen(gram));
+  }
+}
+BENCHMARK(BM_SymmetricEigen)->Arg(74)->Arg(266)->Unit(benchmark::kMillisecond);
 
 void BM_WalkGeneration(benchmark::State& state) {
   Fixture& f = GetFixture();

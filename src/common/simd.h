@@ -11,11 +11,14 @@
 // shim, 32-byte lane helpers (4 doubles or 8 floats), and the inline
 // element-wise kernels built on them.
 //
-// Callers in src/la/ (each a LEVA_TARGET_CLONES function): GramSchmidtQ
-// (Dot, GatherAdd, Scale over rows of Qᵀ), SymmetricEigen (Rotate over rows
-// of D and Vᵀ), the MatMul/MatTMul row-range helpers and the CSR
-// Multiply/TransposeMultiply row helpers (GatherAdd), and
-// Matrix::AddScaled/Scale (GatherAdd, Scale).
+// Callers in src/la/ (each a LEVA_TARGET_CLONES function): the block
+// Gram-Schmidt of GramSchmidtQ (BlockProject and BlockUpdate on F64x4 lanes
+// over 16-column panels, PanelMgs with Dot, GatherAdd and Scale over rows of
+// the transposed panel), SymmetricEigen's Householder tridiagonalization
+// (Tridiagonalize: Dot, GatherAdd, SubRank2 over rows of Vᵀ) and implicit QL
+// (TridiagonalQl: Rotate over rows of Vᵀ), the MatMul/MatTMul row-range
+// helpers and the CSR Multiply/TransposeMultiply row helpers (GatherAdd),
+// and Matrix::AddScaled/Scale (GatherAdd, Scale).
 //
 // LEVA_TARGET_CLONES: runtime-dispatched function multi-versioning. Apply it
 // to the HOT OUTER FUNCTION (the loop that calls the kernels below), not to
@@ -42,10 +45,9 @@
 // single-rounding fma would change the bits, and the differential tests pin
 // bit-identity against the scalar reference paths
 // (tools/check_simd_codegen.sh fails on any fma instruction in a guarded
-// avx2 clone). Reductions spell out their order:
-// the fp64 Dot is strict source order, the fp32 Dot a fixed 8-lane partial-
-// sum tree. Without -ffast-math the compiler cannot reassociate either, so
-// every clone rounds them identically too.
+// avx2 clone). Reductions spell out their order: both Dots (fp32 and
+// fp64) sum in one fixed 8-lane partial-sum tree. Without -ffast-math the
+// compiler cannot reassociate it, so every clone rounds it identically too.
 //
 // ThreadSanitizer exclusion: target_clones dispatches through an IFUNC whose
 // resolver runs during relocation, before the TSan runtime is initialized —
@@ -84,15 +86,6 @@ namespace simd {
 
 // None of these kernels may use FMA contraction or reassociation: each is
 // the bit-exact form of a scalar reference loop (see above).
-
-/// Strict-order fp64 dot product sum_j a[j]*b[j] (GramSchmidtQ). The
-/// accumulation order is the plain source order at every ISA level, so the
-/// result is bit-identical to the scalar reference loop.
-LEVA_ALWAYS_INLINE double Dot(const double* a, const double* b, size_t n) {
-  double dot = 0.0;
-  for (size_t j = 0; j < n; ++j) dot += a[j] * b[j];
-  return dot;
-}
 
 // ---------------------------------------------------------------------------
 // Lanes. F64x4 holds four doubles and F32x8 eight floats: one ymm register
@@ -254,9 +247,34 @@ LEVA_ALWAYS_INLINE void VecSub(float* x, const float* y, size_t n) {
 
 // The dense-LA and featurize kernels below run on fp64 F64x4 lanes.
 
+/// Fixed-order fp64 dot product, in the same order as the fp32 Dot: eight
+/// partial sums s_l over the elements j < 8 * floor(n / 8) with
+/// j mod 8 == l (two F64x4 lane groups), combined as
+///   ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)),
+/// then the remaining elements added one at a time in order. The dense-LA
+/// dots of GramSchmidtQ and SymmetricEigen.
+LEVA_ALWAYS_INLINE double Dot(const double* a, const double* b, size_t n) {
+  F64x4 lo = {}, hi = {};
+  size_t j = 0;
+  for (; j + 2 * kLanes<double> <= n; j += 2 * kLanes<double>) {
+    F64x4 xl, yl, xh, yh;
+    Load(&xl, a + j);
+    Load(&yl, b + j);
+    Load(&xh, a + j + kLanes<double>);
+    Load(&yh, b + j + kLanes<double>);
+    lo = lo + xl * yl;
+    hi = hi + xh * yh;
+  }
+  double dot = ((lo[0] + lo[1]) + (lo[2] + lo[3])) +
+               ((hi[0] + hi[1]) + (hi[2] + hi[3]));
+  for (; j < n; ++j) dot += a[j] * b[j];
+  return dot;
+}
+
 /// acc[j] += w * src[j]: one weighted fp64 row of the featurize gather, and
 /// the axpy of every dense-LA inner loop (matmul rows, CSR rows and
-/// scatters, Gram-Schmidt projections, Matrix::AddScaled).
+/// scatters, in-block Gram-Schmidt projections, the tridiagonalization's
+/// matrix-vector product and back-transformation, Matrix::AddScaled).
 LEVA_ALWAYS_INLINE void GatherAdd(double* acc, const double* src, double w,
                                   size_t n) {
   ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
@@ -276,11 +294,24 @@ LEVA_ALWAYS_INLINE void Scale(double* x, double alpha, size_t n) {
   });
 }
 
+/// x[j] -= f * a[j] + g * b[j]: the symmetric rank-2 update of one row in
+/// the Householder tridiagonalization of SymmetricEigen.
+LEVA_ALWAYS_INLINE void SubRank2(double* x, const double* a, const double* b,
+                                 double f, double g, size_t n) {
+  ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {
+    V xv, av, bv;
+    Load(&xv, x + j);
+    Load(&av, a + j);
+    Load(&bv, b + j);
+    Store(x + j, xv - (f * av + g * bv));
+  });
+}
+
 /// Plane rotation of two distinct rows:
 ///   x'[j] = c * x[j] - s * y[j];
 ///   y'[j] = s * x[j] + c * y[j];
-/// both from the original x[j], y[j]. One Jacobi rotation step of
-/// SymmetricEigen (rows p, q of D and of Vᵀ).
+/// both from the original x[j], y[j]. One implicit-QL rotation of
+/// SymmetricEigen (rows i, i + 1 of Vᵀ).
 LEVA_ALWAYS_INLINE void Rotate(double* x, double* y, double c, double s,
                                size_t n) {
   ForLanes(n, [&]<typename V>(size_t j) LEVA_ALWAYS_INLINE_LAMBDA {

@@ -10,20 +10,25 @@
 
 namespace leva {
 
-/// Thin QR via modified Gram-Schmidt with re-orthogonalization.
-/// Returns Q (m x k) with orthonormal columns spanning range(A); rank-null
-/// columns are replaced by zero columns.
-Matrix GramSchmidtQ(const Matrix& a);
+/// Thin QR factor by block classical Gram-Schmidt with reorthogonalization
+/// (BCGS2): 16-column blocks, left to right; each block is projected twice
+/// against all earlier columns as level-3 products, with modified
+/// Gram-Schmidt inside the block. Returns Q (m x k) with orthonormal columns
+/// spanning range(A), column j of Q spanning what column j of A adds to
+/// columns 0..j-1; a column whose residual norm is at most 1e-12 is rank-null
+/// and comes back as a zero column. Works in place on `a` (pass an rvalue to
+/// avoid the copy) and holds only O(16 m) of scratch besides.
+Matrix GramSchmidtQ(Matrix a);
 
-/// Eigendecomposition of a symmetric matrix via cyclic Jacobi rotations.
-/// Eigenvalues are returned in descending order with matching eigenvector
-/// columns.
+/// Eigendecomposition of a symmetric matrix (only its upper triangle is
+/// read) by Householder tridiagonalization plus implicit QL (EISPACK
+/// tred2/tql2). Eigenvalues are returned in descending order with matching
+/// eigenvector columns. Fails if the QL iteration does not converge.
 struct EigenResult {
   std::vector<double> eigenvalues;
   Matrix eigenvectors;  // columns are eigenvectors
 };
-Result<EigenResult> SymmetricEigen(const Matrix& a, size_t max_sweeps = 30,
-                                   double tol = 1e-12);
+Result<EigenResult> SymmetricEigen(const Matrix& a);
 
 /// Thin SVD of a (possibly tall) dense matrix computed from the
 /// eigendecomposition of AᵀA. Suitable when cols is small (<= a few hundred).

@@ -23,6 +23,31 @@ void ColScale(Matrix* m, size_t c, double alpha) {
   for (size_t r = 0; r < m->rows(); ++r) (*m)(r, c) *= alpha;
 }
 
+// The fixed 8-lane order of simd::Dot (fp64): partial sums s_l over the
+// whole groups of eight, j mod 8 == l, summed pairwise, then the tail in
+// order.
+double LaneDot(const double* a, const double* b, size_t n) {
+  double s[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  const size_t whole = n - n % 8;
+  for (size_t j = 0; j < whole; j += 8) {
+    for (size_t l = 0; l < 8; ++l) s[l] += a[j + l] * b[j + l];
+  }
+  double dot = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+  for (size_t j = whole; j < n; ++j) dot += a[j] * b[j];
+  return dot;
+}
+
+// LaneDot over columns c1 and c2 of m: the column elements in row order.
+double ColLaneDot(const Matrix& m, size_t c1, size_t c2) {
+  std::vector<double> x(m.rows());
+  std::vector<double> y(m.rows());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    x[r] = m(r, c1);
+    y[r] = m(r, c2);
+  }
+  return LaneDot(x.data(), y.data(), m.rows());
+}
+
 // The production transpose-product chunk count (la/sparse.cc).
 size_t TransposeChunks(size_t rows) {
   constexpr size_t kMaxChunks = 8;
@@ -46,7 +71,7 @@ void ScatterRows(const SparseMatrix& a, const Matrix& x, Matrix* y, size_t r0,
 
 }  // namespace
 
-Matrix ReferenceGramSchmidtQ(const Matrix& a) {
+Matrix MgsGramSchmidtQ(const Matrix& a) {
   Matrix q = a;
   const size_t k = q.cols();
   for (size_t j = 0; j < k; ++j) {
@@ -67,8 +92,8 @@ Matrix ReferenceGramSchmidtQ(const Matrix& a) {
   return q;
 }
 
-Result<EigenResult> ReferenceSymmetricEigen(const Matrix& a,
-                                            size_t max_sweeps, double tol) {
+Result<EigenResult> JacobiSymmetricEigen(const Matrix& a, size_t max_sweeps,
+                                         double tol) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("SymmetricEigen requires a square matrix");
   }
@@ -130,6 +155,197 @@ Result<EigenResult> ReferenceSymmetricEigen(const Matrix& a,
     for (size_t i = 0; i < n; ++i) {
       result.eigenvectors(i, j) = v(i, order[j]);
     }
+  }
+  return result;
+}
+
+Matrix ReferenceGramSchmidtQ(const Matrix& a) {
+  constexpr size_t kBlock = 16;
+  Matrix q = a;
+  const size_t m = q.rows();
+  const size_t k = q.cols();
+  for (size_t j0 = 0; j0 < k; j0 += kBlock) {
+    const size_t b = std::min(kBlock, k - j0);
+    for (int pass = 0; pass < 2; ++pass) {
+      // W = Q[:, :j0]ᵀ X, each element summed over rows in order.
+      Matrix w(j0, b);
+      for (size_t i = 0; i < j0; ++i) {
+        for (size_t c = 0; c < b; ++c) {
+          double sum = 0.0;
+          for (size_t r = 0; r < m; ++r) sum += q(r, i) * q(r, j0 + c);
+          w(i, c) = sum;
+        }
+      }
+      // X -= Q[:, :j0] W, one column of Q at a time.
+      for (size_t r = 0; r < m; ++r) {
+        for (size_t c = 0; c < b; ++c) {
+          double x = q(r, j0 + c);
+          for (size_t i = 0; i < j0; ++i) x -= q(r, i) * w(i, c);
+          q(r, j0 + c) = x;
+        }
+      }
+      // Modified Gram-Schmidt within the block, then normalize.
+      for (size_t c = j0; c < j0 + b; ++c) {
+        for (size_t i = j0; i < c; ++i) {
+          const double proj = ColLaneDot(q, c, i);
+          if (proj != 0.0) ColAxpy(&q, c, i, -proj);
+        }
+        const double norm = std::sqrt(ColLaneDot(q, c, c));
+        ColScale(&q, c, norm > 1e-12 ? 1.0 / norm : 0.0);
+      }
+    }
+  }
+  return q;
+}
+
+Result<EigenResult> ReferenceSymmetricEigen(const Matrix& a) {
+  if (a.rows() != a.cols()) {
+    return Status::InvalidArgument("SymmetricEigen requires a square matrix");
+  }
+  const size_t n = a.rows();
+  EigenResult result;
+  if (n == 0) return result;
+  // tred2 on V, stored as u = Vᵀ: V(r, c) is u(c, r).
+  Matrix u = a;
+  std::vector<double> d(n);
+  std::vector<double> e(n);
+  for (size_t j = 0; j < n; ++j) d[j] = u(j, n - 1);
+  for (size_t i = n - 1; i > 0; --i) {
+    double scale = 0.0;
+    double h = 0.0;
+    for (size_t k = 0; k < i; ++k) scale += std::fabs(d[k]);
+    if (scale == 0.0) {
+      e[i] = d[i - 1];
+      for (size_t j = 0; j < i; ++j) {
+        d[j] = u(j, i - 1);
+        u(j, i) = 0.0;
+        u(i, j) = 0.0;
+      }
+    } else {
+      for (size_t k = 0; k < i; ++k) {
+        d[k] /= scale;
+        h += d[k] * d[k];
+      }
+      double f = d[i - 1];
+      double g = std::sqrt(h);
+      if (f > 0) g = -g;
+      e[i] = scale * g;
+      h -= f * g;
+      d[i - 1] = f - g;
+      for (size_t j = 0; j < i; ++j) e[j] = 0.0;
+      for (size_t j = 0; j < i; ++j) {
+        f = d[j];
+        u(i, j) = f;
+        g = e[j] + u(j, j) * f;
+        g += LaneDot(u.RowPtr(j) + j + 1, d.data() + j + 1, i - j - 1);
+        for (size_t k = j + 1; k < i; ++k) e[k] += f * u(j, k);
+        e[j] = g;
+      }
+      f = 0.0;
+      for (size_t j = 0; j < i; ++j) {
+        e[j] /= h;
+        f += e[j] * d[j];
+      }
+      const double hh = f / (h + h);
+      for (size_t j = 0; j < i; ++j) e[j] -= hh * d[j];
+      for (size_t j = 0; j < i; ++j) {
+        f = d[j];
+        g = e[j];
+        for (size_t k = j; k < i; ++k) u(j, k) -= (f * e[k] + g * d[k]);
+        d[j] = u(j, i - 1);
+        u(j, i) = 0.0;
+      }
+    }
+    d[i] = h;
+  }
+  for (size_t i = 0; i + 1 < n; ++i) {
+    u(i, n - 1) = u(i, i);
+    u(i, i) = 1.0;
+    const double h = d[i + 1];
+    if (h != 0.0) {
+      for (size_t k = 0; k <= i; ++k) d[k] = u(i + 1, k) / h;
+      for (size_t j = 0; j <= i; ++j) {
+        const double g = LaneDot(u.RowPtr(i + 1), u.RowPtr(j), i + 1);
+        for (size_t k = 0; k <= i; ++k) u(j, k) += -g * d[k];
+      }
+    }
+    for (size_t k = 0; k <= i; ++k) u(i + 1, k) = 0.0;
+  }
+  for (size_t j = 0; j < n; ++j) {
+    d[j] = u(j, n - 1);
+    u(j, n - 1) = 0.0;
+  }
+  u(n - 1, n - 1) = 1.0;
+  e[0] = 0.0;
+
+  // tql2, rotating columns i and i + 1 of V.
+  for (size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+  const double eps = std::ldexp(1.0, -52);
+  double f = 0.0;
+  double tst1 = 0.0;
+  for (size_t l = 0; l < n; ++l) {
+    tst1 = std::max(tst1, std::fabs(d[l]) + std::fabs(e[l]));
+    size_t m = l;
+    while (m + 1 < n && !(std::fabs(e[m]) <= eps * tst1)) ++m;
+    for (int iter = 0; m > l; ++iter) {
+      if (iter == 30) {
+        return Status::Internal("SymmetricEigen: QL iteration did not converge");
+      }
+      double g = d[l];
+      double p = (d[l + 1] - g) / (2.0 * e[l]);
+      double r = std::hypot(p, 1.0);
+      if (p < 0) r = -r;
+      d[l] = e[l] / (p + r);
+      d[l + 1] = e[l] * (p + r);
+      const double dl1 = d[l + 1];
+      double h = g - d[l];
+      for (size_t i = l + 2; i < n; ++i) d[i] -= h;
+      f += h;
+      p = d[m];
+      double c = 1.0;
+      double c2 = c;
+      double c3 = c;
+      const double el1 = e[l + 1];
+      double s = 0.0;
+      double s2 = 0.0;
+      for (size_t i = m; i-- > l;) {
+        c3 = c2;
+        c2 = c;
+        s2 = s;
+        g = c * e[i];
+        h = c * p;
+        r = std::hypot(p, e[i]);
+        e[i + 1] = s * r;
+        s = e[i] / r;
+        c = p / r;
+        p = c * d[i] - s * g;
+        d[i + 1] = h + s * (c * g + s * d[i]);
+        for (size_t k = 0; k < n; ++k) {
+          const double vki = u(i, k);
+          const double vki1 = u(i + 1, k);
+          u(i, k) = c * vki - s * vki1;
+          u(i + 1, k) = s * vki + c * vki1;
+        }
+      }
+      p = -s * s2 * c3 * el1 * e[l] / dl1;
+      e[l] = s * p;
+      d[l] = c * p;
+      if (!(std::fabs(e[l]) > eps * tst1)) break;
+    }
+    d[l] += f;
+    e[l] = 0.0;
+  }
+
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t x, size_t y) { return d[x] > d[y]; });
+  result.eigenvalues.resize(n);
+  result.eigenvectors = Matrix(n, n);
+  for (size_t j = 0; j < n; ++j) {
+    result.eigenvalues[j] = d[order[j]];
+    for (size_t i = 0; i < n; ++i) result.eigenvectors(i, j) = u(order[j], i);
   }
   return result;
 }
@@ -229,8 +445,7 @@ Result<SvdResult> ReferenceRandomizedSVD(const SparseMatrix& a,
                             std::min(a.rows(), a.cols()));
   if (k == 0) return Status::InvalidArgument("empty matrix");
 
-  Matrix omega = Matrix::GaussianRandom(a.cols(), k, rng);
-  Matrix y = ReferenceSparseMultiply(a, omega);
+  Matrix y = ReferenceSparseMultiply(a, Matrix::GaussianRandom(a.cols(), k, rng));
   for (size_t it = 0; it < options.power_iterations; ++it) {
     y = ReferenceGramSchmidtQ(y);
     Matrix z = ReferenceSparseTransposeMultiply(a, y);

@@ -1,11 +1,20 @@
 // Dense-LA oracles for the MF Fit path (la/decomp.h, la/matrix.h,
-// la/sparse.h): column-wise modified Gram-Schmidt on the row-major Q, cyclic
-// Jacobi rotating columns of V, and the scalar matmul / CSR loops. Each is
-// the plain loop form the production kernels must reproduce bit for bit —
-// the production code runs the same IEEE operations in the same order on a
-// different memory layout and on explicit SIMD lanes. Single-threaded: the
-// production kernels' results do not depend on their thread count. Never
-// used outside tests.
+// la/sparse.h), of two kinds.
+//
+// Bitwise oracles (Reference*): column-wise block Gram-Schmidt on the
+// row-major Q, tred2/tql2 on a plainly indexed Vᵀ, and the scalar matmul /
+// CSR loops. Each is the plain loop form the production kernels must
+// reproduce bit for bit — the production code runs the same IEEE operations
+// in the same order on a different memory layout and on explicit SIMD lanes.
+// Single-threaded: the production kernels' results do not depend on their
+// thread count.
+//
+// Quality oracles: two-pass modified Gram-Schmidt one column at a time and
+// cyclic Jacobi, the factorizations MF Fit used before the block
+// algorithms. Tests compare production with them by tolerance (span,
+// zeroed columns, eigenvalues), never by bits.
+//
+// Never used outside tests.
 #ifndef LEVA_TESTS_REFERENCE_LA_REFERENCE_H_
 #define LEVA_TESTS_REFERENCE_LA_REFERENCE_H_
 
@@ -22,10 +31,18 @@ namespace leva {
 /// What GramSchmidtQ must return.
 Matrix ReferenceGramSchmidtQ(const Matrix& a);
 
-/// What SymmetricEigen must return for the same arguments.
-Result<EigenResult> ReferenceSymmetricEigen(const Matrix& a,
-                                            size_t max_sweeps = 30,
-                                            double tol = 1e-12);
+/// What SymmetricEigen must return.
+Result<EigenResult> ReferenceSymmetricEigen(const Matrix& a);
+
+/// Quality oracle: two-pass modified Gram-Schmidt, one column at a time
+/// against every earlier column; a residual norm at most 1e-12 zeroes the
+/// column.
+Matrix MgsGramSchmidtQ(const Matrix& a);
+
+/// Quality oracle: cyclic Jacobi eigendecomposition, eigenvalues descending.
+Result<EigenResult> JacobiSymmetricEigen(const Matrix& a,
+                                         size_t max_sweeps = 30,
+                                         double tol = 1e-12);
 
 /// What MatMul / MatTMul must return at any thread count.
 Matrix ReferenceMatMul(const Matrix& a, const Matrix& b);

@@ -4,7 +4,9 @@
 # every hot multi-versioned caller contains packed 256-bit arithmetic on ymm
 # registers — fp32 v{mul,add,sub}ps for the SGNS trainer (TrainSentenceShard,
 # MergeShardUpdates, ShardDeltas), fp64 v{mul,add}pd for the featurize
-# gather and the dense LA of MF Fit — and unless the SSE4.2 CRC32C kernel
+# gather and the dense LA of MF Fit (the block Gram-Schmidt projection and
+# update, its in-block MGS, the Householder tridiagonalization, the QL
+# rotation pass, the dense and CSR matmul helpers) — and unless the SSE4.2 CRC32C kernel
 # (Crc32cSse42, src/common/io.cc) contains the 64-bit crc32q instruction.
 # A kernel that silently falls back to scalar code inside the clone (or to
 # the wrong precision), or a CRC kernel that falls back to bytewise or table
@@ -31,7 +33,8 @@ objdump -d -C --no-show-raw-insn "${libs[@]}" | awk '
 BEGIN {
   n = split("TrainSentenceShard MergeShardUpdates ShardDeltas " \
             "GatherChunkF64 GatherChunkBf16 GatherChunkI8 " \
-            "GramSchmidtQ SymmetricEigen MatMulRows MatTMulRows " \
+            "BlockProject BlockUpdate PanelMgs Tridiagonalize TridiagonalQl " \
+            "MatMulRows MatTMulRows " \
             "MultiplyRows ScatterRows", want, " ")
   # The SGNS trainer trains on fp32 rows; everything else is fp64.
   split("TrainSentenceShard MergeShardUpdates ShardDeltas", f32, " ")
