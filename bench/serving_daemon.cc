@@ -9,11 +9,17 @@
 //   --fit-snapshots A.leva B.leva
 //                             fit two models (seeds 5/77) over the same
 //                             schema and snapshot them (CI smoke setup)
-//   --connect HOST PORT [--clients N] [--iters N] [--rows N] [--window N]
-//             [--reload SNAPSHOT]
-//                             drive an external leva_served: concurrent
-//                             clients, optionally one hot RELOAD mid-load;
-//                             exits nonzero on any error
+//   --connect HOST PORT --model SNAPSHOT [--clients N] [--iters N]
+//             [--rows N] [--window N] [--reload SNAPSHOT]
+//                             drive an external leva_served booted with
+//                             --model SNAPSHOT: concurrent clients,
+//                             optionally one hot RELOAD mid-load; exits
+//                             nonzero on any error or mismatched response
+//
+// Every OK response is compared byte for byte with ExecuteFeaturize on the
+// same rows, computed offline on the served snapshot (and, with --reload,
+// on the reload target: a response must equal one of the two whole, never
+// a mix).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -85,17 +91,66 @@ struct DriveResult {
   size_t ok = 0;
   size_t overloaded = 0;
   size_t errors = 0;
+  size_t mismatched = 0;  ///< OK responses whose features match no model
   double wall_seconds = 0;
   std::vector<double> latencies;  // seconds, OK requests only
 };
+
+/// The request of client `c`: `rows_per_request` rows of the base table.
+FeaturizeRequest ClientRequest(const Workload& w, size_t c,
+                               size_t rows_per_request) {
+  const size_t lo = (c * rows_per_request) % (w.base->NumRows() / 2);
+  FeaturizeRequest req;
+  req.rows = ServingRows(w, lo, lo + rows_per_request);
+  return req;
+}
+
+/// What an OK response to each client's request may hold: the features
+/// ExecuteFeaturize computes offline, per client, for each model the server
+/// may be serving.
+using Expected = std::vector<std::vector<std::vector<double>>>;
+
+Expected ExpectedFeatures(const std::vector<const LevaPipeline*>& models,
+                          const Workload& w, size_t clients,
+                          size_t rows_per_request) {
+  Expected expected(clients);
+  for (size_t c = 0; c < clients; ++c) {
+    const FeaturizeRequest req = ClientRequest(w, c, rows_per_request);
+    for (const LevaPipeline* model : models) {
+      auto x = ExecuteFeaturize(*model, req.rows, req.target_column,
+                                req.rows_in_graph);
+      if (!x.ok()) {
+        std::fprintf(stderr, "expected featurize: %s\n",
+                     x.status().ToString().c_str());
+        std::exit(1);
+      }
+      expected[c].push_back(std::move(x->x.mutable_data()));
+    }
+  }
+  return expected;
+}
+
+bool MatchesAny(const std::vector<double>& features,
+                const std::vector<std::vector<double>>& candidates) {
+  for (const std::vector<double>& want : candidates) {
+    if (want.size() == features.size() &&
+        std::memcmp(want.data(), features.data(),
+                    want.size() * sizeof(double)) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
 
 /// `clients` threads, each its own connection, each `iters` rounds of a
 /// pipelined `window` of `rows_per_request`-row FEATURIZE requests: the whole
 /// window is sent back-to-back, then responses are collected in completion
 /// order. Per-request latency runs from its send to its response arrival.
+/// Each OK response must equal one of `expected[client]` byte for byte.
 DriveResult Drive(const std::string& host, uint16_t port, const Workload& w,
-                  size_t clients, size_t iters, size_t rows_per_request,
-                  size_t window) {
+                  const Expected& expected, size_t iters,
+                  size_t rows_per_request, size_t window) {
+  const size_t clients = expected.size();
   std::vector<DriveResult> per_thread(clients);
   std::vector<std::thread> threads;
   WallTimer wall;
@@ -107,9 +162,7 @@ DriveResult Drive(const std::string& host, uint16_t port, const Workload& w,
         r.errors += iters * window;
         return;
       }
-      const size_t lo = (c * rows_per_request) % (w.base->NumRows() / 2);
-      FeaturizeRequest req;
-      req.rows = ServingRows(w, lo, lo + rows_per_request);
+      FeaturizeRequest req = ClientRequest(w, c, rows_per_request);
       for (size_t i = 0; i < iters; ++i) {
         WallTimer timer;
         size_t sent = 0;
@@ -131,6 +184,8 @@ DriveResult Drive(const std::string& host, uint16_t port, const Workload& w,
           } else if (!response->status.ok() ||
                      response->rows != rows_per_request) {
             ++r.errors;
+          } else if (!MatchesAny(response->features, expected[c])) {
+            ++r.mismatched;
           } else {
             ++r.ok;
             r.latencies.push_back(timer.ElapsedSeconds());
@@ -146,6 +201,7 @@ DriveResult Drive(const std::string& host, uint16_t port, const Workload& w,
     total.ok += r.ok;
     total.overloaded += r.overloaded;
     total.errors += r.errors;
+    total.mismatched += r.mismatched;
     total.latencies.insert(total.latencies.end(), r.latencies.begin(),
                            r.latencies.end());
   }
@@ -169,6 +225,13 @@ int RunLoopbackBench() {
   constexpr size_t kIters = 240;  // >= 2 s per run on a 4-vCPU Xeon
   constexpr size_t kWindow = 16;  // pipelined requests in flight per client
   constexpr size_t kRowsPerRequest = 4;
+  LevaPipeline reference;
+  if (Status s = reference.LoadSnapshot(snapshot); !s.ok()) {
+    std::fprintf(stderr, "load: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  const Expected expected =
+      ExpectedFeatures({&reference}, w, kClients, kRowsPerRequest);
   constexpr size_t kRequests = kClients * kIters * kWindow;
   constexpr size_t kReps = 3;
 
@@ -205,7 +268,7 @@ int RunLoopbackBench() {
         std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
         return 1;
       }
-      const DriveResult r = Drive("127.0.0.1", server.port(), w, kClients,
+      const DriveResult r = Drive("127.0.0.1", server.port(), w, expected,
                                   kIters, kRowsPerRequest, kWindow);
       Client stats_client;
       double rows_per_batch = 0;
@@ -215,9 +278,9 @@ int RunLoopbackBench() {
         }
       }
       server.Shutdown();
-      if (r.errors != 0 || r.ok != kRequests) {
-        std::fprintf(stderr, "%s: %zu error(s), %zu/%zu ok\n", config.name,
-                     r.errors, r.ok, kRequests);
+      if (r.errors != 0 || r.mismatched != 0 || r.ok != kRequests) {
+        std::fprintf(stderr, "%s: %zu error(s), %zu mismatched, %zu/%zu ok\n",
+                     config.name, r.errors, r.mismatched, r.ok, kRequests);
         return 1;
       }
       const serve::LatencySummary lat =
@@ -267,15 +330,18 @@ int RunLoopbackBench() {
     options.batcher.max_pending_rows = 64;
     Server server(&pipeline, options);
     if (Status s = server.Start(); !s.ok()) return 1;
-    const DriveResult r = Drive("127.0.0.1", server.port(), w, /*clients=*/8,
-                                /*iters=*/20, /*rows_per_request=*/32,
-                                /*window=*/4);
+    const DriveResult r = Drive(
+        "127.0.0.1", server.port(), w,
+        ExpectedFeatures({&reference}, w, /*clients=*/8, /*rows=*/32),
+        /*iters=*/20, /*rows_per_request=*/32, /*window=*/4);
     server.Shutdown();
     std::printf("# overload (max_pending_rows=64, 8 clients x 32-row "
-                "requests): %zu ok, %zu OVERLOADED, %zu errors\n",
-                r.ok, r.overloaded, r.errors);
-    if (r.errors != 0) {
-      std::fprintf(stderr, "overload run saw %zu hard error(s)\n", r.errors);
+                "requests): %zu ok, %zu OVERLOADED, %zu errors, "
+                "%zu mismatched\n",
+                r.ok, r.overloaded, r.errors, r.mismatched);
+    if (r.errors != 0 || r.mismatched != 0) {
+      std::fprintf(stderr, "overload run saw %zu hard error(s), %zu "
+                   "mismatched response(s)\n", r.errors, r.mismatched);
       return 1;
     }
   }
@@ -306,10 +372,28 @@ int FitSnapshots(const std::string& path_a, const std::string& path_b) {
   return 0;
 }
 
-int ConnectAndDrive(const std::string& host, uint16_t port, size_t clients,
-                    size_t iters, size_t rows, size_t window,
-                    const std::string& reload) {
+int ConnectAndDrive(const std::string& host, uint16_t port,
+                    const std::string& model, size_t clients, size_t iters,
+                    size_t rows, size_t window, const std::string& reload) {
   const Workload w = MakeWorkload(kSmokeStudents, 0);
+  // The models the daemon may serve: the one it booted with and, once the
+  // hot swap lands, the reload target.
+  LevaPipeline booted;
+  LevaPipeline reloaded;
+  std::vector<const LevaPipeline*> models = {&booted};
+  if (Status s = booted.LoadSnapshot(model); !s.ok()) {
+    std::fprintf(stderr, "load %s: %s\n", model.c_str(), s.ToString().c_str());
+    return 1;
+  }
+  if (!reload.empty()) {
+    if (Status s = reloaded.LoadSnapshot(reload); !s.ok()) {
+      std::fprintf(stderr, "load %s: %s\n", reload.c_str(),
+                   s.ToString().c_str());
+      return 1;
+    }
+    models.push_back(&reloaded);
+  }
+  const Expected expected = ExpectedFeatures(models, w, clients, rows);
 
   // The daemon may still be binding: retry the first contact briefly.
   Client probe;
@@ -345,7 +429,7 @@ int ConnectAndDrive(const std::string& host, uint16_t port, size_t clients,
     });
   }
 
-  const DriveResult r = Drive(host, port, w, clients, iters, rows, window);
+  const DriveResult r = Drive(host, port, w, expected, iters, rows, window);
   if (reloader.joinable()) reloader.join();
 
   auto stats = probe.Stats();
@@ -356,13 +440,16 @@ int ConnectAndDrive(const std::string& host, uint16_t port, size_t clients,
     }
   }
   const serve::LatencySummary lat = serve::SummarizeLatencies(r.latencies);
-  std::printf("%zu ok, %zu overloaded, %zu errors in %.3fs "
+  std::printf("%zu ok (byte-identical to the offline featurize), "
+              "%zu overloaded, %zu errors, %zu mismatched in %.3fs "
               "(p50 %.3fms, p99 %.3fms)\n",
-              r.ok, r.overloaded, r.errors, r.wall_seconds, lat.p50 * 1e3,
-              lat.p99 * 1e3);
-  if (r.errors != 0 || r.ok == 0 || reload_failures != 0) {
-    std::fprintf(stderr, "FAIL: errors=%zu ok=%zu reload_failures=%d\n",
-                 r.errors, r.ok, reload_failures);
+              r.ok, r.overloaded, r.errors, r.mismatched, r.wall_seconds,
+              lat.p50 * 1e3, lat.p99 * 1e3);
+  if (r.errors != 0 || r.mismatched != 0 || r.ok == 0 ||
+      reload_failures != 0) {
+    std::fprintf(stderr,
+                 "FAIL: errors=%zu mismatched=%zu ok=%zu reload_failures=%d\n",
+                 r.errors, r.mismatched, r.ok, reload_failures);
     return 1;
   }
   return 0;
@@ -371,7 +458,7 @@ int ConnectAndDrive(const std::string& host, uint16_t port, size_t clients,
 int Run(int argc, char** argv) {
   std::string connect_host;
   uint16_t connect_port = 0;
-  std::string fit_a, fit_b, reload;
+  std::string fit_a, fit_b, model, reload;
   size_t clients = 8, iters = 50, rows = 4, window = 4;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -396,6 +483,10 @@ int Run(int argc, char** argv) {
       }
       connect_host = h;
       connect_port = static_cast<uint16_t>(std::atoi(p));
+    } else if (arg == "--model") {
+      const char* v = next();
+      if (v == nullptr) return 1;
+      model = v;
     } else if (arg == "--reload") {
       const char* v = next();
       if (v == nullptr) return 1;
@@ -423,8 +514,13 @@ int Run(int argc, char** argv) {
   }
   if (!fit_a.empty()) return FitSnapshots(fit_a, fit_b);
   if (!connect_host.empty()) {
-    return ConnectAndDrive(connect_host, connect_port, clients, iters, rows,
-                           window, reload);
+    if (model.empty()) {
+      std::fprintf(stderr,
+                   "--connect needs --model SNAPSHOT (the daemon's model)\n");
+      return 1;
+    }
+    return ConnectAndDrive(connect_host, connect_port, model, clients, iters,
+                           rows, window, reload);
   }
   return RunLoopbackBench();
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ml/dataset.h"
 #include "ml/linear.h"
 #include "ml/metrics.h"
 
@@ -54,27 +55,31 @@ Result<ErEvalResult> EvaluateEntityResolution(const EmbeddingModel& model,
       options.train_fraction * static_cast<double>(dataset.pairs.size()));
   const std::vector<size_t> perm = rng.Permutation(dataset.pairs.size());
 
-  Matrix train_x(train_n, width);
-  std::vector<double> train_y(train_n);
-  Matrix test_x(dataset.pairs.size() - train_n, width);
-  std::vector<double> test_y(dataset.pairs.size() - train_n);
+  MLDataset train;
+  train.x = Matrix(train_n, width);
+  train.y.resize(train_n);
+  MLDataset test;
+  test.x = Matrix(dataset.pairs.size() - train_n, width);
+  test.y.resize(dataset.pairs.size() - train_n);
   for (size_t i = 0; i < perm.size(); ++i) {
-    if (i < train_n) {
-      for (size_t j = 0; j < width; ++j) train_x(i, j) = x(perm[i], j);
-      train_y[i] = y[perm[i]];
-    } else {
-      const size_t t = i - train_n;
-      for (size_t j = 0; j < width; ++j) test_x(t, j) = x(perm[i], j);
-      test_y[t] = y[perm[i]];
-    }
+    MLDataset& split = i < train_n ? train : test;
+    const size_t row = i < train_n ? i : i - train_n;
+    for (size_t j = 0; j < width; ++j) split.x(row, j) = x(perm[i], j);
+    split.y[row] = y[perm[i]];
   }
+  // The three feature kinds live on unrelated scales, and an embedding with
+  // a large common component squeezes them further: nearly parallel rows put
+  // every pair's cosine near 1 and its |a-b| near 0. Standardizing with the
+  // training split's statistics lets the regression see the spread.
+  StandardizeFeatures(&train, &test);
 
   ElasticNetOptions lr_options;
   lr_options.lambda = 1e-4;
   lr_options.epochs = 60;
   LogisticRegressor classifier(2, lr_options);
-  LEVA_RETURN_IF_ERROR(classifier.Fit(train_x, train_y, &rng));
-  const std::vector<double> pred = classifier.Predict(test_x);
+  LEVA_RETURN_IF_ERROR(classifier.Fit(train.x, train.y, &rng));
+  const std::vector<double> pred = classifier.Predict(test.x);
+  const std::vector<double>& test_y = test.y;
 
   ErEvalResult result;
   result.f1 = F1Binary(test_y, pred);

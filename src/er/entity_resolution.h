@@ -9,8 +9,9 @@ namespace leva {
 
 /// Entity-resolution evaluation (Section 6.7): fit `model` over the two dirty
 /// tables, featurize each labeled candidate pair from the row embeddings
-/// (|e_a - e_b| plus cosine and L1 similarity), train a binary classifier on
-/// a split of the pairs, and report F1 on the held-out pairs.
+/// (|e_a - e_b| plus cosine and L1 similarity), standardize the features
+/// with the training split's mean and standard deviation, train a binary
+/// classifier on that split, and report F1 on the held-out pairs.
 struct ErEvalOptions {
   double train_fraction = 0.6;
   uint64_t seed = 99;

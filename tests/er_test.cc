@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "baselines/leva_model.h"
 #include "datagen/er_data.h"
 #include "er/entity_resolution.h"
@@ -78,6 +84,75 @@ TEST(ErTest, PrecisionRecallWithinBounds) {
   EXPECT_LE(result->precision, 1.0);
   EXPECT_GE(result->recall, 0.0);
   EXPECT_LE(result->recall, 1.0);
+}
+
+// Row vectors dominated by one shared direction: 10 in every coordinate,
+// plus a 0.005-scale offset per entity and a 0.0005-scale offset per row. A
+// matched pair shares its entity offset. Every pair's cosine is >= 0.999,
+// and the features that separate matches are four orders of magnitude
+// below the common component.
+class NearlyParallelModel : public EmbeddingModel {
+ public:
+  NearlyParallelModel(const ErDataset& ds, size_t dim) : dim_(dim) {
+    for (size_t r = 0; r < ds.table_a.NumRows(); ++r) entity_a_[r] = r;
+    size_t next = ds.table_a.NumRows();
+    for (const ErPair& pair : ds.pairs) {
+      if (pair.match) entity_b_[pair.row_b] = entity_a_[pair.row_a];
+    }
+    for (size_t r = 0; r < ds.table_b.NumRows(); ++r) {
+      if (entity_b_.count(r) == 0) entity_b_[r] = next++;
+    }
+  }
+
+  Status Fit(const Database&) override { return Status::OK(); }
+
+  Result<std::vector<double>> RowVector(const Table& table, size_t row,
+                                        const std::string&,
+                                        bool) const override {
+    const bool in_a = table.name() == "table_a";
+    const size_t entity = in_a ? entity_a_.at(row) : entity_b_.at(row);
+    Rng entity_rng(1000 + entity);
+    Rng row_rng((in_a ? 1u : 2u) * 100000 + row);
+    std::vector<double> v(dim_);
+    for (double& x : v) {
+      x = 10.0 + 0.005 * entity_rng.Normal() + 0.0005 * row_rng.Normal();
+    }
+    return v;
+  }
+
+  size_t dim() const override { return dim_; }
+  const Embedding& embedding() const override { return embedding_; }
+
+ private:
+  size_t dim_;
+  std::map<size_t, size_t> entity_a_;
+  std::map<size_t, size_t> entity_b_;
+  Embedding embedding_;
+};
+
+TEST(ErTest, NearlyParallelVectorsStillResolve) {
+  const ErDataset ds = SmallEr(0.1);
+  const NearlyParallelModel model(ds, 16);
+  double min_cosine = 1.0;
+  for (const ErPair& pair : ds.pairs) {
+    const auto a = model.RowVector(ds.table_a, pair.row_a, "", true);
+    const auto b = model.RowVector(ds.table_b, pair.row_b, "", true);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    double dot = 0, na = 0, nb = 0;
+    for (size_t j = 0; j < a->size(); ++j) {
+      dot += (*a)[j] * (*b)[j];
+      na += (*a)[j] * (*a)[j];
+      nb += (*b)[j] * (*b)[j];
+    }
+    min_cosine = std::min(min_cosine, dot / std::sqrt(na * nb));
+  }
+  ASSERT_GE(min_cosine, 0.999);
+  const auto result = EvaluateEntityResolution(model, ds);
+  ASSERT_TRUE(result.ok());
+  // Unstandardized, the regression predicts no match at all (F1 0).
+  EXPECT_GT(result->recall, 0.0);
+  EXPECT_GT(result->f1, 0.9);
 }
 
 TEST(ErTest, EmptyPairsRejected) {
