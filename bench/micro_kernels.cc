@@ -318,74 +318,64 @@ DequantFixture& GetDequantFixture() {
   return *fixture;
 }
 
-void BM_DequantGatherF64(benchmark::State& state) {
-  DequantFixture& f = GetDequantFixture();
-  std::vector<double> acc(DequantFixture::kDim, 0.0);
-  for (auto _ : state) {
-    for (const size_t r : f.order) {
-      const double* __restrict vec = f.fp64.data() + r * DequantFixture::kDim;
-      double* __restrict a = acc.data();
-      for (size_t j = 0; j < DequantFixture::kDim; ++j) a[j] += 0.25 * vec[j];
-    }
-    benchmark::DoNotOptimize(acc.data());
+// One pass of each kernel over the occurrence stream. Production calls these
+// kernels from LEVA_TARGET_CLONES functions (the featurize gather's
+// GatherChunk*, Embedding::DequantizeRow), so the passes are cloned too: the
+// benches time the avx2 clone where the CPU has it, not the SSE2 baseline a
+// plain caller would inline.
+LEVA_TARGET_CLONES
+void GatherF64Pass(const DequantFixture& f, double* acc) {
+  for (const size_t r : f.order) {
+    simd::GatherAdd(acc, f.fp64.data() + r * DequantFixture::kDim, 0.25,
+                    DequantFixture::kDim);
   }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(DequantFixture::kRows * DequantFixture::kDim));
 }
-BENCHMARK(BM_DequantGatherF64);
 
-void BM_DequantGatherBf16(benchmark::State& state) {
-  DequantFixture& f = GetDequantFixture();
-  std::vector<double> acc(DequantFixture::kDim, 0.0);
-  for (auto _ : state) {
-    for (const size_t r : f.order) {
-      simd::GatherAddBf16(acc.data(), f.bf16.data() + r * DequantFixture::kDim,
-                          0.25, DequantFixture::kDim);
-    }
-    benchmark::DoNotOptimize(acc.data());
+LEVA_TARGET_CLONES
+void GatherBf16Pass(const DequantFixture& f, double* acc) {
+  for (const size_t r : f.order) {
+    simd::GatherAddBf16(acc, f.bf16.data() + r * DequantFixture::kDim, 0.25,
+                        DequantFixture::kDim);
   }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(DequantFixture::kRows * DequantFixture::kDim));
 }
-BENCHMARK(BM_DequantGatherBf16);
 
-void BM_DequantGatherI8(benchmark::State& state) {
+LEVA_TARGET_CLONES
+void GatherI8Pass(const DequantFixture& f, double* acc) {
+  for (const size_t r : f.order) {
+    simd::DequantGatherAdd(acc, f.q8.data() + r * DequantFixture::kDim,
+                           static_cast<double>(f.scales[r]), 0.25,
+                           DequantFixture::kDim);
+  }
+}
+
+LEVA_TARGET_CLONES
+void RowI8Pass(const DequantFixture& f, double* row) {
+  for (const size_t r : f.order) {
+    simd::DequantRowI8(row, f.q8.data() + r * DequantFixture::kDim,
+                       static_cast<double>(f.scales[r]), DequantFixture::kDim);
+  }
+}
+
+template <void (*Pass)(const DequantFixture&, double*)>
+void BM_DequantPass(benchmark::State& state) {
   DequantFixture& f = GetDequantFixture();
-  std::vector<double> acc(DequantFixture::kDim, 0.0);
+  std::vector<double> out(DequantFixture::kDim, 0.0);
   for (auto _ : state) {
-    for (const size_t r : f.order) {
-      simd::DequantGatherAdd(acc.data(), f.q8.data() + r * DequantFixture::kDim,
-                             static_cast<double>(f.scales[r]), 0.25,
-                             DequantFixture::kDim);
-    }
-    benchmark::DoNotOptimize(acc.data());
+    Pass(f, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations()) *
       static_cast<int64_t>(DequantFixture::kRows * DequantFixture::kDim));
 }
-BENCHMARK(BM_DequantGatherI8);
+BENCHMARK(BM_DequantPass<GatherF64Pass>)->Name("BM_DequantGatherF64");
+BENCHMARK(BM_DequantPass<GatherBf16Pass>)->Name("BM_DequantGatherBf16");
+BENCHMARK(BM_DequantPass<GatherI8Pass>)->Name("BM_DequantGatherI8");
 
 // Row-at-a-time dequantization (the Get/GetById scratch path), for the
 // serving calls that need a full fp64 row rather than a fused accumulate.
-void BM_DequantRowI8(benchmark::State& state) {
-  DequantFixture& f = GetDequantFixture();
-  std::vector<double> row(DequantFixture::kDim);
-  for (auto _ : state) {
-    for (const size_t r : f.order) {
-      simd::DequantRowI8(row.data(), f.q8.data() + r * DequantFixture::kDim,
-                         static_cast<double>(f.scales[r]),
-                         DequantFixture::kDim);
-    }
-    benchmark::DoNotOptimize(row.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations()) *
-      static_cast<int64_t>(DequantFixture::kRows * DequantFixture::kDim));
-}
-BENCHMARK(BM_DequantRowI8);
+BENCHMARK(BM_DequantPass<RowI8Pass>)->Name("BM_DequantRowI8");
 
 // CRC32C, the checksum on every wire frame, snapshot page and WAL record:
 // one 4 KiB page, one 4-row dim-256 Row+Value FEATURIZE response payload

@@ -26,7 +26,9 @@
 // inlines them and compiles their lanes with its own ISA — one 256-bit ymm
 // vmulpd/vaddpd per 4 fp64 lanes (vmulps/vaddps per 8 fp32 lanes) in the
 // "avx2" clone, an SSE2 xmm pair in the "default" clone — with zero per-call
-// dispatch overhead.
+// dispatch overhead. A kernel inlined into a plain function gets the SSE2
+// code even on an AVX2 CPU, stores included (see Store), so every caller in
+// src/ is a LEVA_TARGET_CLONES function.
 //
 // Explicit lanes: the element-wise kernels are written on 32-byte GCC vector
 // types (F64x4, F32x8, see ForLanes below), not as plain `for (j < n)` loops
@@ -123,27 +125,17 @@ LEVA_ALWAYS_INLINE void Load(V* v, const T* p) {
   std::memcpy(v, p, sizeof(V));
 }
 
-/// p[0 .. lanes of V) = v. A lane group is stored as two 16-byte halves:
-/// without AVX, GCC routes a whole 32-byte vector store through a stack
-/// temporary (a spill and reload per store), while the halves are plain
-/// movupd/movups pairs; with AVX they cost no more than one ymm store.
+/// p[0 .. lanes of V) = v, as one full-width store. A lane group is stored
+/// at the width it is loaded, or the next load of it cannot forward: the
+/// kernels re-read rows they just wrote (the SGNS gradient and center row
+/// from pair to pair, a gather accumulator from source row to source row, a
+/// dense-LA row from update to update), and a 32-byte load that spans two
+/// in-flight 16-byte stores waits for both to retire instead of forwarding.
+/// The "default" (SSE2) clone, which runs only without AVX2 and under TSan,
+/// pays for this: GCC routes its 32-byte store through a stack temporary.
 template <typename T, typename V>
 LEVA_ALWAYS_INLINE void Store(T* p, const V& v) {
-  if constexpr (std::is_same_v<V, T>) {
-    *p = v;
-  } else if constexpr (std::is_same_v<T, double>) {
-    using F64x2 = double __attribute__((vector_size(16)));
-    const F64x2 lo = __builtin_shufflevector(v, v, 0, 1);
-    const F64x2 hi = __builtin_shufflevector(v, v, 2, 3);
-    std::memcpy(p, &lo, sizeof(lo));
-    std::memcpy(p + 2, &hi, sizeof(hi));
-  } else {
-    using F32x4 = float __attribute__((vector_size(16)));
-    const F32x4 lo = __builtin_shufflevector(v, v, 0, 1, 2, 3);
-    const F32x4 hi = __builtin_shufflevector(v, v, 4, 5, 6, 7);
-    std::memcpy(p, &lo, sizeof(lo));
-    std::memcpy(p + 4, &hi, sizeof(hi));
-  }
+  std::memcpy(p, &v, sizeof(V));
 }
 
 // The kernels below each apply one scalar expression per element j; the

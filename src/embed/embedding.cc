@@ -82,6 +82,9 @@ size_t Embedding::IdOf(std::string_view key) const {
   return it == index_.end() ? kInvalidId : it->second;
 }
 
+// Cloned like every caller of the simd.h lane kernels: the "avx2" clone
+// widens and stores each lane group in one ymm register.
+LEVA_TARGET_CLONES
 void Embedding::DequantizeRow(size_t id, double* out) const {
   assert(id < keys_.size() && "Embedding::DequantizeRow: id out of range");
   switch (tier_) {

@@ -344,30 +344,6 @@ Result<EigenResult> SymmetricEigen(const Matrix& a) {
   return result;
 }
 
-Result<SvdResult> ThinSVD(const Matrix& a, size_t threads) {
-  // Gram-matrix approach: AᵀA = V Σ² Vᵀ, U = A V Σ⁻¹. Adequate because Leva
-  // only feeds in matrices with few (<= few hundred) columns.
-  const Matrix gram = MatTMul(a, a, threads);
-  LEVA_ASSIGN_OR_RETURN(EigenResult eig, SymmetricEigen(gram));
-
-  const size_t n = a.cols();
-  SvdResult out;
-  out.singular_values.resize(n);
-  out.v = eig.eigenvectors;
-  out.u = Matrix(a.rows(), n);
-  const Matrix av = MatMul(a, eig.eigenvectors, threads);
-  for (size_t j = 0; j < n; ++j) {
-    out.singular_values[j] = std::sqrt(std::max(0.0, eig.eigenvalues[j]));
-  }
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      const double s = out.singular_values[j];
-      if (s > 1e-12) out.u(i, j) = av(i, j) / s;
-    }
-  }
-  return out;
-}
-
 Result<SvdResult> RandomizedSVD(const SparseMatrix& a,
                                 const RandomizedSvdOptions& options,
                                 Rng* rng) {
@@ -386,26 +362,23 @@ Result<SvdResult> RandomizedSVD(const SparseMatrix& a,
   }
   const Matrix q = GramSchmidtQ(std::move(y));
 
-  // Stage B: B = QᵀA, factor exactly in the reduced space.
-  // Bᵀ = Aᵀ Q has shape (cols x k): small enough for the Gram-based ThinSVD.
+  // Stage B: B = QᵀA, factored exactly in the reduced space through the
+  // k x k Gram BBᵀ = (AᵀQ)ᵀ(AᵀQ) = U_b Σ² U_bᵀ; then U = Q U_b.
   const Matrix bt = a.TransposeMultiply(q, threads);  // n x k
-  LEVA_ASSIGN_OR_RETURN(SvdResult small, ThinSVD(bt, threads));
-  // Bᵀ = (V_b) Σ (U_b)ᵀ where small.u = V of B, small.v = U of B.
+  LEVA_ASSIGN_OR_RETURN(EigenResult eig,
+                        SymmetricEigen(MatTMul(bt, bt, threads)));
   const size_t rank = std::min(options.rank, k);
   SvdResult out;
-  out.singular_values.assign(small.singular_values.begin(),
-                             small.singular_values.begin() +
-                                 static_cast<ptrdiff_t>(rank));
+  out.singular_values.resize(rank);
+  for (size_t j = 0; j < rank; ++j) {
+    out.singular_values[j] = std::sqrt(std::max(0.0, eig.eigenvalues[j]));
+  }
   // U = Q * U_b (first `rank` columns).
   Matrix ub(k, rank);
   for (size_t i = 0; i < k; ++i) {
-    for (size_t j = 0; j < rank; ++j) ub(i, j) = small.v(i, j);
+    for (size_t j = 0; j < rank; ++j) ub(i, j) = eig.eigenvectors(i, j);
   }
   out.u = MatMul(q, ub, threads);
-  out.v = Matrix(a.cols(), rank);
-  for (size_t i = 0; i < a.cols(); ++i) {
-    for (size_t j = 0; j < rank; ++j) out.v(i, j) = small.u(i, j);
-  }
   return out;
 }
 

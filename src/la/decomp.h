@@ -30,19 +30,19 @@ struct EigenResult {
 };
 Result<EigenResult> SymmetricEigen(const Matrix& a);
 
-/// Thin SVD of a (possibly tall) dense matrix computed from the
-/// eigendecomposition of AᵀA. Suitable when cols is small (<= a few hundred).
+/// The left factor and singular values of a truncated SVD. The right factor
+/// is not formed (MF Fit embeds with U and σ alone); where it is wanted it is
+/// Aᵀ U Σ⁻¹.
 struct SvdResult {
-  Matrix u;                         // m x k
+  Matrix u;                             // m x k
   std::vector<double> singular_values;  // descending
-  Matrix v;                         // n x k
 };
-Result<SvdResult> ThinSVD(const Matrix& a, size_t threads = 1);
 
 /// Randomized truncated SVD of a sparse matrix (Halko, Martinsson, Tropp
 /// 2010): range finding with a Gaussian sketch, `power_iterations` rounds of
-/// subspace iteration, then an exact SVD in the reduced space. O(d²N) given
-/// nnz = O(N).
+/// subspace iteration, then an exact factorization in the reduced space: the
+/// eigendecomposition of BBᵀ (B = QᵀA), whose eigenvectors rotate Q into U.
+/// O(d²N) given nnz = O(N).
 struct RandomizedSvdOptions {
   size_t rank = 100;
   size_t oversample = 10;

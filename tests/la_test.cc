@@ -229,12 +229,19 @@ TEST(DecompTest, RandomizedSvdApproximatesLowRank) {
   ASSERT_TRUE(svd.ok());
   ASSERT_EQ(svd->singular_values.size(), 3u);
 
-  // Reconstruction error should be tiny relative to the matrix norm.
+  // Reconstruction error should be tiny relative to the matrix norm. V is
+  // not returned; form it as Aᵀ U Σ⁻¹, so U Σ Vᵀ = U Uᵀ A.
+  Matrix right = a.TransposeMultiply(svd->u);
+  for (size_t i = 0; i < right.rows(); ++i) {
+    for (size_t j = 0; j < right.cols(); ++j) {
+      right(i, j) /= svd->singular_values[j];
+    }
+  }
   Matrix us = svd->u;
   for (size_t i = 0; i < us.rows(); ++i) {
     for (size_t j = 0; j < us.cols(); ++j) us(i, j) *= svd->singular_values[j];
   }
-  const Matrix recon = MatMul(us, svd->v.Transposed());
+  const Matrix recon = MatMul(us, right.Transposed());
   double err = 0;
   double norm = 0;
   for (uint32_t i = 0; i < n; ++i) {
@@ -717,8 +724,6 @@ TEST(LaReferenceTest, RandomizedSvdMatchesOracle) {
       EXPECT_TRUE(SameBytes(got->singular_values, want->singular_values))
           << "rank=" << rank << " threads=" << threads;
       EXPECT_TRUE(SameBytes(got->u, want->u))
-          << "rank=" << rank << " threads=" << threads;
-      EXPECT_TRUE(SameBytes(got->v, want->v))
           << "rank=" << rank << " threads=" << threads;
     }
   }

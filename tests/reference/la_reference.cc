@@ -417,16 +417,15 @@ Matrix ReferenceSparseTransposeMultiply(const SparseMatrix& a,
   return y;
 }
 
-Result<SvdResult> ReferenceThinSVD(const Matrix& a) {
-  const Matrix gram = ReferenceMatTMul(a, a);
-  LEVA_ASSIGN_OR_RETURN(EigenResult eig, ReferenceSymmetricEigen(gram));
+namespace {
 
+// U = A V Σ⁻¹ from AᵀA's eigendecomposition and AV.
+ThinSvdResult ThinSvdFromGram(const Matrix& a, EigenResult eig,
+                              const Matrix& av) {
   const size_t n = a.cols();
-  SvdResult out;
+  ThinSvdResult out;
   out.singular_values.resize(n);
-  out.v = eig.eigenvectors;
   out.u = Matrix(a.rows(), n);
-  const Matrix av = ReferenceMatMul(a, eig.eigenvectors);
   for (size_t j = 0; j < n; ++j) {
     const double s = std::sqrt(std::max(0.0, eig.eigenvalues[j]));
     out.singular_values[j] = s;
@@ -434,7 +433,24 @@ Result<SvdResult> ReferenceThinSVD(const Matrix& a) {
       for (size_t i = 0; i < a.rows(); ++i) out.u(i, j) = av(i, j) / s;
     }
   }
+  out.v = std::move(eig.eigenvectors);
   return out;
+}
+
+}  // namespace
+
+Result<ThinSvdResult> ThinSVD(const Matrix& a, size_t threads) {
+  LEVA_ASSIGN_OR_RETURN(EigenResult eig,
+                        SymmetricEigen(MatTMul(a, a, threads)));
+  const Matrix av = MatMul(a, eig.eigenvectors, threads);
+  return ThinSvdFromGram(a, std::move(eig), av);
+}
+
+Result<ThinSvdResult> ReferenceThinSVD(const Matrix& a) {
+  LEVA_ASSIGN_OR_RETURN(EigenResult eig,
+                        ReferenceSymmetricEigen(ReferenceMatTMul(a, a)));
+  const Matrix av = ReferenceMatMul(a, eig.eigenvectors);
+  return ThinSvdFromGram(a, std::move(eig), av);
 }
 
 Result<SvdResult> ReferenceRandomizedSVD(const SparseMatrix& a,
@@ -454,7 +470,7 @@ Result<SvdResult> ReferenceRandomizedSVD(const SparseMatrix& a,
   const Matrix q = ReferenceGramSchmidtQ(y);
 
   const Matrix bt = ReferenceSparseTransposeMultiply(a, q);
-  LEVA_ASSIGN_OR_RETURN(SvdResult small, ReferenceThinSVD(bt));
+  LEVA_ASSIGN_OR_RETURN(ThinSvdResult small, ReferenceThinSVD(bt));
   const size_t rank = std::min(options.rank, k);
   SvdResult out;
   out.singular_values.assign(small.singular_values.begin(),
@@ -465,10 +481,6 @@ Result<SvdResult> ReferenceRandomizedSVD(const SparseMatrix& a,
     for (size_t j = 0; j < rank; ++j) ub(i, j) = small.v(i, j);
   }
   out.u = ReferenceMatMul(q, ub);
-  out.v = Matrix(a.cols(), rank);
-  for (size_t i = 0; i < a.cols(); ++i) {
-    for (size_t j = 0; j < rank; ++j) out.v(i, j) = small.u(i, j);
-  }
   return out;
 }
 

@@ -55,8 +55,21 @@ Matrix ReferenceSparseMultiply(const SparseMatrix& a, const Matrix& x);
 Matrix ReferenceSparseTransposeMultiply(const SparseMatrix& a,
                                         const Matrix& x);
 
-/// ThinSVD / RandomizedSVD composed from the oracle kernels above.
-Result<SvdResult> ReferenceThinSVD(const Matrix& a);
+/// Thin SVD of a (possibly tall) dense matrix from the eigendecomposition
+/// of AᵀA = V Σ² Vᵀ, with U = A V Σ⁻¹ (a column whose σ is at most 1e-12
+/// stays zero): all three factors, for the reconstruction tests.
+struct ThinSvdResult {
+  Matrix u;                             // m x n
+  std::vector<double> singular_values;  // descending
+  Matrix v;                             // n x n
+};
+
+/// ThinSVD composed from the production kernels (MatTMul, SymmetricEigen,
+/// MatMul at `threads`), and the same composed from the oracle kernels above.
+Result<ThinSvdResult> ThinSVD(const Matrix& a, size_t threads = 1);
+Result<ThinSvdResult> ReferenceThinSVD(const Matrix& a);
+
+/// RandomizedSVD composed from the oracle kernels above.
 Result<SvdResult> ReferenceRandomizedSVD(const SparseMatrix& a,
                                          const RandomizedSvdOptions& options,
                                          Rng* rng);

@@ -461,6 +461,139 @@ TEST(SimdTest, SkipGramInitNormalizesNegativeZero) {
   }
 }
 
+// --- chained kernels ---------------------------------------------------------
+//
+// The hot loops re-read rows a kernel has just written: a skip-gram pair
+// writes the gradient (SkipGramInit, then SkipGramAccum per negative), adds
+// it to the center row (VecAdd), and the next pair's Dot reads that center
+// row; the featurize gather adds source row after source row into one
+// accumulator before MeanStore drains it. Each chain must match the scalar
+// sequence bit for bit, every store landing whole before the next load.
+
+constexpr size_t kChainLengths[] = {1, 7, 8, 9, 63, 64, 65};
+constexpr size_t kChainPairs = 3;
+constexpr size_t kChainTargets = 4;  // one positive, three negatives
+
+// Rows of n elements one element into their allocation, as above.
+template <typename T>
+std::vector<std::vector<T>> ChainRows(size_t count, size_t n, uint64_t seed) {
+  Rng r(seed);
+  std::vector<std::vector<T>> rows(count, std::vector<T>(n + 1));
+  for (auto& row : rows) {
+    for (T& v : row) v = static_cast<T>(r.Uniform(-1.0, 1.0));
+  }
+  return rows;
+}
+
+// The pair's step size from its dot, as the trainer derives one: the next
+// kernel call depends on the bits of the last one.
+float ChainCoef(float dot, size_t t) {
+  return (t == 0 ? 0.05f : -0.05f) / (1.0f + std::fabs(dot));
+}
+
+// rows[0] is the center, rows[1 .. kChainTargets] the targets, rows.back()
+// the gradient; dots receives each pair's last Dot.
+LEVA_ALWAYS_INLINE void SkipGramChain(std::vector<std::vector<float>>* rows,
+                                      float* dots, size_t n) {
+  float* center = (*rows)[0].data() + 1;
+  float* grad = rows->back().data() + 1;
+  for (size_t p = 0; p < kChainPairs; ++p) {
+    for (size_t t = 0; t < kChainTargets; ++t) {
+      float* target = (*rows)[1 + t].data() + 1;
+      const float g = ChainCoef(simd::Dot(center, target, n), t);
+      if (t == 0) {
+        simd::SkipGramInit(g, center, target, grad, n);
+      } else {
+        simd::SkipGramAccum(g, center, target, grad, n);
+      }
+    }
+    simd::VecAdd(center, grad, n);
+    dots[p] = simd::Dot(center, (*rows)[1].data() + 1, n);
+  }
+}
+
+// rows[0] is the accumulator, rows[1 ..] the fp64 sources, rows.back() the
+// mean's output row; bf16 and i8 are one more source each.
+LEVA_ALWAYS_INLINE void GatherChain(std::vector<std::vector<double>>* rows,
+                                    const uint16_t* bf16, const int8_t* i8,
+                                    size_t n) {
+  double* acc = (*rows)[0].data() + 1;
+  for (size_t s = 1; s + 1 < rows->size(); ++s) {
+    simd::GatherAdd(acc, (*rows)[s].data() + 1, 0.25 * static_cast<double>(s),
+                    n);
+  }
+  simd::GatherAddBf16(acc, bf16, -0.5, n);
+  simd::DequantGatherAdd(acc, i8, 0.0123, 0.75, n);
+  simd::GatherAdd(acc, (*rows)[1].data() + 1, -1.0, n);
+  simd::MeanStore(acc, 3.0, rows->back().data() + 1, nullptr, n);
+}
+
+LEVA_TARGET_CLONES
+void ChainsCloned(std::vector<std::vector<float>>* f32, float* dots,
+                  std::vector<std::vector<double>>* f64, const uint16_t* bf16,
+                  const int8_t* i8, size_t n) {
+  SkipGramChain(f32, dots, n);
+  GatherChain(f64, bf16, i8, n);
+}
+
+// The same sequences as scalar loops, with the Dot in its promised order.
+void ChainsScalar(std::vector<std::vector<float>>* f32, float* dots,
+                  std::vector<std::vector<double>>* f64, const uint16_t* bf16,
+                  const int8_t* i8, size_t n) {
+  float* center = (*f32)[0].data() + 1;
+  float* grad = f32->back().data() + 1;
+  for (size_t p = 0; p < kChainPairs; ++p) {
+    for (size_t t = 0; t < kChainTargets; ++t) {
+      float* target = (*f32)[1 + t].data() + 1;
+      const float g = ChainCoef(EightAccumulatorDot(center, target, n), t);
+      for (size_t j = 0; j < n; ++j) {
+        grad[j] = t == 0 ? g * target[j] + 0.0f : grad[j] + g * target[j];
+        target[j] += g * center[j];
+      }
+    }
+    for (size_t j = 0; j < n; ++j) center[j] += grad[j];
+    dots[p] = EightAccumulatorDot(center, (*f32)[1].data() + 1, n);
+  }
+  double* acc = (*f64)[0].data() + 1;
+  for (size_t s = 1; s + 1 < f64->size(); ++s) {
+    const double* src = (*f64)[s].data() + 1;
+    const double w = 0.25 * static_cast<double>(s);
+    for (size_t j = 0; j < n; ++j) acc[j] += w * src[j];
+  }
+  for (size_t j = 0; j < n; ++j) {
+    acc[j] += -0.5 * static_cast<double>(simd::Bf16ToFloat(bf16[j]));
+    acc[j] += 0.75 * (0.0123 * static_cast<double>(i8[j]));
+    acc[j] += -1.0 * (*f64)[1][j + 1];
+    f64->back()[j + 1] = acc[j] / 3.0;
+    acc[j] = 0.0;
+  }
+}
+
+TEST(SimdTest, ChainedKernelsMatchScalarSequence) {
+  for (const size_t n : kChainLengths) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Rows quantized(n, 40 + n);
+    const uint16_t* bf16 = quantized.bf16.data() + 1;
+    const int8_t* i8 = quantized.i8.data() + 1;
+    auto want32 = ChainRows<float>(kChainTargets + 2, n, 60 + n);
+    auto want64 = ChainRows<double>(7, n, 80 + n);
+    auto got32 = want32;
+    auto got64 = want64;
+    float want_dots[kChainPairs], got_dots[kChainPairs];
+    ChainsScalar(&want32, want_dots, &want64, bf16, i8, n);
+    ChainsCloned(&got32, got_dots, &got64, bf16, i8, n);
+    EXPECT_EQ(0, std::memcmp(got_dots, want_dots, sizeof(want_dots)));
+    for (size_t r = 0; r < want32.size(); ++r) {
+      const std::string row = "fp32 " + std::to_string(r);
+      ExpectSameBits32(got32[r], want32[r], row.c_str());
+    }
+    for (size_t r = 0; r < want64.size(); ++r) {
+      const std::string row = "fp64 " + std::to_string(r);
+      ExpectSameBits(got64[r], want64[r], row.c_str());
+    }
+  }
+}
+
 // --- CRC32C ------------------------------------------------------------------
 //
 // Crc32c runs the SSE4.2 kernel where the CPU has it; these cases compare it

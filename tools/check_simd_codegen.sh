@@ -4,10 +4,11 @@
 # every hot multi-versioned caller contains packed 256-bit arithmetic on ymm
 # registers — fp32 v{mul,add,sub}ps for the SGNS trainer (TrainSentenceShard,
 # MergeShardUpdates, ShardDeltas), fp64 v{mul,add}pd for the featurize
-# gather and the dense LA of MF Fit (the block Gram-Schmidt projection and
-# update, its in-block MGS, the Householder tridiagonalization, the QL
-# rotation pass, the dense and CSR matmul helpers) — and unless the SSE4.2 CRC32C kernel
-# (Crc32cSse42, src/common/io.cc) contains the 64-bit crc32q instruction.
+# gather, Embedding::DequantizeRow and the dense LA of MF Fit (the block
+# Gram-Schmidt projection and update, its in-block MGS, the Householder
+# tridiagonalization, the QL rotation pass, the dense and CSR matmul
+# helpers) — and unless the SSE4.2 CRC32C kernel (Crc32cSse42,
+# src/common/io.cc) contains the 64-bit crc32q instruction.
 # A kernel that silently falls back to scalar code inside the clone (or to
 # the wrong precision), or a CRC kernel that falls back to bytewise or table
 # code, still passes every value test, so only the instructions themselves
@@ -17,6 +18,13 @@
 # (vfmadd/vfmsub/vfnmadd/vfnmsub): the kernels' bit-exactness contract rounds
 # every mul and add separately, and a clone compiled with fma enabled would
 # contract them and change the bits.
+#
+# And it fails if any guarded avx2 clone stores a lane group in 16-byte
+# halves — a vmovups/vmovupd/vmovdqu of an xmm register to memory, or a
+# vextractf128 of a ymm upper half to memory. The kernels re-read the rows
+# they just wrote with 32-byte loads, and a load that spans two 16-byte
+# stores cannot be forwarded from them: every such store is a
+# store-forwarding stall on the next pass over the row.
 #
 #   tools/check_simd_codegen.sh [BUILD_DIR]     (default: build)
 set -euo pipefail
@@ -32,7 +40,7 @@ fi
 objdump -d -C --no-show-raw-insn "${libs[@]}" | awk '
 BEGIN {
   n = split("TrainSentenceShard MergeShardUpdates ShardDeltas " \
-            "GatherChunkF64 GatherChunkBf16 GatherChunkI8 " \
+            "GatherChunkF64 GatherChunkBf16 GatherChunkI8 DequantizeRow " \
             "BlockProject BlockUpdate PanelMgs Tridiagonalize TridiagonalQl " \
             "MatMulRows MatTMulRows " \
             "MultiplyRows ScatterRows", want, " ")
@@ -54,6 +62,15 @@ BEGIN {
 cur != "" && is_f32[cur] && /v(mul|add|sub)ps[ \t].*%ymm/ { packed[cur]++ }
 cur != "" && !is_f32[cur] && /v(mul|add)pd[ \t].*%ymm/ { packed[cur]++ }
 cur != "" && /[ \t]vf(n)?m(add|sub)/ { fma[cur]++ }
+# Vector stores to a row: an unaligned move (GCC lowers the memcpy of a
+# lane group to vmovups/vmovupd, or to vmovdqu) or an upper-half extract,
+# with a memory destination that is not the stack (register spills around
+# calls are xmm moves to (%rsp)).
+cur != "" && /[ \t](vmovup[sd]|vmovdqu)[ \t]+%ymm[0-9]+,[^%]/ { full[cur]++ }
+cur != "" && !/\(%rsp/ && /[ \t](vmovup[sd]|vmovdqu)[ \t]+%xmm[0-9]+,[^%]/ {
+  half[cur]++
+}
+cur != "" && /[ \t]vextract[fi]128[ \t]+\$0x1,%ymm[0-9]+,[^%]/ { half[cur]++ }
 in_crc && /[ \t]crc32q[ \t]/ { crc32q++ }
 END {
   bad = 0
@@ -72,11 +89,15 @@ END {
     } else if (fma[f] > 0) {
       printf "FAIL %-20s avx2 clone has %d fused multiply-add(s)\n", f, fma[f]
       bad = 1
+    } else if (half[f] > 0) {
+      printf "FAIL %-20s avx2 clone has %d 16-byte vector store(s)\n", f, half[f]
+      bad = 1
     } else if (packed[f] == 0) {
       printf "FAIL %-20s avx2 clone has no packed ymm %s\n", f, ops
       bad = 1
     } else {
-      printf "ok   %-20s avx2 clone: %d packed ymm %s\n", f, packed[f], ops
+      printf "ok   %-20s avx2 clone: %d packed ymm %s, %d ymm stores\n", f,
+             packed[f], ops, full[f]
     }
   }
   exit bad
