@@ -393,8 +393,10 @@ BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(16384 + 26)->Arg(8 << 20);
 
 // ---------------------------------------------------------------------------
 // Word2VecThroughput: skip-gram training tokens/sec over a fixed walk corpus
-// under the sharded SGNS schedule. Arguments: the corpus and the worker
-// count; items_per_second is corpus tokens per epoch-pass per second. Two
+// under the sharded SGNS schedule. Arguments: the corpus, the embedding dim
+// (64 is RW Fit's; the update phase and RecoverFromLog train at 32, where
+// the per-pair cost outweighs the per-lane cost) and the worker count;
+// items_per_second is corpus tokens per epoch-pass per second. Two
 // corpora straddle the schedule's small-corpus trade-off: fit_shaped:0 is one
 // 20-step walk per node (~3k sentences, too few shards per epoch for
 // multi-shard rounds), fit_shaped:1 is Fit's walk shape (6 walks of 30
@@ -428,9 +430,9 @@ W2VFixture& GetW2VFixture(bool fit_shaped) {
 void BM_Word2VecThroughput(benchmark::State& state) {
   W2VFixture& w = GetW2VFixture(state.range(0) != 0);
   Word2VecOptions options;
-  options.dim = 64;
+  options.dim = static_cast<size_t>(state.range(1));
   options.epochs = 1;
-  options.threads = static_cast<size_t>(state.range(1));
+  options.threads = static_cast<size_t>(state.range(2));
   for (auto _ : state) {
     Word2Vec model(options);
     Rng rng(12);
@@ -442,8 +444,8 @@ void BM_Word2VecThroughput(benchmark::State& state) {
 // Wall time: the pool's workers do most of the work at threads > 1, which the
 // calling thread's CPU clock would not count.
 BENCHMARK(BM_Word2VecThroughput)
-    ->ArgNames({"fit_shaped", "threads"})
-    ->ArgsProduct({{0, 1}, {1, 2, 4, 8}})
+    ->ArgNames({"fit_shaped", "dim", "threads"})
+    ->ArgsProduct({{0, 1}, {32, 64}, {1, 2, 4, 8}})
     ->UseRealTime();
 
 }  // namespace

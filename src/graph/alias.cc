@@ -64,9 +64,4 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   }
 }
 
-uint32_t AliasTable::Sample(Rng* rng) const {
-  const uint32_t i = static_cast<uint32_t>(rng->UniformInt(prob_.size()));
-  return rng->Uniform() < prob_[i] ? i : alias_[i];
-}
-
 }  // namespace leva

@@ -310,6 +310,31 @@ bool TridiagonalQl(Matrix* ut, double* d, double* e) {
   return true;
 }
 
+// Fixes the sign of every column of `m`: a column whose largest-magnitude
+// entry (the lowest-index one on a tie) is negative is negated, which is
+// exact. An eigenvector or singular vector is defined only up to sign; this
+// makes the sign a function of the vector's values, not of the solver's
+// rotation sequence. Two row-major passes: find each column's pivot, then
+// negate.
+void FixColumnSigns(Matrix* m) {
+  const size_t rows = m->rows();
+  const size_t cols = m->cols();
+  if (rows == 0) return;
+  std::vector<double> pivot(m->RowPtr(0), m->RowPtr(0) + cols);
+  for (size_t i = 1; i < rows; ++i) {
+    const double* row = m->RowPtr(i);
+    for (size_t j = 0; j < cols; ++j) {
+      if (std::fabs(row[j]) > std::fabs(pivot[j])) pivot[j] = row[j];
+    }
+  }
+  for (size_t i = 0; i < rows; ++i) {
+    double* row = m->RowPtr(i);
+    for (size_t j = 0; j < cols; ++j) {
+      if (pivot[j] < 0.0) row[j] = -row[j];
+    }
+  }
+}
+
 }  // namespace
 
 // Householder tridiagonalization plus implicit QL, with the eigenvectors
@@ -341,6 +366,7 @@ Result<EigenResult> SymmetricEigen(const Matrix& a) {
       result.eigenvectors(i, j) = vt(order[j], i);
     }
   }
+  FixColumnSigns(&result.eigenvectors);
   return result;
 }
 
@@ -379,6 +405,7 @@ Result<SvdResult> RandomizedSVD(const SparseMatrix& a,
     for (size_t j = 0; j < rank; ++j) ub(i, j) = eig.eigenvectors(i, j);
   }
   out.u = MatMul(q, ub, threads);
+  FixColumnSigns(&out.u);
   return out;
 }
 

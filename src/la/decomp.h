@@ -23,7 +23,9 @@ Matrix GramSchmidtQ(Matrix a);
 /// Eigendecomposition of a symmetric matrix (only its upper triangle is
 /// read) by Householder tridiagonalization plus implicit QL (EISPACK
 /// tred2/tql2). Eigenvalues are returned in descending order with matching
-/// eigenvector columns. Fails if the QL iteration does not converge.
+/// eigenvector columns, each signed so that its largest-magnitude entry (the
+/// lowest-index one on a tie) is positive. Fails if the QL iteration does not
+/// converge.
 struct EigenResult {
   std::vector<double> eigenvalues;
   Matrix eigenvectors;  // columns are eigenvectors
@@ -42,6 +44,7 @@ struct SvdResult {
 /// 2010): range finding with a Gaussian sketch, `power_iterations` rounds of
 /// subspace iteration, then an exact factorization in the reduced space: the
 /// eigendecomposition of BBᵀ (B = QᵀA), whose eigenvectors rotate Q into U.
+/// Each column of U is signed as SymmetricEigen signs its eigenvectors.
 /// O(d²N) given nnz = O(N).
 struct RandomizedSvdOptions {
   size_t rank = 100;

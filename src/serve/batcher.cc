@@ -108,13 +108,22 @@ void RequestBatcher::DispatchLoop() {
 
 void RequestBatcher::ExecuteBatch(std::vector<FeaturizeJob> batch,
                                   size_t total_rows) {
-  // Coalesce: a singleton batch executes on its own table (no copy); a
-  // coalesced one moves every job's cells into one concatenated table.
-  Table combined;
+  // Each job's row count, read before its table moves into the executor.
+  std::vector<size_t> row_counts;
+  row_counts.reserve(batch.size());
+  for (const FeaturizeJob& job : batch) {
+    row_counts.push_back(job.request.rows.NumRows());
+  }
+  // Coalesce: a singleton batch executes on its own table; a coalesced one
+  // moves every job's cells into one concatenated table. Either way the
+  // table moves into the executor, which takes it by value: no cell is
+  // copied.
   const FeaturizeJob& first = batch.front();
-  const Table* exec_table = &first.request.rows;
-  if (batch.size() > 1) {
-    combined.set_name(first.request.rows.name());
+  Table exec_table;
+  if (batch.size() == 1) {
+    exec_table = std::move(batch.front().request.rows);
+  } else {
+    exec_table.set_name(first.request.rows.name());
     for (size_t c = 0; c < first.request.rows.NumColumns(); ++c) {
       Column col;
       col.name = first.request.rows.column(c).name;
@@ -124,14 +133,14 @@ void RequestBatcher::ExecuteBatch(std::vector<FeaturizeJob> batch,
         auto& src = job.request.rows.mutable_column(c).values;
         for (Value& v : src) col.values.push_back(std::move(v));
       }
-      (void)combined.AddColumn(std::move(col));
+      (void)exec_table.AddColumn(std::move(col));
     }
-    exec_table = &combined;
   }
 
   WallTimer exec_timer;
-  Result<MLDataset> result = executor_(*exec_table, first.request.target_column,
-                                       first.request.rows_in_graph);
+  Result<MLDataset> result =
+      executor_(std::move(exec_table), first.request.target_column,
+                first.request.rows_in_graph);
   const double exec_seconds = exec_timer.ElapsedSeconds();
   const auto done = std::chrono::steady_clock::now();
 
@@ -144,8 +153,9 @@ void RequestBatcher::ExecuteBatch(std::vector<FeaturizeJob> batch,
   std::vector<Completion> completions;
   completions.reserve(batch.size());
   size_t row_offset = 0;
-  for (const FeaturizeJob& job : batch) {
-    const size_t job_rows = job.request.rows.NumRows();
+  for (size_t b = 0; b < batch.size(); ++b) {
+    const FeaturizeJob& job = batch[b];
+    const size_t job_rows = row_counts[b];
     Completion c;
     c.conn_id = job.conn_id;
     c.request_id = job.request.request_id;

@@ -503,29 +503,71 @@ void ExpectGoodEigen(const Matrix& a, const std::string& name) {
   for (size_t c = 0; c < n; ++c) EXPECT_FALSE(IsZeroColumn(v, c));
 }
 
-TEST(FactorizationTest, SymmetricEigenAgainstJacobi) {
+// The symmetric matrices both eigen cases below run on: tiny, zero,
+// diagonal with a repeated entry, repeated and clustered spectra, and a
+// 74 x 74 Gram matrix (the MF sketch width of the small benches).
+std::vector<std::pair<std::string, Matrix>> EigenCases() {
   Rng rng(503);
+  std::vector<std::pair<std::string, Matrix>> cases;
   Matrix one(1, 1);
   one(0, 0) = -2.5;
-  ExpectGoodEigen(one, "n=1");
+  cases.emplace_back("n=1", one);
   Matrix two(2, 2);
   two(0, 0) = 2.0;
   two(0, 1) = two(1, 0) = 1.0;
   two(1, 1) = -1.0;
-  ExpectGoodEigen(two, "n=2");
-  ExpectGoodEigen(Matrix(5, 5), "zero matrix");
+  cases.emplace_back("n=2", two);
+  cases.emplace_back("zero matrix", Matrix(5, 5));
   Matrix diag(6, 6);
   const double entries[] = {1.0, -3.0, 7.0, 0.0, 7.0, 2.5};
   for (size_t i = 0; i < 6; ++i) diag(i, i) = entries[i];
-  ExpectGoodEigen(diag, "diagonal");
-  ExpectGoodEigen(WithSpectrum({3, 3, 3, 1, 1, -2, 0, 0}, &rng), "repeated");
+  cases.emplace_back("diagonal", diag);
+  cases.emplace_back("repeated",
+                     WithSpectrum({3, 3, 3, 1, 1, -2, 0, 0}, &rng));
   std::vector<double> clustered;
   for (size_t i = 0; i < 12; ++i) clustered.push_back(1.0 + 1e-10 * i);
   clustered.push_back(5.0);
   clustered.push_back(-1.0);
-  ExpectGoodEigen(WithSpectrum(clustered, &rng), "clustered");
+  cases.emplace_back("clustered", WithSpectrum(clustered, &rng));
   const Matrix b = Matrix::GaussianRandom(3500, 74, &rng);
-  ExpectGoodEigen(MatTMul(b, b), "Gram of 3500 x 74");
+  cases.emplace_back("Gram of 3500 x 74", MatTMul(b, b));
+  return cases;
+}
+
+TEST(FactorizationTest, SymmetricEigenAgainstJacobi) {
+  for (const auto& [name, a] : EigenCases()) ExpectGoodEigen(a, name);
+}
+
+// Both solvers sign each eigenvector so that its largest-magnitude entry is
+// positive, so where an eigenvalue is simple (its eigenvector unique up to
+// sign) QL and Jacobi return the same vector, not only the same line.
+// Columns of a repeated or clustered eigenvalue span a subspace that either
+// solver may rotate freely; they are skipped.
+TEST(FactorizationTest, EigenvectorSignsMatchJacobi) {
+  size_t compared = 0;
+  for (const auto& [name, a] : EigenCases()) {
+    SCOPED_TRACE(name);
+    const auto got = SymmetricEigen(a);
+    const auto oracle = JacobiSymmetricEigen(a, 50, 0.0);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(oracle.ok());
+    const std::vector<double>& values = oracle->eigenvalues;
+    const size_t n = values.size();
+    double norm = 1.0;
+    for (const double l : values) norm = std::max(norm, std::fabs(l));
+    for (size_t j = 0; j < n; ++j) {
+      const bool simple =
+          (j == 0 || values[j - 1] - values[j] > 1e-6 * norm) &&
+          (j + 1 == n || values[j] - values[j + 1] > 1e-6 * norm);
+      if (!simple) continue;
+      ++compared;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_NEAR(got->eigenvectors(i, j), oracle->eigenvectors(i, j), 1e-10)
+            << "eigenvector " << j << " entry " << i;
+      }
+    }
+  }
+  EXPECT_GT(compared, 74u);
 }
 
 // ---------------------------------------------------------------------------

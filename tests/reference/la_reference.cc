@@ -8,6 +8,20 @@
 namespace leva {
 namespace {
 
+// The sign convention SymmetricEigen and RandomizedSVD promise, one column
+// at a time: negate column j when its largest-magnitude entry (the first on
+// a tie) is negative.
+void SignColumns(Matrix* m) {
+  for (size_t j = 0; j < m->cols(); ++j) {
+    size_t pivot = 0;
+    for (size_t i = 1; i < m->rows(); ++i) {
+      if (std::fabs((*m)(i, j)) > std::fabs((*m)(pivot, j))) pivot = i;
+    }
+    if (m->rows() == 0 || !((*m)(pivot, j) < 0.0)) continue;
+    for (size_t i = 0; i < m->rows(); ++i) (*m)(i, j) = -(*m)(i, j);
+  }
+}
+
 // Column dot product helpers on row-major matrices.
 double ColDot(const Matrix& m, size_t c1, size_t c2) {
   double sum = 0;
@@ -156,6 +170,7 @@ Result<EigenResult> JacobiSymmetricEigen(const Matrix& a, size_t max_sweeps,
       result.eigenvectors(i, j) = v(i, order[j]);
     }
   }
+  SignColumns(&result.eigenvectors);
   return result;
 }
 
@@ -347,6 +362,7 @@ Result<EigenResult> ReferenceSymmetricEigen(const Matrix& a) {
     result.eigenvalues[j] = d[order[j]];
     for (size_t i = 0; i < n; ++i) result.eigenvectors(i, j) = u(order[j], i);
   }
+  SignColumns(&result.eigenvectors);
   return result;
 }
 
@@ -481,6 +497,7 @@ Result<SvdResult> ReferenceRandomizedSVD(const SparseMatrix& a,
     for (size_t j = 0; j < rank; ++j) ub(i, j) = small.v(i, j);
   }
   out.u = ReferenceMatMul(q, ub);
+  SignColumns(&out.u);
   return out;
 }
 

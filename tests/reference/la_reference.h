@@ -39,7 +39,8 @@ Result<EigenResult> ReferenceSymmetricEigen(const Matrix& a);
 /// column.
 Matrix MgsGramSchmidtQ(const Matrix& a);
 
-/// Quality oracle: cyclic Jacobi eigendecomposition, eigenvalues descending.
+/// Quality oracle: cyclic Jacobi eigendecomposition, eigenvalues descending,
+/// eigenvectors signed as SymmetricEigen signs them.
 Result<EigenResult> JacobiSymmetricEigen(const Matrix& a,
                                          size_t max_sweeps = 30,
                                          double tol = 1e-12);

@@ -181,6 +181,120 @@ void ExpectSameBits(const std::vector<double>& got,
 
 constexpr size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 31, 63, 64, 65};
 
+// Eight accumulators over j % 8 for the whole groups of eight, summed
+// pairwise, then the tail in order: the order both Dots (fp32 and fp64)
+// promise, written out independently of the lane kernels.
+template <typename T>
+T EightAccumulatorDot(const T* a, const T* b, size_t n) {
+  T s0 = 0, s1 = 0, s2 = 0, s3 = 0, s4 = 0, s5 = 0, s6 = 0, s7 = 0;
+  const size_t whole = n - n % 8;
+  for (size_t j = 0; j < whole; j += 8) {
+    s0 += a[j] * b[j];
+    s1 += a[j + 1] * b[j + 1];
+    s2 += a[j + 2] * b[j + 2];
+    s3 += a[j + 3] * b[j + 3];
+    s4 += a[j + 4] * b[j + 4];
+    s5 += a[j + 5] * b[j + 5];
+    s6 += a[j + 6] * b[j + 6];
+    s7 += a[j + 7] * b[j + 7];
+  }
+  T dot = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
+  for (size_t j = whole; j < n; ++j) dot += a[j] * b[j];
+  return dot;
+}
+
+// --- skip-gram pair kernels --------------------------------------------------
+//
+// PairDots and PairUpdate take a center row and nt target rows: one
+// skip-gram pair's positive context and negatives. Target counts cover one
+// block of the dot kernel (1, 4, 6, 8) and two (9, 16); every row is an
+// fp32 row one element into its own allocation.
+
+constexpr size_t kPairTargets[] = {1, 4, 6, 8, 9, 16};
+
+struct PairRows {
+  std::vector<std::vector<float>> rows;  // [0] center, [1 .. nt] targets
+  std::vector<float> coefs;
+  std::vector<float> dots;
+  size_t n;
+
+  PairRows(size_t n, size_t nt, uint64_t seed)
+      : rows(nt + 1, std::vector<float>(n + 1)), dots(nt), n(n) {
+    Rng r(seed);
+    for (auto& row : rows) {
+      for (float& v : row) v = static_cast<float>(r.Uniform(-2.0, 2.0));
+    }
+    for (size_t t = 0; t < nt; ++t) {
+      coefs.push_back(static_cast<float>(r.Uniform(-0.1, 0.1)));
+    }
+  }
+  size_t nt() const { return rows.size() - 1; }
+  float* center() { return rows[0].data() + 1; }
+  std::vector<float*> targets() {
+    std::vector<float*> t;
+    for (size_t i = 1; i < rows.size(); ++i) t.push_back(rows[i].data() + 1);
+    return t;
+  }
+};
+
+LEVA_ALWAYS_INLINE void PairKernels(PairRows* p) {
+  const std::vector<float*> targets = p->targets();
+  simd::PairDots(p->center(), targets.data(), p->nt(), p->dots.data(), p->n);
+  simd::PairUpdate(p->center(), targets.data(), p->coefs.data(), p->nt(),
+                   p->n);
+}
+
+void PairKernelsPlain(PairRows* p) { PairKernels(p); }
+
+LEVA_TARGET_CLONES
+void PairKernelsCloned(PairRows* p) { PairKernels(p); }
+
+// The scalar loops the two kernels stand for: every target's Dot in its
+// promised order, then per element the gradient built target by target
+// (SkipGramInit's `+ 0.0f` first, SkipGramAccum's adds after), each target
+// stepped along the center, and the gradient added to the center.
+void PairKernelsScalar(PairRows* p) {
+  const std::vector<float*> t = p->targets();
+  float* c = p->center();
+  for (size_t k = 0; k < p->nt(); ++k) {
+    p->dots[k] = EightAccumulatorDot(c, t[k], p->n);
+  }
+  for (size_t j = 0; j < p->n; ++j) {
+    float grad = p->coefs[0] * t[0][j] + 0.0f;
+    t[0][j] += p->coefs[0] * c[j];
+    for (size_t k = 1; k < p->nt(); ++k) {
+      grad += p->coefs[k] * t[k][j];
+      t[k][j] += p->coefs[k] * c[j];
+    }
+    c[j] += grad;
+  }
+}
+
+void ExpectSameBits32(const std::vector<float>& got,
+                      const std::vector<float>& want, const char* row) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+      << "row " << row;
+}
+
+void ExpectPairKernelsMatchScalar(size_t n) {
+  for (const size_t nt : kPairTargets) {
+    for (const bool cloned : {false, true}) {
+      SCOPED_TRACE("pair kernels n=" + std::to_string(n) +
+                   " targets=" + std::to_string(nt) +
+                   (cloned ? " cloned" : " plain"));
+      PairRows want(n, nt, 9000 + 100 * n + nt);
+      PairRows got = want;
+      PairKernelsScalar(&want);
+      (cloned ? PairKernelsCloned : PairKernelsPlain)(&got);
+      ExpectSameBits32(got.dots, want.dots, "dots");
+      for (size_t r = 0; r < want.rows.size(); ++r) {
+        ExpectSameBits32(got.rows[r], want.rows[r], std::to_string(r).c_str());
+      }
+    }
+  }
+}
+
 TEST(SimdTest, KernelsMatchScalarLoopsAtEveryLength) {
   for (const Kernel k : kKernels) {
     for (const size_t n : kLengths) {
@@ -199,6 +313,7 @@ TEST(SimdTest, KernelsMatchScalarLoopsAtEveryLength) {
       }
     }
   }
+  for (const size_t n : {1, 7, 8, 9, 63, 64, 65}) ExpectPairKernelsMatchScalar(n);
 }
 
 // The bf16 and int8 loads must be exact widenings: a dequantized row equals
@@ -230,28 +345,6 @@ double DotPlain(const double* a, const double* b, size_t n) {
 LEVA_TARGET_CLONES
 double DotCloned(const double* a, const double* b, size_t n) {
   return simd::Dot(a, b, n);
-}
-
-// Eight accumulators over j % 8 for the whole groups of eight, summed
-// pairwise, then the tail in order: the order both Dots (fp32 and fp64)
-// promise, written out independently of the lane kernels.
-template <typename T>
-T EightAccumulatorDot(const T* a, const T* b, size_t n) {
-  T s0 = 0, s1 = 0, s2 = 0, s3 = 0, s4 = 0, s5 = 0, s6 = 0, s7 = 0;
-  const size_t whole = n - n % 8;
-  for (size_t j = 0; j < whole; j += 8) {
-    s0 += a[j] * b[j];
-    s1 += a[j + 1] * b[j + 1];
-    s2 += a[j + 2] * b[j + 2];
-    s3 += a[j + 3] * b[j + 3];
-    s4 += a[j + 4] * b[j + 4];
-    s5 += a[j + 5] * b[j + 5];
-    s6 += a[j + 6] * b[j + 6];
-    s7 += a[j + 7] * b[j + 7];
-  }
-  T dot = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
-  for (size_t j = whole; j < n; ++j) dot += a[j] * b[j];
-  return dot;
 }
 
 // The fp64 Dot (GramSchmidtQ, SymmetricEigen) follows the eight-lane order
@@ -396,13 +489,6 @@ struct Rows32 {
   }
 };
 
-void ExpectSameBits32(const std::vector<float>& got,
-                      const std::vector<float>& want, const char* row) {
-  ASSERT_EQ(got.size(), want.size());
-  EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
-      << "row " << row;
-}
-
 TEST(SimdTest, F32KernelsMatchScalarLoopsAtEveryLength) {
   for (const Kernel32 k : kKernels32) {
     for (const size_t n : Lengths32()) {
@@ -466,7 +552,8 @@ TEST(SimdTest, SkipGramInitNormalizesNegativeZero) {
 // The hot loops re-read rows a kernel has just written: a skip-gram pair
 // writes the gradient (SkipGramInit, then SkipGramAccum per negative), adds
 // it to the center row (VecAdd), and the next pair's Dot reads that center
-// row; the featurize gather adds source row after source row into one
+// row; a fused pair (PairDots, then PairUpdate) writes the center and target
+// rows the next pair's PairDots reads; the featurize gather adds source row after source row into one
 // accumulator before MeanStore drains it. Each chain must match the scalar
 // sequence bit for bit, every store landing whole before the next load.
 
@@ -512,6 +599,25 @@ LEVA_ALWAYS_INLINE void SkipGramChain(std::vector<std::vector<float>>* rows,
   }
 }
 
+// The same pairs through the fused kernels, as the trainer runs a pair whose
+// targets are distinct: all dots in one pass (PairDots), then every update
+// in one more (PairUpdate). pair_dots receives every dot of every pair.
+LEVA_ALWAYS_INLINE void PairChain(std::vector<std::vector<float>>* rows,
+                                  float* pair_dots, size_t n) {
+  float* center = (*rows)[0].data() + 1;
+  float* targets[kChainTargets];
+  for (size_t t = 0; t < kChainTargets; ++t) {
+    targets[t] = (*rows)[1 + t].data() + 1;
+  }
+  for (size_t p = 0; p < kChainPairs; ++p) {
+    float* dots = pair_dots + p * kChainTargets;
+    simd::PairDots(center, targets, kChainTargets, dots, n);
+    float coefs[kChainTargets];
+    for (size_t t = 0; t < kChainTargets; ++t) coefs[t] = ChainCoef(dots[t], t);
+    simd::PairUpdate(center, targets, coefs, kChainTargets, n);
+  }
+}
+
 // rows[0] is the accumulator, rows[1 ..] the fp64 sources, rows.back() the
 // mean's output row; bf16 and i8 are one more source each.
 LEVA_ALWAYS_INLINE void GatherChain(std::vector<std::vector<double>>* rows,
@@ -530,16 +636,19 @@ LEVA_ALWAYS_INLINE void GatherChain(std::vector<std::vector<double>>* rows,
 
 LEVA_TARGET_CLONES
 void ChainsCloned(std::vector<std::vector<float>>* f32, float* dots,
-                  std::vector<std::vector<double>>* f64, const uint16_t* bf16,
-                  const int8_t* i8, size_t n) {
+                  float* pair_dots, std::vector<std::vector<double>>* f64,
+                  const uint16_t* bf16, const int8_t* i8, size_t n) {
   SkipGramChain(f32, dots, n);
+  PairChain(f32, pair_dots, n);
   GatherChain(f64, bf16, i8, n);
 }
 
 // The same sequences as scalar loops, with the Dot in its promised order.
+// A fused pair computes every dot before its first update, so its scalar
+// form does too.
 void ChainsScalar(std::vector<std::vector<float>>* f32, float* dots,
-                  std::vector<std::vector<double>>* f64, const uint16_t* bf16,
-                  const int8_t* i8, size_t n) {
+                  float* pair_dots, std::vector<std::vector<double>>* f64,
+                  const uint16_t* bf16, const int8_t* i8, size_t n) {
   float* center = (*f32)[0].data() + 1;
   float* grad = f32->back().data() + 1;
   for (size_t p = 0; p < kChainPairs; ++p) {
@@ -553,6 +662,24 @@ void ChainsScalar(std::vector<std::vector<float>>* f32, float* dots,
     }
     for (size_t j = 0; j < n; ++j) center[j] += grad[j];
     dots[p] = EightAccumulatorDot(center, (*f32)[1].data() + 1, n);
+  }
+  for (size_t p = 0; p < kChainPairs; ++p) {
+    float g[kChainTargets];
+    for (size_t t = 0; t < kChainTargets; ++t) {
+      float* target = (*f32)[1 + t].data() + 1;
+      pair_dots[p * kChainTargets + t] = EightAccumulatorDot(center, target, n);
+      g[t] = ChainCoef(pair_dots[p * kChainTargets + t], t);
+    }
+    // The gradient lives in a register: the gradient row is not written.
+    for (size_t j = 0; j < n; ++j) {
+      float gj = 0.0f;
+      for (size_t t = 0; t < kChainTargets; ++t) {
+        float* target = (*f32)[1 + t].data() + 1;
+        gj = t == 0 ? g[t] * target[j] + 0.0f : gj + g[t] * target[j];
+        target[j] += g[t] * center[j];
+      }
+      center[j] += gj;
+    }
   }
   double* acc = (*f64)[0].data() + 1;
   for (size_t s = 1; s + 1 < f64->size(); ++s) {
@@ -580,9 +707,13 @@ TEST(SimdTest, ChainedKernelsMatchScalarSequence) {
     auto got32 = want32;
     auto got64 = want64;
     float want_dots[kChainPairs], got_dots[kChainPairs];
-    ChainsScalar(&want32, want_dots, &want64, bf16, i8, n);
-    ChainsCloned(&got32, got_dots, &got64, bf16, i8, n);
+    float want_pair_dots[kChainPairs * kChainTargets];
+    float got_pair_dots[kChainPairs * kChainTargets];
+    ChainsScalar(&want32, want_dots, want_pair_dots, &want64, bf16, i8, n);
+    ChainsCloned(&got32, got_dots, got_pair_dots, &got64, bf16, i8, n);
     EXPECT_EQ(0, std::memcmp(got_dots, want_dots, sizeof(want_dots)));
+    EXPECT_EQ(0, std::memcmp(got_pair_dots, want_pair_dots,
+                             sizeof(want_pair_dots)));
     for (size_t r = 0; r < want32.size(); ++r) {
       const std::string row = "fp32 " + std::to_string(r);
       ExpectSameBits32(got32[r], want32[r], row.c_str());

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -88,7 +89,11 @@ TEST(FlatCorpusTest, FlattenMatchesNested) {
 // negatives repeat (the kernel's serial fallback), negative >= 16 (the
 // oversized-batch fallback), an odd dim, and a vocabulary large enough that
 // the shard size follows the token-type count instead of its 64-sentence
-// floor, still with four-shard rounds.
+// floor, still with four-shard rounds. The production shapes follow: dims 32
+// and 64 (the update phase's and RW Fit's), 72 (an odd count of whole 8-lane
+// groups) and 75 (lane groups plus a 3-element tail), each at negative 3, 5,
+// 7 and 9, so the pair dot kernel runs 4, 6 and 8 targets in one block and
+// more than 8 in two.
 TEST(Word2VecTest, DeterministicMatchesReferenceBitwise) {
   Word2VecOptions options;
   options.dim = 12;
@@ -118,6 +123,20 @@ TEST(Word2VecTest, DeterministicMatchesReferenceBitwise) {
   wide_vocab.epochs = 1;
   ExpectDeterministicMatchesReference(Flatten(RandomCorpus(20000, 8, 150, 12)),
                                       150, wide_vocab, 41);
+
+  const FlatCorpus shaped = Flatten(RandomCorpus(3000, 8, 100, 13));
+  for (const size_t dim : {32, 64, 72, 75}) {
+    for (const size_t negative : {3, 5, 7, 9}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) +
+                   " negative=" + std::to_string(negative));
+      Word2VecOptions production = options;
+      production.dim = dim;
+      production.negative = negative;
+      production.epochs = 1;
+      ExpectDeterministicMatchesReference(shaped, 100, production,
+                                          dim + negative);
+    }
+  }
 }
 
 // Training is a pure function of the seed at any thread count. 9000

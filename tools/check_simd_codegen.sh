@@ -26,6 +26,14 @@
 # stores cannot be forwarded from them: every such store is a
 # store-forwarding stall on the next pass over the row.
 #
+# It fails if the quantized-tier clones (GatherChunkBf16, GatherChunkI8,
+# Embedding::DequantizeRow) contain a vinsertf128: each bf16 or int8 lane
+# group must widen to fp64 with one ymm-destination convert, not two xmm
+# converts joined by an insert. And it fails if a guarded avx2 clone calls a
+# simd.h kernel out of line (the call would run baseline-ISA code), or if
+# TrainSentenceShard calls AliasTable::Sample out of line: the five negative
+# draws of every skip-gram pair are meant to be inline.
+#
 #   tools/check_simd_codegen.sh [BUILD_DIR]     (default: build)
 set -euo pipefail
 
@@ -37,7 +45,7 @@ if [ "${#libs[@]}" -eq 0 ]; then
   exit 2
 fi
 
-objdump -d -C --no-show-raw-insn "${libs[@]}" | awk '
+objdump -dr -C --no-show-raw-insn "${libs[@]}" | awk '
 BEGIN {
   n = split("TrainSentenceShard MergeShardUpdates ShardDeltas " \
             "GatherChunkF64 GatherChunkBf16 GatherChunkI8 DequantizeRow " \
@@ -47,6 +55,8 @@ BEGIN {
   # The SGNS trainer trains on fp32 rows; everything else is fp64.
   split("TrainSentenceShard MergeShardUpdates ShardDeltas", f32, " ")
   for (i in f32) is_f32[f32[i]] = 1
+  split("GatherChunkBf16 GatherChunkI8 DequantizeRow", quant, " ")
+  for (i in quant) is_quant[quant[i]] = 1
 }
 /^[0-9a-f]+ <.*>:$/ {
   cur = ""
@@ -71,6 +81,13 @@ cur != "" && !/\(%rsp/ && /[ \t](vmovup[sd]|vmovdqu)[ \t]+%xmm[0-9]+,[^%]/ {
   half[cur]++
 }
 cur != "" && /[ \t]vextract[fi]128[ \t]+\$0x1,%ymm[0-9]+,[^%]/ { half[cur]++ }
+cur != "" && is_quant[cur] && /[ \t]vinsertf128[ \t]/ { insert[cur]++ }
+# Relocations of the calls a clone makes (objdump -r): a lane kernel, or
+# the negative sampler in the SGNS kernel, that did not inline.
+cur != "" && /R_X86_64_(PLT|PC)32/ && /leva::simd::/ { outline[cur]++ }
+cur == "TrainSentenceShard" && /R_X86_64_(PLT|PC)32/ && /AliasTable::Sample/ {
+  outline[cur]++
+}
 in_crc && /[ \t]crc32q[ \t]/ { crc32q++ }
 END {
   bad = 0
@@ -91,6 +108,13 @@ END {
       bad = 1
     } else if (half[f] > 0) {
       printf "FAIL %-20s avx2 clone has %d 16-byte vector store(s)\n", f, half[f]
+      bad = 1
+    } else if (insert[f] > 0) {
+      printf "FAIL %-20s avx2 clone widens with %d vinsertf128(s)\n", f, insert[f]
+      bad = 1
+    } else if (outline[f] > 0) {
+      printf "FAIL %-20s avx2 clone makes %d out-of-line kernel call(s)\n", f,
+             outline[f]
       bad = 1
     } else if (packed[f] == 0) {
       printf "FAIL %-20s avx2 clone has no packed ymm %s\n", f, ops
