@@ -1,6 +1,7 @@
 #ifndef LEVA_BENCH_BENCH_UTIL_H_
 #define LEVA_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -10,6 +11,37 @@
 #include "common/status.h"
 
 namespace leva::bench {
+
+/// Nearest-rank percentile of an ascending-`sorted` sample: element at index
+/// floor(n * pct / 100), clamped to the last element. pct in [0, 100].
+/// Returns 0 for an empty sample. Shared by the paper-table benches and the
+/// serving load generator.
+inline double Percentile(const std::vector<double>& sorted, size_t pct) {
+  if (sorted.empty()) return 0.0;
+  return sorted[std::min(sorted.size() - 1, sorted.size() * pct / 100)];
+}
+
+/// The standard latency cut of a sample (p50/p90/p95/p99), computed on one
+/// sort of a by-value copy.
+struct LatencySummary {
+  size_t count = 0;
+  double p50 = 0;
+  double p90 = 0;
+  double p95 = 0;
+  double p99 = 0;
+};
+
+inline LatencySummary SummarizeLatencies(std::vector<double> values) {
+  LatencySummary out;
+  out.count = values.size();
+  if (values.empty()) return out;
+  std::sort(values.begin(), values.end());
+  out.p50 = Percentile(values, 50);
+  out.p90 = Percentile(values, 90);
+  out.p95 = Percentile(values, 95);
+  out.p99 = Percentile(values, 99);
+  return out;
+}
 
 /// Aborts with a message on error; benchmark harnesses have no recovery path.
 inline void CheckOk(const Status& status, const char* what) {

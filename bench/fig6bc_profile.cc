@@ -5,6 +5,8 @@
 // factorization) dominates; textification and graph construction are
 // negligible.
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "baselines/experiment.h"
 #include "bench/bench_util.h"
@@ -32,12 +34,20 @@ void Profile(const char* label, EmbeddingMethod method,
                      .status(),
                  "featurize");
 
-  const StageProfile& profile = pipeline.profile();
-  const double total = profile.TotalSeconds();
+  const PipelineMetrics& m = pipeline.metrics();
+  std::vector<std::pair<const char*, double>> stages;
+  for (const auto& [stage, histogram] : m.FitStages()) {
+    if (histogram->count() > 0) {
+      stages.emplace_back(stage, histogram->sum_seconds());
+    }
+  }
+  stages.emplace_back("featurize", m.featurize.sum_seconds());
+  double total = 0;
+  for (const auto& [stage, seconds] : stages) total += seconds;
   std::printf("\n-- %s (total %.3fs) --\n", label, total);
   std::printf("%-24s%-12s%-10s\n", "stage", "seconds", "share");
-  for (const auto& [stage, seconds] : profile.stages()) {
-    std::printf("%-24s%-12.4f%-10.1f%%\n", stage.c_str(), seconds,
+  for (const auto& [stage, seconds] : stages) {
+    std::printf("%-24s%-12.4f%-10.1f%%\n", stage, seconds,
                 total > 0 ? 100.0 * seconds / total : 0.0);
   }
 }

@@ -94,7 +94,10 @@ ModeReport MeasureMode(const std::string& path, const Mode& mode,
 
   const Table* base = ds.db.FindTable(ds.base_table);
   r.featurize_secs = 1e30;
+  const PipelineMetrics& m = p.metrics();
   for (int i = 0; i < kFeaturizeRepeats; ++i) {
+    const uint64_t rows_before = m.featurize_rows.load();
+    const uint64_t occurrences_before = m.token_occurrences.load();
     const auto t0 = std::chrono::steady_clock::now();
     auto features =
         bench::CheckOk(p.Featurize(*base, ds.target_column, encoder,
@@ -106,15 +109,15 @@ ModeReport MeasureMode(const std::string& path, const Mode& mode,
       r.featurize_crc =
           Crc32c(features.x.data().data(),
                  features.x.data().size() * sizeof(double));
+      // Embedding bytes one serving pass read at this tier: one row of
+      // storage per token occurrence gathered, plus one per in-graph row
+      // vector copied out of the store.
+      r.rows = m.featurize_rows.load() - rows_before;
+      r.bytes_touched =
+          (m.token_occurrences.load() - occurrences_before + r.rows) *
+          p.embedding().bytes_per_row();
     }
   }
-  // Embedding bytes the serving pass actually read at this tier: one row of
-  // storage per token occurrence gathered, plus one per in-graph row vector
-  // copied out of the store.
-  const FeaturizeStats& fs = p.featurize_stats();
-  r.bytes_touched = static_cast<uint64_t>(fs.token_occurrences + fs.rows) *
-                    p.embedding().bytes_per_row();
-  r.rows = fs.rows;
   r.rss_after_mib = CurrentRssBytes() / (1024.0 * 1024.0);
   return r;
 }

@@ -283,8 +283,8 @@ int RunLoopbackBench() {
                      config.name, r.errors, r.mismatched, r.ok, kRequests);
         return 1;
       }
-      const serve::LatencySummary lat =
-          serve::SummarizeLatencies(r.latencies);
+      const bench::LatencySummary lat =
+          bench::SummarizeLatencies(r.latencies);
       runs[k].push_back({r.wall_seconds, r.ok / r.wall_seconds,
                          r.ok * kRowsPerRequest / r.wall_seconds,
                          lat.p50 * 1e3, lat.p99 * 1e3, rows_per_batch});
@@ -439,7 +439,7 @@ int ConnectAndDrive(const std::string& host, uint16_t port,
       std::printf("  %-24s %.3f\n", name.c_str(), value);
     }
   }
-  const serve::LatencySummary lat = serve::SummarizeLatencies(r.latencies);
+  const bench::LatencySummary lat = bench::SummarizeLatencies(r.latencies);
   std::printf("%zu ok (byte-identical to the offline featurize), "
               "%zu overloaded, %zu errors, %zu mismatched in %.3fs "
               "(p50 %.3fms, p99 %.3fms)\n",

@@ -10,7 +10,6 @@
 #include "baselines/leva_model.h"
 #include "bench/bench_util.h"
 #include "datagen/datasets.h"
-#include "serve/stats.h"
 
 namespace leva {
 namespace {
@@ -28,7 +27,7 @@ double GroupMedianDistance(const Embedding& emb, const std::string& table,
     }
   }
   std::sort(distances.begin(), distances.end());
-  return serve::Percentile(distances, 50);
+  return bench::Percentile(distances, 50);
 }
 
 void Run() {
@@ -83,8 +82,8 @@ void Run() {
         random.push_back(GroupMedianDistance(emb, "base", rand_rows));
         if (++produced >= kMaxEntities) break;
       }
-      const serve::LatencySummary w = serve::SummarizeLatencies(within);
-      const serve::LatencySummary r = serve::SummarizeLatencies(random);
+      const bench::LatencySummary w = bench::SummarizeLatencies(within);
+      const bench::LatencySummary r = bench::SummarizeLatencies(random);
       const double ratio = r.p50 > 0 ? w.p50 / r.p50 : 0.0;
       std::printf("%-12s%-12s", name.c_str(),
                   method == EmbeddingMethod::kRandomWalk ? "RW" : "MF");

@@ -30,8 +30,11 @@ int main() {
       continue;
     }
     std::printf("Leva-%s  test MAE %.3f   stage profile:", label, *mae);
-    for (const auto& [stage, secs] : model.pipeline().profile().stages()) {
-      std::printf("  %s=%.3fs", stage.c_str(), secs);
+    for (const auto& [stage, histogram] :
+         model.pipeline().metrics().FitStages()) {
+      if (histogram->count() > 0) {
+        std::printf("  %s=%.3fs", stage, histogram->sum_seconds());
+      }
     }
     std::printf("\n");
   }

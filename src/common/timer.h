@@ -2,9 +2,6 @@
 #define LEVA_COMMON_TIMER_H_
 
 #include <chrono>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace leva {
 
@@ -13,9 +10,7 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
-  /// Seconds elapsed since construction or the last Restart().
+  /// Seconds elapsed since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
@@ -25,65 +20,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named stage durations; used to reproduce the pipeline
-/// performance profiles of Fig. 6b/6c.
-class StageProfile {
- public:
-  /// Adds `seconds` to the accumulator for `stage` (created on first use).
-  void Add(const std::string& stage, double seconds) {
-    for (auto& [name, secs] : stages_) {
-      if (name == stage) {
-        secs += seconds;
-        return;
-      }
-    }
-    stages_.emplace_back(stage, seconds);
-  }
-
-  /// Stages in insertion order with accumulated seconds.
-  const std::vector<std::pair<std::string, double>>& stages() const {
-    return stages_;
-  }
-
-  double TotalSeconds() const {
-    double total = 0;
-    for (const auto& [name, secs] : stages_) total += secs;
-    return total;
-  }
-
-  /// Worker threads the profiled run executed with (resolved, never 0), so
-  /// recorded profiles state their parallelism alongside their timings.
-  void set_threads(size_t threads) { threads_ = threads; }
-  size_t threads() const { return threads_; }
-
-  void Clear() {
-    stages_.clear();
-    threads_ = 1;
-  }
-
- private:
-  std::vector<std::pair<std::string, double>> stages_;
-  size_t threads_ = 1;
-};
-
-/// RAII helper: times a scope and adds the result to a StageProfile.
-class ScopedStageTimer {
- public:
-  ScopedStageTimer(StageProfile* profile, std::string stage)
-      : profile_(profile), stage_(std::move(stage)) {}
-  ~ScopedStageTimer() {
-    if (profile_ != nullptr) profile_->Add(stage_, timer_.ElapsedSeconds());
-  }
-
-  ScopedStageTimer(const ScopedStageTimer&) = delete;
-  ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
-
- private:
-  StageProfile* profile_;
-  std::string stage_;
-  WallTimer timer_;
 };
 
 }  // namespace leva

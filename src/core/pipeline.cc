@@ -184,10 +184,9 @@ const LevaPipeline::ServingState& LevaPipeline::state_or_empty() const {
 }
 
 Status LevaPipeline::Fit(const Database& db) {
+  metrics::Span fit_span(&metrics_.fit);
   Rng rng(config_.seed);
-  profile_.Clear();
   const size_t threads = ResolveThreads(config_.threads);
-  profile_.set_threads(threads);
   LEVA_LOG(kDebug, "pipeline threads: %zu (requested %zu)", threads,
            config_.threads);
 
@@ -199,7 +198,7 @@ Status LevaPipeline::Fit(const Database& db) {
   // Stage 1: input & textification.
   std::vector<TextifiedTable> textified;
   {
-    ScopedStageTimer timer(&profile_, "textify");
+    metrics::Span span(&metrics_.textify);
     state->textifier = Textifier(config_.textify);
     LEVA_RETURN_IF_ERROR(state->textifier.Fit(db));
     textified.reserve(db.tables().size());
@@ -211,7 +210,7 @@ Status LevaPipeline::Fit(const Database& db) {
 
   // Stages 2-3: graph construction & refinement (Algorithm 1).
   {
-    ScopedStageTimer timer(&profile_, "graph");
+    metrics::Span span(&metrics_.graph);
     LEVA_ASSIGN_OR_RETURN(
         state->graph,
         BuildGraph(textified, state->textifier.NumAttributes(), config_.graph));
@@ -235,21 +234,21 @@ Status LevaPipeline::Fit(const Database& db) {
   // Stage 4: embedding construction.
   Matrix node_vectors;
   if (chosen == EmbeddingMethod::kMatrixFactorization) {
-    ScopedStageTimer timer(&profile_, "factorization");
+    metrics::Span span(&metrics_.factorization);
     MfOptions mf = config_.mf;
     mf.dim = config_.embedding_dim;
     mf.threads = threads;
     LEVA_ASSIGN_OR_RETURN(node_vectors,
                           MatrixFactorizationEmbed(graph, mf, &rng));
   } else if (chosen == EmbeddingMethod::kLine) {
-    ScopedStageTimer timer(&profile_, "edge_sampling");
+    metrics::Span span(&metrics_.edge_sampling);
     LineOptions line = config_.line;
     line.dim = config_.embedding_dim;
     LEVA_ASSIGN_OR_RETURN(node_vectors, LineEmbed(graph, line, &rng));
   } else {
     FlatCorpus corpus;
     {
-      ScopedStageTimer timer(&profile_, "walk_generation");
+      metrics::Span span(&metrics_.walk_generation);
       WalkOptions walk_options = config_.walks;
       walk_options.weighted = config_.graph.weighted && walk_options.weighted;
       walk_options.threads = threads;
@@ -257,7 +256,7 @@ Status LevaPipeline::Fit(const Database& db) {
       LEVA_ASSIGN_OR_RETURN(corpus, generator.Generate(&rng));
     }
     {
-      ScopedStageTimer timer(&profile_, "embedding_training");
+      metrics::Span span(&metrics_.embedding_training);
       Word2VecOptions w2v = config_.word2vec;
       w2v.dim = config_.embedding_dim;
       w2v.threads = threads;
@@ -269,7 +268,7 @@ Status LevaPipeline::Fit(const Database& db) {
 
   // Store vectors keyed by node label.
   {
-    ScopedStageTimer timer(&profile_, "deploy_index");
+    metrics::Span span(&metrics_.deploy_index);
     state->embedding = Embedding(node_vectors.cols());
     for (NodeId n = 0; n < graph.NumNodes(); ++n) {
       LEVA_RETURN_IF_ERROR(state->embedding.Put(
@@ -386,7 +385,7 @@ Result<MLDataset> LevaPipeline::Featurize(const Table& table,
     return Status::FailedPrecondition("pipeline is not fitted");
   }
   const ServingState& s = *state;
-  WallTimer call_timer;
+  metrics::Span call_span(&metrics_.featurize);
   LEVA_ASSIGN_OR_RETURN(const size_t target_idx,
                         table.ColumnIndex(target_column));
 
@@ -399,9 +398,6 @@ Result<MLDataset> LevaPipeline::Featurize(const Table& table,
       ResolveThreads(serving_threads_.load(std::memory_order_relaxed));
   const size_t batch_opt = serving_batch_.load(std::memory_order_relaxed);
   const size_t batch = batch_opt == 0 ? num_rows : batch_opt;
-
-  FeaturizeStats fs;
-  fs.rows = num_rows;
 
   MLDataset ds;
   ds.classification = encoder.classification();
@@ -457,7 +453,6 @@ Result<MLDataset> LevaPipeline::Featurize(const Table& table,
 
   for (size_t b0 = 0; b0 < num_rows; b0 += batch) {
     const size_t b1 = std::min(num_rows, b0 + batch);
-    ++fs.batches;
 
     // Phase 1 (serialized per model): column-wise textify + per-distinct-
     // token resolution straight down to (embedding row pointer, weight)
@@ -471,14 +466,15 @@ Result<MLDataset> LevaPipeline::Featurize(const Table& table,
       std::lock_guard<std::mutex> lock(s.resolver_mu);
       TokenResolver& resolver = s.resolver;
       resolver.EvictIfAbove(kResolverCacheCap);
-      const TokenResolver::Stats stats_before = resolver.stats();
+      const TokenResolver::Stats before = resolver.stats();
+      uint64_t occurrences = 0;
       for (size_t i = 0; i < token_cols.size(); ++i) {
         LEVA_ASSIGN_OR_RETURN(
             TextifiedColumn tc,
             s.textifier.TransformColumn(table.name(), *token_cols[i], b0, b1));
         cols[i].offsets = std::move(tc.offsets);
         cols[i].occ.reserve(tc.tokens.size() + kPrefetchDist);
-        fs.token_occurrences += tc.tokens.size();
+        occurrences += tc.tokens.size();
         const auto resolved = [&](uint32_t id) -> ResolvedColumn::Occ {
           const TokenResolver::Entry& e = resolver.entry(id);
           if (e.embedding_id == Embedding::kInvalidId) {
@@ -514,12 +510,17 @@ Result<MLDataset> LevaPipeline::Featurize(const Table& table,
         cols[i].occ.resize(cols[i].occ.size() + kPrefetchDist,
                            ResolvedColumn::Occ{nullptr, 0.0, 0.0});
       }
-      // Per-batch deltas of the cache's monotonic lifetime totals: they sum
-      // to the call's cost even across evictions, and stay per-call accurate
-      // because the lock spans the whole resolve phase.
-      fs.distinct_tokens += resolver.stats().distinct - stats_before.distinct;
-      fs.store_lookups +=
-          resolver.stats().store_lookups - stats_before.store_lookups;
+      // Deltas of the cache's monotonic lifetime totals, taken under the
+      // lock: they count this batch alone, even across evictions.
+      const TokenResolver::Stats& after = resolver.stats();
+      constexpr auto kRelaxed = std::memory_order_relaxed;
+      metrics_.featurize_rows.fetch_add(b1 - b0, kRelaxed);
+      metrics_.featurize_batches.fetch_add(1, kRelaxed);
+      metrics_.token_occurrences.fetch_add(occurrences, kRelaxed);
+      metrics_.distinct_tokens.fetch_add(after.distinct - before.distinct,
+                                         kRelaxed);
+      metrics_.store_lookups.fetch_add(
+          after.store_lookups - before.store_lookups, kRelaxed);
     }
 
     // Phase 2 (parallel): blocked gather straight into the dataset matrix.
@@ -551,11 +552,6 @@ Result<MLDataset> LevaPipeline::Featurize(const Table& table,
         }
       }
     });
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    featurize_stats_ = fs;
-    profile_.Add("featurize", call_timer.ElapsedSeconds());
   }
   return ds;
 }

@@ -1,16 +1,18 @@
 #ifndef LEVA_CORE_PIPELINE_H_
 #define LEVA_CORE_PIPELINE_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/io.h"
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/storage.h"
-#include "common/timer.h"
 #include "core/token_resolver.h"
 #include "embed/embedding.h"
 #include "embed/line.h"
@@ -74,17 +76,38 @@ struct LevaConfig {
   StorageTier quantize_tier = StorageTier::kFp64;
 };
 
-/// Counters from the most recent (batched) Featurize call. `store_lookups`
-/// counts hash probes into the embedding/graph stores; it equals
-/// `distinct_tokens` — the tokens newly resolved by this call — and never
-/// `token_occurrences`, the fast path's cost model. On a warm resolver cache
-/// (a repeat Featurize over the same vocabulary) both drop to zero.
-struct FeaturizeStats {
-  size_t rows = 0;
-  size_t batches = 0;
-  size_t token_occurrences = 0;
-  size_t distinct_tokens = 0;
-  size_t store_lookups = 0;
+/// What one LevaPipeline has done since it was constructed (Fig. 6b/6c and
+/// the serving counters). Every field is cumulative and recorded with
+/// relaxed atomics, so concurrent Featurize calls sum into it.
+struct PipelineMetrics {
+  /// Whole Fit calls, then one span per Fit stage: MF factorizes, LINE
+  /// samples edges, RW generates walks and trains on them.
+  metrics::Histogram fit, textify, graph, factorization, edge_sampling,
+      walk_generation, embedding_training, deploy_index;
+  /// Whole Featurize calls, failed ones included.
+  metrics::Histogram featurize;
+  /// Featurize work, counted per batch once its tokens are resolved.
+  /// `store_lookups` (hash probes into the embedding/graph stores) equals
+  /// `distinct_tokens`, the tokens newly resolved; on a warm resolver cache
+  /// both stop growing.
+  std::atomic<uint64_t> featurize_rows{0};
+  std::atomic<uint64_t> featurize_batches{0};
+  std::atomic<uint64_t> token_occurrences{0};
+  std::atomic<uint64_t> distinct_tokens{0};
+  std::atomic<uint64_t> store_lookups{0};
+
+  /// The Fit stages in pipeline order, by their Fig. 6b/6c names; a stage
+  /// the chosen method skips has count() 0.
+  std::array<std::pair<const char*, const metrics::Histogram*>, 7> FitStages()
+      const {
+    return {{{"textify", &textify},
+             {"graph", &graph},
+             {"factorization", &factorization},
+             {"edge_sampling", &edge_sampling},
+             {"walk_generation", &walk_generation},
+             {"embedding_training", &embedding_training},
+             {"deploy_index", &deploy_index}}};
+  }
 };
 
 /// Outcome of one LevaPipeline::Update batch (or one replayed WAL record).
@@ -139,8 +162,8 @@ struct SnapshotLoadOptions {
 /// and set_serving_options. Each call snapshots the current fitted model (an
 /// atomically published, immutable ServingState) at entry and runs against
 /// it to completion, so a reload mid-call never mixes models. Fit and
-/// LoadSnapshot require external exclusion (they reset profiling and the
-/// serving knobs); accessors returning references (embedding(), graph(),
+/// LoadSnapshot require external exclusion (LoadSnapshot resets the serving
+/// knobs); accessors returning references (embedding(), graph(),
 /// textifier()) are valid until the next successful Fit/Load/ReloadSnapshot.
 /// The publication point for an immutable, shared model: writers swap in a
 /// fresh shared_ptr, readers pin whatever is current and keep it alive for
@@ -185,15 +208,12 @@ class LevaPipeline {
 
   // Copies (and moves) share the fitted model: it is immutable once
   // published, so both pipelines serve identical results and the resolver
-  // cache stays warm across the copy. Not safe concurrently with writes to
-  // the source's stats (i.e. an in-flight Featurize on it).
+  // cache stays warm across the copy. A copy starts with empty metrics.
   LevaPipeline(const LevaPipeline& other)
       : config_(other.config_),
         serving_threads_(
             other.serving_threads_.load(std::memory_order_relaxed)),
-        serving_batch_(other.serving_batch_.load(std::memory_order_relaxed)),
-        profile_(other.profile_),
-        featurize_stats_(other.featurize_stats_) {
+        serving_batch_(other.serving_batch_.load(std::memory_order_relaxed)) {
     serving_.store(other.serving_.load());
   }
   LevaPipeline& operator=(const LevaPipeline& other) {
@@ -204,8 +224,6 @@ class LevaPipeline {
         std::memory_order_relaxed);
     serving_batch_.store(other.serving_batch_.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
-    profile_ = other.profile_;
-    featurize_stats_ = other.featurize_stats_;
     serving_.store(other.serving_.load());
     return *this;
   }
@@ -312,9 +330,8 @@ class LevaPipeline {
   /// MLDataset matrix by a cache-blocked ParallelFor with no per-row
   /// allocation. Output is bit-identical to a row loop over RowVector
   /// (tests/reference/featurize_reference.h) at any thread count / batch
-  /// size. Records a "featurize" stage in profile() and
-  /// updates featurize_stats(); safe to call concurrently (see the class
-  /// comment), though the stats then reflect whichever call finished last.
+  /// size. Records the call and its work in metrics(); safe to call
+  /// concurrently (see the class comment).
   Result<MLDataset> Featurize(const Table& table,
                               const std::string& target_column,
                               const TargetEncoder& encoder,
@@ -329,11 +346,8 @@ class LevaPipeline {
   const LevaGraph& graph() const { return state_or_empty().graph; }
   const Textifier& textifier() const { return state_or_empty().textifier; }
   EmbeddingMethod chosen_method() const { return state_or_empty().chosen; }
-  /// Wall-clock per pipeline stage (Fig. 6b/6c), including the serving-side
-  /// "featurize" stage accumulated across Featurize calls.
-  const StageProfile& profile() const { return profile_; }
-  /// Resolver hit counts from the most recent Featurize call.
-  const FeaturizeStats& featurize_stats() const { return featurize_stats_; }
+  /// Fit and Featurize timings and counters since construction.
+  const PipelineMetrics& metrics() const { return metrics_; }
   /// The configuration this pipeline was constructed with (Fit's recipe);
   /// replaced wholesale by LoadSnapshot. Serving-knob overrides applied via
   /// set_serving_options are tracked separately and not reflected here.
@@ -373,17 +387,16 @@ class LevaPipeline {
   /// `options.verify_pages` — the structural invariants of each component
   /// are validated before any member is touched: a corrupt, truncated, or
   /// version-skewed file is rejected with a descriptive error and the
-  /// pipeline is left exactly as it was. Also resets profiling/stats and
-  /// the serving knobs to the snapshot's configuration, so it requires the
-  /// same external exclusion as Fit; use ReloadSnapshot to swap models
-  /// under live traffic.
+  /// pipeline is left exactly as it was. Also resets the serving knobs to
+  /// the snapshot's configuration, so it requires the same external
+  /// exclusion as Fit; use ReloadSnapshot to swap models under live traffic.
   Status LoadSnapshot(const std::string& path, Env* env = nullptr,
                       SnapshotLoadOptions options = {});
 
   /// Hot model swap: loads `path` into a shadow model and atomically
   /// publishes it. Featurize calls already in flight finish on the model
   /// they started with; calls entering afterwards see the new one. Nothing
-  /// else on the pipeline is touched — profiling keeps accumulating and the
+  /// else on the pipeline is touched — metrics keep accumulating and the
   /// serving knobs keep their current values. On error the previous model
   /// keeps serving untouched.
   Status ReloadSnapshot(const std::string& path, Env* env = nullptr,
@@ -444,11 +457,7 @@ class LevaPipeline {
   // them while Featurize calls are in flight.
   std::atomic<size_t> serving_threads_;
   std::atomic<size_t> serving_batch_;
-  // Guards the profile/stats accumulators against concurrent Featurize
-  // calls. Fit writes profile_ without the lock (it requires exclusion).
-  mutable std::mutex stats_mu_;
-  mutable StageProfile profile_;
-  mutable FeaturizeStats featurize_stats_;
+  mutable PipelineMetrics metrics_;
 };
 
 }  // namespace leva

@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "common/io.h"
-#include "common/parallel.h"
 #include "core/pipeline.h"
 
 namespace leva {
@@ -762,12 +761,6 @@ Status LevaPipeline::LoadSnapshot(const std::string& path, Env* env,
   serving_threads_.store(config_.threads, std::memory_order_relaxed);
   serving_batch_.store(config_.featurize_batch_size,
                        std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    profile_.Clear();
-    profile_.set_threads(ResolveThreads(config_.threads));
-    featurize_stats_ = FeaturizeStats{};
-  }
   serving_.store(std::move(state));
   return Status::OK();
 }

@@ -142,6 +142,7 @@ void RequestBatcher::ExecuteBatch(std::vector<FeaturizeJob> batch,
       executor_(std::move(exec_table), first.request.target_column,
                 first.request.rows_in_graph);
   const double exec_seconds = exec_timer.ElapsedSeconds();
+  // Request latency ends here, before the responses are encoded.
   const auto done = std::chrono::steady_clock::now();
 
   if (result.ok() && result->NumRows() != total_rows) {
@@ -159,7 +160,7 @@ void RequestBatcher::ExecuteBatch(std::vector<FeaturizeJob> batch,
     Completion c;
     c.conn_id = job.conn_id;
     c.request_id = job.request.request_id;
-    c.latency_seconds =
+    const double latency_seconds =
         std::chrono::duration<double>(done - job.enqueued_at).count();
     if (result.ok()) {
       const size_t width = result->NumFeatures();
@@ -190,7 +191,7 @@ void RequestBatcher::ExecuteBatch(std::vector<FeaturizeJob> batch,
                                       result.status());
     }
     row_offset += job_rows;
-    if (stats_ != nullptr) stats_->request_latency.Record(c.latency_seconds);
+    if (stats_ != nullptr) stats_->request_latency.Record(latency_seconds);
     completions.push_back(std::move(c));
   }
 

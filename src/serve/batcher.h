@@ -50,7 +50,6 @@ struct Completion {
   uint64_t conn_id = 0;
   uint64_t request_id = 0;
   std::string payload;
-  double latency_seconds = 0;
 };
 
 /// Coalesces concurrent FEATURIZE requests into one blocked-gather Featurize

@@ -1,30 +1,11 @@
 #include "serve/stats.h"
 
-#include <algorithm>
-
 namespace leva::serve {
-
-double Percentile(const std::vector<double>& sorted, size_t pct) {
-  if (sorted.empty()) return 0.0;
-  return sorted[std::min(sorted.size() - 1, sorted.size() * pct / 100)];
-}
-
-LatencySummary SummarizeLatencies(std::vector<double> values) {
-  LatencySummary out;
-  out.count = values.size();
-  if (values.empty()) return out;
-  std::sort(values.begin(), values.end());
-  out.p50 = Percentile(values, 50);
-  out.p90 = Percentile(values, 90);
-  out.p95 = Percentile(values, 95);
-  out.p99 = Percentile(values, 99);
-  return out;
-}
 
 std::vector<std::pair<std::string, double>> ServerStats::Render(
     double uptime_seconds) const {
   std::vector<std::pair<std::string, double>> out;
-  out.reserve(24);
+  out.reserve(23);
   auto put = [&out](const char* name, double v) { out.emplace_back(name, v); };
   put("uptime_seconds", uptime_seconds);
   put("connections_accepted", double(connections_accepted.load()));
@@ -46,17 +27,12 @@ std::vector<std::pair<std::string, double>> ServerStats::Render(
   put("reloads_failed", double(reloads_failed.load()));
   put("model_generation", double(model_generation.load()));
 
-  // The same percentile cut as the paper tables and the load generator, so
-  // they all agree on the definition.
-  const LatencySummary request =
-      SummarizeLatencies(request_latency.Snapshot());
-  put("request_latency_p50_ms", request.p50 * 1e3);
-  put("request_latency_p95_ms", request.p95 * 1e3);
-  put("request_latency_p99_ms", request.p99 * 1e3);
-  const LatencySummary batch = SummarizeLatencies(batch_latency.Snapshot());
-  put("batch_latency_p50_ms", batch.p50 * 1e3);
-  put("batch_latency_p95_ms", batch.p95 * 1e3);
-  put("batch_latency_p99_ms", batch.p99 * 1e3);
+  put("request_latency_p50_ms", request_latency.Percentile(50) * 1e3);
+  put("request_latency_p95_ms", request_latency.Percentile(95) * 1e3);
+  put("request_latency_p99_ms", request_latency.Percentile(99) * 1e3);
+  put("batch_latency_p50_ms", batch_latency.Percentile(50) * 1e3);
+  put("batch_latency_p95_ms", batch_latency.Percentile(95) * 1e3);
+  put("batch_latency_p99_ms", batch_latency.Percentile(99) * 1e3);
   return out;
 }
 

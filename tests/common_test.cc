@@ -220,26 +220,6 @@ TEST(TimerTest, MeasuresElapsed) {
   EXPECT_GE(t.ElapsedMillis(), t.ElapsedSeconds());
 }
 
-TEST(StageProfileTest, AccumulatesByName) {
-  StageProfile profile;
-  profile.Add("a", 1.0);
-  profile.Add("b", 2.0);
-  profile.Add("a", 0.5);
-  ASSERT_EQ(profile.stages().size(), 2u);
-  EXPECT_EQ(profile.stages()[0].first, "a");
-  EXPECT_DOUBLE_EQ(profile.stages()[0].second, 1.5);
-  EXPECT_DOUBLE_EQ(profile.TotalSeconds(), 3.5);
-}
-
-TEST(StageProfileTest, ScopedTimerAdds) {
-  StageProfile profile;
-  {
-    ScopedStageTimer timer(&profile, "scope");
-  }
-  ASSERT_EQ(profile.stages().size(), 1u);
-  EXPECT_GE(profile.stages()[0].second, 0.0);
-}
-
 TEST(Crc32cTest, MatchesKnownVector) {
   // RFC 3720 test vector for CRC32C.
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/timer.h"
 #include "core/pipeline.h"
 #include "datagen/synthetic.h"
 #include "ml/featurize.h"
@@ -59,25 +60,66 @@ TEST(PipelineTest, AutoSelectionHonorsMemoryBudget) {
   EXPECT_EQ(small.chosen_method(), EmbeddingMethod::kRandomWalk);
 }
 
+// Names of the Fit stages that recorded a span.
+std::vector<std::string> RecordedStages(const LevaPipeline& pipeline) {
+  std::vector<std::string> names;
+  for (const auto& [name, histogram] : pipeline.metrics().FitStages()) {
+    if (histogram->count() > 0) names.push_back(name);
+  }
+  return names;
+}
+
 TEST(PipelineTest, ProfileRecordsStages) {
   const SyntheticDataset ds = Student();
   LevaPipeline mf(TestConfig(EmbeddingMethod::kMatrixFactorization));
   ASSERT_TRUE(mf.Fit(ds.db).ok());
-  std::vector<std::string> names;
-  for (const auto& [name, secs] : mf.profile().stages()) names.push_back(name);
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "textify") != names.end());
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "graph") != names.end());
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "factorization") !=
-              names.end());
+  EXPECT_EQ(RecordedStages(mf),
+            (std::vector<std::string>{"textify", "graph", "factorization",
+                                      "deploy_index"}));
 
   LevaPipeline rw(TestConfig(EmbeddingMethod::kRandomWalk));
   ASSERT_TRUE(rw.Fit(ds.db).ok());
-  names.clear();
-  for (const auto& [name, secs] : rw.profile().stages()) names.push_back(name);
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "walk_generation") !=
-              names.end());
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "embedding_training") !=
-              names.end());
+  EXPECT_EQ(RecordedStages(rw),
+            (std::vector<std::string>{"textify", "graph", "walk_generation",
+                                      "embedding_training", "deploy_index"}));
+}
+
+TEST(PipelineTest, FitStageSpansSumWithinFitSpan) {
+  const SyntheticDataset ds = Student();
+  for (const EmbeddingMethod method : {EmbeddingMethod::kMatrixFactorization,
+                                       EmbeddingMethod::kRandomWalk}) {
+    LevaPipeline pipeline(TestConfig(method));
+    double wall = 0;
+    for (uint64_t fits = 1; fits <= 2; ++fits) {
+      WallTimer timer;
+      ASSERT_TRUE(pipeline.Fit(ds.db).ok());
+      wall += timer.ElapsedSeconds();
+      const PipelineMetrics& m = pipeline.metrics();
+      double stages = 0;
+      for (const auto& [name, histogram] : m.FitStages()) {
+        if (histogram->count() > 0) {
+          EXPECT_EQ(histogram->count(), fits) << name;
+        }
+        stages += histogram->sum_seconds();
+      }
+      // The stages nest inside the fit span, which nests inside the wall
+      // time measured here; both accumulate across Fit calls.
+      EXPECT_EQ(m.fit.count(), fits);
+      EXPECT_GT(stages, 0.0);
+      EXPECT_LE(stages, m.fit.sum_seconds());
+      EXPECT_LE(m.fit.sum_seconds(), wall);
+    }
+  }
+}
+
+TEST(PipelineTest, CopyStartsWithEmptyMetrics) {
+  const SyntheticDataset ds = Student();
+  LevaPipeline pipeline(TestConfig(EmbeddingMethod::kMatrixFactorization));
+  ASSERT_TRUE(pipeline.Fit(ds.db).ok());
+  const LevaPipeline copy = pipeline;
+  EXPECT_EQ(pipeline.metrics().fit.count(), 1u);
+  EXPECT_EQ(copy.metrics().fit.count(), 0u);
+  EXPECT_EQ(copy.embedding().size(), pipeline.embedding().size());
 }
 
 TEST(PipelineTest, FeaturizeTrainRowsUsesRowNodes) {
@@ -201,11 +243,7 @@ TEST(PipelineTest, LineMethodPlugsIn) {
   ASSERT_TRUE(pipeline.Fit(ds.db).ok());
   EXPECT_EQ(pipeline.chosen_method(), EmbeddingMethod::kLine);
   EXPECT_EQ(pipeline.embedding().dim(), 8u);
-  bool has_stage = false;
-  for (const auto& [name, secs] : pipeline.profile().stages()) {
-    if (name == "edge_sampling") has_stage = true;
-  }
-  EXPECT_TRUE(has_stage);
+  EXPECT_EQ(pipeline.metrics().edge_sampling.count(), 1u);
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 // thread counts, and serving batch sizes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "core/pipeline.h"
 #include "core/token_resolver.h"
 #include "datagen/synthetic.h"
@@ -51,6 +55,42 @@ StudentSplit MakeSplit() {
   EXPECT_TRUE(
       split.encoder.Fit(*base->FindColumn("total_expenses"), false).ok());
   return split;
+}
+
+// A reading of the pipeline's cumulative Featurize counters; the difference
+// of two readings is the work done between them.
+struct FeaturizeCounts {
+  uint64_t rows = 0;
+  uint64_t batches = 0;
+  uint64_t token_occurrences = 0;
+  uint64_t distinct_tokens = 0;
+  uint64_t store_lookups = 0;
+
+  FeaturizeCounts operator-(const FeaturizeCounts& o) const {
+    return {rows - o.rows, batches - o.batches,
+            token_occurrences - o.token_occurrences,
+            distinct_tokens - o.distinct_tokens,
+            store_lookups - o.store_lookups};
+  }
+};
+
+FeaturizeCounts Counts(const LevaPipeline& pipeline) {
+  const PipelineMetrics& m = pipeline.metrics();
+  return {m.featurize_rows.load(), m.featurize_batches.load(),
+          m.token_occurrences.load(), m.distinct_tokens.load(),
+          m.store_lookups.load()};
+}
+
+// The counters one Featurize call of `table` adds.
+FeaturizeCounts FeaturizeDelta(const LevaPipeline& pipeline,
+                               const StudentSplit& split, const Table& table,
+                               bool rows_in_graph) {
+  const FeaturizeCounts before = Counts(pipeline);
+  EXPECT_TRUE(pipeline
+                  .Featurize(table, "total_expenses", split.encoder,
+                             rows_in_graph)
+                  .ok());
+  return Counts(pipeline) - before;
 }
 
 void ExpectBitIdentical(const MLDataset& batched, const MLDataset& legacy) {
@@ -175,11 +215,8 @@ TEST(BatchedFeaturizeTest, ResolverStatsShowPerDistinctTokenLookups) {
   StudentSplit split = MakeSplit();
   LevaPipeline pipeline(TestConfig(Featurization::kRowPlusValue));
   ASSERT_TRUE(pipeline.Fit(split.fit_db).ok());
-  ASSERT_TRUE(pipeline
-                  .Featurize(split.train_table, "total_expenses",
-                             split.encoder, true)
-                  .ok());
-  const FeaturizeStats& stats = pipeline.featurize_stats();
+  const FeaturizeCounts stats =
+      FeaturizeDelta(pipeline, split, split.train_table, true);
   EXPECT_EQ(stats.rows, split.train_table.NumRows());
   EXPECT_EQ(stats.batches, 1u);
   // Gender/school/item tokens repeat heavily across the 100 rows, so the
@@ -193,42 +230,41 @@ TEST(BatchedFeaturizeTest, WarmResolverCacheSkipsStoreLookups) {
   StudentSplit split = MakeSplit();
   LevaPipeline pipeline(TestConfig(Featurization::kRowPlusValue));
   ASSERT_TRUE(pipeline.Fit(split.fit_db).ok());
+  FeaturizeCounts before = Counts(pipeline);
   const auto cold = pipeline.Featurize(split.train_table, "total_expenses",
                                        split.encoder, true);
   ASSERT_TRUE(cold.ok());
-  EXPECT_GT(pipeline.featurize_stats().store_lookups, 0u);
+  EXPECT_GT((Counts(pipeline) - before).store_lookups, 0u);
 
   // The resolver cache persists across calls, so a repeat over the same
   // vocabulary resolves every token from the cache — zero store probes —
   // and still reproduces the exact same bits.
+  before = Counts(pipeline);
   const auto warm = pipeline.Featurize(split.train_table, "total_expenses",
                                        split.encoder, true);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(pipeline.featurize_stats().distinct_tokens, 0u);
-  EXPECT_EQ(pipeline.featurize_stats().store_lookups, 0u);
-  EXPECT_GT(pipeline.featurize_stats().token_occurrences, 0u);
+  const FeaturizeCounts warm_counts = Counts(pipeline) - before;
+  EXPECT_EQ(warm_counts.distinct_tokens, 0u);
+  EXPECT_EQ(warm_counts.store_lookups, 0u);
+  EXPECT_GT(warm_counts.token_occurrences, 0u);
   ExpectBitIdentical(*warm, *cold);
 
   // Re-Fit invalidates the cache: the next call resolves from scratch.
   ASSERT_TRUE(pipeline.Fit(split.fit_db).ok());
-  ASSERT_TRUE(pipeline
-                  .Featurize(split.train_table, "total_expenses",
-                             split.encoder, true)
-                  .ok());
-  EXPECT_GT(pipeline.featurize_stats().store_lookups, 0u);
+  EXPECT_GT(FeaturizeDelta(pipeline, split, split.train_table, true)
+                .store_lookups,
+            0u);
 }
 
 TEST(BatchedFeaturizeTest, RowOnlyInGraphSkipsTextification) {
   StudentSplit split = MakeSplit();
   LevaPipeline pipeline(TestConfig(Featurization::kRowOnly));
   ASSERT_TRUE(pipeline.Fit(split.fit_db).ok());
-  ASSERT_TRUE(pipeline
-                  .Featurize(split.train_table, "total_expenses",
-                             split.encoder, true)
-                  .ok());
+  const FeaturizeCounts counts =
+      FeaturizeDelta(pipeline, split, split.train_table, true);
   // The row-node gather never consults tokens, so none are interned.
-  EXPECT_EQ(pipeline.featurize_stats().token_occurrences, 0u);
-  EXPECT_EQ(pipeline.featurize_stats().store_lookups, 0u);
+  EXPECT_EQ(counts.token_occurrences, 0u);
+  EXPECT_EQ(counts.store_lookups, 0u);
 }
 
 TEST(BatchedFeaturizeTest, MissingRowNodeFailsLikeLegacy) {
@@ -257,15 +293,63 @@ TEST(BatchedFeaturizeTest, RecordsFeaturizeStage) {
   StudentSplit split = MakeSplit();
   LevaPipeline pipeline(TestConfig(Featurization::kRowPlusValue));
   ASSERT_TRUE(pipeline.Fit(split.fit_db).ok());
+  EXPECT_EQ(pipeline.metrics().featurize.count(), 0u);
   ASSERT_TRUE(pipeline
                   .Featurize(split.train_table, "total_expenses",
                              split.encoder, true)
                   .ok());
-  bool has_stage = false;
-  for (const auto& [name, secs] : pipeline.profile().stages()) {
-    if (name == "featurize") has_stage = true;
-  }
-  EXPECT_TRUE(has_stage);
+  EXPECT_EQ(pipeline.metrics().featurize.count(), 1u);
+  EXPECT_GT(pipeline.metrics().featurize.sum_seconds(), 0.0);
+}
+
+TEST(BatchedFeaturizeTest, ConcurrentCallsSumIntoCounters) {
+  StudentSplit split = MakeSplit();
+  LevaPipeline pipeline(TestConfig(Featurization::kRowPlusValue));
+  ASSERT_TRUE(pipeline.Fit(split.fit_db).ok());
+  pipeline.set_serving_options(/*threads=*/2, /*featurize_batch_size=*/16);
+
+  // Cold and concurrent: each distinct token is resolved by exactly one
+  // call, so the calls' distinct counts sum to the vocabulary.
+  constexpr int kThreads = 4;
+  constexpr int kCallsEach = 5;
+  const auto run_concurrently = [&] {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int c = 0; c < kCallsEach; ++c) {
+          EXPECT_TRUE(pipeline
+                          .Featurize(split.test_table, "total_expenses",
+                                     split.encoder, false)
+                          .ok());
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  };
+  run_concurrently();
+  const FeaturizeCounts cold = Counts(pipeline);
+  EXPECT_GT(cold.distinct_tokens, 0u);
+  EXPECT_EQ(cold.store_lookups, cold.distinct_tokens);
+
+  // One warm call is the per-call unit; the concurrent calls sum to it
+  // times their number.
+  const FeaturizeCounts one =
+      FeaturizeDelta(pipeline, split, split.test_table, false);
+  EXPECT_EQ(one.rows, split.test_table.NumRows());
+  EXPECT_EQ(one.batches, 2u);  // 20 rows in batches of 16
+  EXPECT_EQ(one.distinct_tokens, 0u);
+  constexpr uint64_t kCalls = kThreads * kCallsEach;
+  EXPECT_EQ(cold.rows, kCalls * one.rows);
+  EXPECT_EQ(cold.batches, kCalls * one.batches);
+  EXPECT_EQ(cold.token_occurrences, kCalls * one.token_occurrences);
+
+  const FeaturizeCounts before = Counts(pipeline);
+  run_concurrently();
+  const FeaturizeCounts warm = Counts(pipeline) - before;
+  EXPECT_EQ(warm.rows, kCalls * one.rows);
+  EXPECT_EQ(warm.token_occurrences, kCalls * one.token_occurrences);
+  EXPECT_EQ(warm.store_lookups, 0u);
+  EXPECT_EQ(pipeline.metrics().featurize.count(), 2 * kCalls + 1);
 }
 
 TEST(TokenResolverTest, InternsOncePerDistinctToken) {

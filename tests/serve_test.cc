@@ -28,6 +28,7 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve/stats.h"
 
 namespace leva::serve {
 namespace {
@@ -562,6 +563,39 @@ TEST(ServerTest, PingAndStats) {
   EXPECT_EQ(StatsField(*stats, "requests_ping"), 2.0);
   EXPECT_GE(StatsField(*stats, "connections_accepted"), 1.0);
   EXPECT_GE(StatsField(*stats, "uptime_seconds"), 0.0);
+}
+
+TEST(ServerTest, StatsFieldNamesAreStable) {
+  LiveServer live(SharedModel().path_a);
+  Client client = live.Connect();
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  std::vector<std::string> names;
+  for (const auto& [name, value] : *stats) names.push_back(name);
+  const std::vector<std::string> expected = {
+      "uptime_seconds",         "connections_accepted",
+      "connections_active",     "requests_ping",
+      "requests_featurize",     "requests_stats",
+      "requests_reload",        "requests_drain",
+      "rows_featurized",        "batches_executed",
+      "rows_per_batch",         "overload_rejections",
+      "protocol_errors",        "featurize_errors",
+      "reloads_ok",             "reloads_failed",
+      "model_generation",       "request_latency_p50_ms",
+      "request_latency_p95_ms", "request_latency_p99_ms",
+      "batch_latency_p50_ms",   "batch_latency_p95_ms",
+      "batch_latency_p99_ms"};
+  EXPECT_EQ(names, expected);
+}
+
+TEST(ServerTest, StatsRendersLatencyPercentilesInMillis) {
+  ServerStats stats;
+  for (int i = 1; i <= 100; ++i) stats.request_latency.Record(i * 1e-3);
+  stats.batch_latency.Record(0.25);
+  const auto fields = stats.Render(/*uptime_seconds=*/1.0);
+  EXPECT_NEAR(StatsField(fields, "request_latency_p50_ms"), 51.0, 51.0 / 16);
+  EXPECT_NEAR(StatsField(fields, "request_latency_p99_ms"), 100.0, 100.0 / 16);
+  EXPECT_NEAR(StatsField(fields, "batch_latency_p95_ms"), 250.0, 250.0 / 16);
 }
 
 TEST(ServerTest, FeaturizeBitIdenticalToOffline) {

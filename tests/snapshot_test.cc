@@ -161,7 +161,7 @@ TEST(SnapshotTest, WarmResolverCacheRidesAlong) {
   ASSERT_TRUE(fitted.Fit(f.ds.db).ok());
   // Warm the serving cache, then snapshot it.
   (void)Featurized(fitted, f, true);
-  EXPECT_GT(fitted.featurize_stats().distinct_tokens, 0u);
+  EXPECT_GT(fitted.metrics().distinct_tokens.load(), 0u);
   const std::string path = TempPath("warm.leva");
   ASSERT_TRUE(fitted.SaveSnapshot(path).ok());
 
@@ -170,8 +170,9 @@ TEST(SnapshotTest, WarmResolverCacheRidesAlong) {
   ExpectBitIdentical(Featurized(loaded, f, true), Featurized(fitted, f, true));
   // Every token was already interned by the loaded warm cache: zero new
   // store probes on the first serve.
-  EXPECT_EQ(loaded.featurize_stats().distinct_tokens, 0u);
-  EXPECT_EQ(loaded.featurize_stats().store_lookups, 0u);
+  EXPECT_EQ(loaded.metrics().featurize.count(), 1u);
+  EXPECT_EQ(loaded.metrics().distinct_tokens.load(), 0u);
+  EXPECT_EQ(loaded.metrics().store_lookups.load(), 0u);
 }
 
 TEST(SnapshotTest, LoadReplacesAFittedPipeline) {

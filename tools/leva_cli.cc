@@ -275,16 +275,16 @@ int RunCli(const CliOptions& options) {
     pipeline.set_serving_options(options.config.threads,
                                  options.config.featurize_batch_size);
   } else {
-    const auto t0 = std::chrono::steady_clock::now();
     if (Status s = pipeline.Fit(db); !s.ok()) {
       std::fprintf(stderr, "pipeline: %s\n", s.ToString().c_str());
       return 1;
     }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - t0;
-    std::fprintf(stderr, "fit in %.3fs\n", elapsed.count());
-    for (const auto& [stage, secs] : pipeline.profile().stages()) {
-      std::fprintf(stderr, "  %s: %.3fs\n", stage.c_str(), secs);
+    const PipelineMetrics& m = pipeline.metrics();
+    std::fprintf(stderr, "fit in %.3fs\n", m.fit.sum_seconds());
+    for (const auto& [stage, histogram] : m.FitStages()) {
+      if (histogram->count() > 0) {
+        std::fprintf(stderr, "  %s: %.3fs\n", stage, histogram->sum_seconds());
+      }
     }
   }
   if (!options.wal_path.empty() || !options.update_csvs.empty()) {
@@ -460,17 +460,19 @@ int RunCli(const CliOptions& options) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-    double featurize_secs = 0.0;
-    for (const auto& [stage, secs] : pipeline.profile().stages()) {
-      if (stage == "featurize") featurize_secs = secs;
-    }
-    const FeaturizeStats& fs = pipeline.featurize_stats();
+    // Featurize ran with this command line's --threads: the pipeline was
+    // constructed with it, or set_serving_options re-applied it after load.
+    const PipelineMetrics& m = pipeline.metrics();
     std::fprintf(stderr,
-                 "featurize: %zu rows in %.3fs (%zu threads, %zu batch(es), "
-                 "%zu tokens, %zu distinct -> %zu store lookups)\n",
-                 fs.rows, featurize_secs, pipeline.profile().threads(),
-                 fs.batches, fs.token_occurrences, fs.distinct_tokens,
-                 fs.store_lookups);
+                 "featurize: %llu rows in %.3fs (%zu threads, %llu batch(es), "
+                 "%llu tokens, %llu distinct -> %llu store lookups)\n",
+                 static_cast<unsigned long long>(m.featurize_rows.load()),
+                 m.featurize.sum_seconds(),
+                 ResolveThreads(options.config.threads),
+                 static_cast<unsigned long long>(m.featurize_batches.load()),
+                 static_cast<unsigned long long>(m.token_occurrences.load()),
+                 static_cast<unsigned long long>(m.distinct_tokens.load()),
+                 static_cast<unsigned long long>(m.store_lookups.load()));
     std::fprintf(stderr, "wrote featurized %s (%s) to %s\n",
                  options.featurize_table.c_str(),
                  classification ? "classification" : "regression",

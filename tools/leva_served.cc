@@ -7,9 +7,11 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
+#include <optional>
 #include <string>
 
+#include "common/string_util.h"
 #include "core/pipeline.h"
 #include "serve/server.h"
 
@@ -50,10 +52,20 @@ bool ParseArgs(int argc, char** argv, ServedOptions* options) {
       *out = argv[++i];
       return true;
     };
-    auto size_value = [&](size_t* out) {
+    // Reads a whole non-negative integer in [min, max]; anything else names
+    // the flag and fails.
+    auto size_value = [&](size_t* out, int64_t min = 0,
+                          int64_t max = INT64_MAX) {
       std::string v;
       if (!value(&v)) return false;
-      *out = static_cast<size_t>(std::atoll(v.c_str()));
+      const std::optional<int64_t> n = ParseInt(v);
+      if (!n.has_value() || *n < min || *n > max) {
+        std::fprintf(stderr, "invalid value '%s' for %s: expected an integer "
+                     "in [%lld, %lld]\n", v.c_str(), arg.c_str(),
+                     static_cast<long long>(min), static_cast<long long>(max));
+        return false;
+      }
+      *out = static_cast<size_t>(*n);
       return true;
     };
     if (arg == "--help" || arg == "-h") {
@@ -65,14 +77,18 @@ bool ParseArgs(int argc, char** argv, ServedOptions* options) {
       if (!value(&options->server.host)) return false;
     } else if (arg == "--port") {
       size_t port = 0;
-      if (!size_value(&port)) return false;
+      if (!size_value(&port, 0, 65535)) return false;
       options->server.port = static_cast<uint16_t>(port);
     } else if (arg == "--port-file") {
       if (!value(&options->port_file)) return false;
     } else if (arg == "--max-batch-rows") {
-      if (!size_value(&options->server.batcher.max_batch_rows)) return false;
+      if (!size_value(&options->server.batcher.max_batch_rows, 1)) {
+        return false;
+      }
     } else if (arg == "--max-pending-rows") {
-      if (!size_value(&options->server.batcher.max_pending_rows)) return false;
+      if (!size_value(&options->server.batcher.max_pending_rows, 1)) {
+        return false;
+      }
     } else if (arg == "--drain-timeout-ms") {
       if (!size_value(&options->server.drain_timeout_ms)) return false;
     } else if (arg == "--threads") {
