@@ -144,6 +144,10 @@ class BufferWriter {
     buf_.append((alignment - buf_.size() % alignment) % alignment, '\0');
   }
 
+  /// Sizes the buffer for `n` bytes in all, so writers that know their
+  /// output size allocate once.
+  void Reserve(size_t n) { buf_.reserve(n); }
+
   const std::string& data() const { return buf_; }
   std::string Release() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }

@@ -6,11 +6,30 @@
 #include <memory>
 #include <utility>
 
+#include <pthread.h>
+
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
 namespace leva {
+
+namespace {
+
+// The process-wide pool behind ThreadPool::Shared(). A forked child inherits
+// the pool object but none of its workers, and its mutex and condition
+// variable may still be held or waited on by parent threads; the child's
+// first Submit would wait forever. The atfork child handler abandons that
+// pool (parked in `abandoned_pool`, never joined or destroyed) so that the
+// child's next Shared() builds its own.
+std::atomic<ThreadPool*> shared_pool{nullptr};
+ThreadPool* abandoned_pool = nullptr;
+
+void AbandonSharedPoolInChild() {
+  abandoned_pool = shared_pool.exchange(nullptr, std::memory_order_relaxed);
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   const size_t n = std::max<size_t>(1, num_threads);
@@ -65,8 +84,17 @@ size_t ThreadPool::HardwareConcurrency() {
 }
 
 ThreadPool& ThreadPool::Shared() {
-  static ThreadPool* pool =
-      new ThreadPool(std::max<size_t>(2, HardwareConcurrency()));
+  [[maybe_unused]] static const int registered =
+      pthread_atfork(nullptr, nullptr, &AbandonSharedPoolInChild);
+  ThreadPool* pool = shared_pool.load(std::memory_order_acquire);
+  if (pool != nullptr) return *pool;
+  auto* fresh = new ThreadPool(std::max<size_t>(2, HardwareConcurrency()));
+  if (shared_pool.compare_exchange_strong(pool, fresh,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+    return *fresh;
+  }
+  delete fresh;  // another thread built the pool first
   return *pool;
 }
 

@@ -57,14 +57,6 @@ NodeId LevaGraph::ValueNode(std::string_view token) const {
   return it == value_index_.end() ? kInvalidNode : it->second;
 }
 
-std::vector<NodeId> LevaGraph::NodesOfKind(NodeKind kind) const {
-  std::vector<NodeId> out;
-  for (NodeId n = 0; n < kinds_.size(); ++n) {
-    if (kinds_[n] == kind) out.push_back(n);
-  }
-  return out;
-}
-
 Status LevaGraph::ApplyDelta(const std::vector<NodeKind>& kinds,
                              const std::vector<std::string>& labels,
                              const std::vector<GraphDeltaEdge>& edges) {

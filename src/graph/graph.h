@@ -176,9 +176,6 @@ class LevaGraph {
   /// flag the graph was built with).
   Result<LevaGraph> Compacted(bool reweight) const;
 
-  /// All node ids of the given kind, in id order.
-  std::vector<NodeId> NodesOfKind(NodeKind kind) const;
-
   /// Approximate heap footprint of the CSR structure in bytes.
   size_t MemoryBytes() const;
 

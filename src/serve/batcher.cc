@@ -49,13 +49,20 @@ void RequestBatcher::Start() {
 
 bool RequestBatcher::TryEnqueue(FeaturizeJob job) {
   const size_t rows = job.request.rows.NumRows();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stop_ || pending_rows_ + rows > options_.max_pending_rows) return false;
   job.schema_sig = SchemaSignature(job.request);
-  job.enqueued_at = std::chrono::steady_clock::now();
-  pending_rows_ += rows;
-  queue_.push_back(std::move(job));
-  cv_.notify_one();  // the dispatcher is the only waiter
+  bool was_empty = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stop_ || pending_rows_ + rows > options_.max_pending_rows) {
+      return false;
+    }
+    job.enqueued_at = std::chrono::steady_clock::now();
+    pending_rows_ += rows;
+    was_empty = queue_.empty();
+    queue_.push_back(std::move(job));
+  }
+  // The dispatcher, the only waiter, sleeps only on an empty queue.
+  if (was_empty) cv_.notify_one();
   return true;
 }
 
@@ -142,7 +149,7 @@ void RequestBatcher::ExecuteBatch(std::vector<FeaturizeJob> batch,
       executor_(std::move(exec_table), first.request.target_column,
                 first.request.rows_in_graph);
   const double exec_seconds = exec_timer.ElapsedSeconds();
-  // Request latency ends here, before the responses are encoded.
+  // Request latency ends here, before the responses are framed.
   const auto done = std::chrono::steady_clock::now();
 
   if (result.ok() && result->NumRows() != total_rows) {
@@ -166,29 +173,29 @@ void RequestBatcher::ExecuteBatch(std::vector<FeaturizeJob> batch,
       const size_t width = result->NumFeatures();
       const size_t bytes = FeaturizeResponseSize(job_rows, width);
       if (bytes <= kMaxFramePayload) {
-        c.payload = EncodeFeaturizeResponse(c.request_id, job_rows, width,
-                                            result->x.RowPtr(row_offset));
+        c.frame = EncodeFeaturizeResponseFrame(c.request_id, job_rows, width,
+                                               result->x.RowPtr(row_offset));
       } else {
         // A frame this large would read as stream corruption to every
         // peer; answer this request alone with an error instead.
         const size_t max_rows =
             (kMaxFramePayload - FeaturizeResponseSize(0, width)) /
             (width * sizeof(double));
-        c.payload = EncodeErrorResponse(
+        c.frame = EncodeFrame(EncodeErrorResponse(
             Opcode::kFeaturize, c.request_id,
             Status::InvalidArgument(
                 "FEATURIZE response of " + std::to_string(bytes) +
                 " bytes exceeds the " + std::to_string(kMaxFramePayload) +
                 "-byte frame limit; at " + std::to_string(width) +
                 " features per row at most " + std::to_string(max_rows) +
-                " row(s) fit in one request"));
+                " row(s) fit in one request")));
         if (stats_ != nullptr) {
           stats_->featurize_errors.fetch_add(1, std::memory_order_relaxed);
         }
       }
     } else {
-      c.payload = EncodeErrorResponse(Opcode::kFeaturize, c.request_id,
-                                      result.status());
+      c.frame = EncodeFrame(EncodeErrorResponse(
+          Opcode::kFeaturize, c.request_id, result.status()));
     }
     row_offset += job_rows;
     if (stats_ != nullptr) stats_->request_latency.Record(latency_seconds);

@@ -44,12 +44,13 @@ struct FeaturizeJob {
   uint64_t schema_sig = 0;  ///< set on admission; batches never cross it
 };
 
-/// A finished request: the encoded (unframed) response payload routed back
-/// to `conn_id`.
+/// A finished request: its response as a complete wire frame (length, CRC32C,
+/// payload), routed back to `conn_id`. The I/O thread only queues and sends
+/// it.
 struct Completion {
   uint64_t conn_id = 0;
   uint64_t request_id = 0;
-  std::string payload;
+  std::string frame;
 };
 
 /// Coalesces concurrent FEATURIZE requests into one blocked-gather Featurize
@@ -58,8 +59,8 @@ struct Completion {
 /// free it takes the largest same-schema prefix of the queue, up to
 /// `max_batch_rows` (smart batching: what queued while one batch executed is
 /// the next batch). It runs each batch through the supplied executor (the
-/// pipeline's batched Featurize), slices the result matrix back per request,
-/// and hands the completions to the sink.
+/// pipeline's batched Featurize), frames each request's slice of the result
+/// matrix as its finished response, and hands the completions to the sink.
 ///
 /// Coalescing is sound because a row's feature vector is a pure function of
 /// the row and the served model — Featurize output is documented invariant

@@ -67,25 +67,17 @@ void PutResponseHeader(Opcode opcode, uint64_t request_id,
   w->PutString(status.ok() ? std::string_view{} : status.message());
 }
 
-}  // namespace
-
-const char* OpcodeName(Opcode op) {
-  switch (op) {
-    case Opcode::kInvalid:
-      return "INVALID";
-    case Opcode::kPing:
-      return "PING";
-    case Opcode::kFeaturize:
-      return "FEATURIZE";
-    case Opcode::kStats:
-      return "STATS";
-    case Opcode::kReload:
-      return "RELOAD";
-    case Opcode::kDrain:
-      return "DRAIN";
-  }
-  return "UNKNOWN";
+// The OK FEATURIZE payload: the response header, u32 rows, u32 width, then
+// the features' bytes.
+void PutFeaturizeResponse(uint64_t request_id, size_t rows, size_t width,
+                          const double* features, BufferWriter* w) {
+  PutResponseHeader(Opcode::kFeaturize, request_id, Status::OK(), w);
+  w->PutU32(static_cast<uint32_t>(rows));
+  w->PutU32(static_cast<uint32_t>(width));
+  w->PutBytes(features, rows * width * sizeof(double));
 }
+
+}  // namespace
 
 std::string EncodeFrame(std::string_view payload) {
   LEVA_CHECK(payload.size() <= kMaxFramePayload,
@@ -191,10 +183,7 @@ std::string EncodeOkResponse(Opcode opcode, uint64_t request_id) {
 std::string EncodeFeaturizeResponse(uint64_t request_id, size_t rows,
                                     size_t width, const double* features) {
   BufferWriter w;
-  PutResponseHeader(Opcode::kFeaturize, request_id, Status::OK(), &w);
-  w.PutU32(static_cast<uint32_t>(rows));
-  w.PutU32(static_cast<uint32_t>(width));
-  w.PutBytes(features, rows * width * sizeof(double));
+  PutFeaturizeResponse(request_id, rows, width, features, &w);
   return w.Release();
 }
 
@@ -203,6 +192,23 @@ size_t FeaturizeResponseSize(size_t rows, size_t width) {
   // u32 width, then the features.
   constexpr size_t kHeader = 1 + 8 + 1 + 8 + 4 + 4;
   return kHeader + rows * width * sizeof(double);
+}
+
+std::string EncodeFeaturizeResponseFrame(uint64_t request_id, size_t rows,
+                                         size_t width,
+                                         const double* features) {
+  const size_t payload_size = FeaturizeResponseSize(rows, width);
+  LEVA_CHECK(payload_size <= kMaxFramePayload,
+             "frame payload exceeds kMaxFramePayload");
+  BufferWriter w;
+  w.Reserve(kFrameHeaderSize + payload_size);
+  w.PutU32(static_cast<uint32_t>(payload_size));
+  w.PutU32(0);  // the CRC, filled in once the payload is written
+  PutFeaturizeResponse(request_id, rows, width, features, &w);
+  std::string frame = w.Release();
+  const uint32_t crc = Crc32c(frame.data() + kFrameHeaderSize, payload_size);
+  std::memcpy(frame.data() + sizeof(uint32_t), &crc, sizeof crc);
+  return frame;
 }
 
 std::string EncodeStatsResponse(

@@ -49,8 +49,6 @@ enum class Opcode : uint8_t {
   kDrain = 5,
 };
 
-const char* OpcodeName(Opcode op);
-
 /// Wraps `payload` in a length + CRC32C frame. `payload` must be at most
 /// kMaxFramePayload bytes (checked): no peer would accept a longer frame.
 std::string EncodeFrame(std::string_view payload);
@@ -127,6 +125,13 @@ std::string EncodeFeaturizeResponse(uint64_t request_id, size_t rows,
 /// features — what the server checks against kMaxFramePayload before
 /// encoding one.
 size_t FeaturizeResponseSize(size_t rows, size_t width);
+/// The finished wire frame of that response, byte-identical to
+/// EncodeFrame(EncodeFeaturizeResponse(...)), built in one exact-size buffer
+/// with a single copy of the features. FeaturizeResponseSize(rows, width)
+/// must be at most kMaxFramePayload (checked).
+std::string EncodeFeaturizeResponseFrame(uint64_t request_id, size_t rows,
+                                         size_t width,
+                                         const double* features);
 /// OK response for STATS: u32 count of (string name, double value) fields.
 std::string EncodeStatsResponse(
     uint64_t request_id,

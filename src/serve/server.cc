@@ -7,6 +7,7 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -24,6 +25,9 @@ constexpr uint64_t kWakeId = 1;
 /// accumulates framed responses; past this many queued frames the connection
 /// is dropped instead of buffering without bound.
 constexpr size_t kMaxQueuedResponses = 4096;
+/// Frames one sendmsg call gathers (well under IOV_MAX); a longer queue takes
+/// more calls.
+constexpr size_t kMaxSendIov = 64;
 
 Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
@@ -48,15 +52,21 @@ Status Server::Start() {
                                 rows_in_graph);
       },
       [this](std::vector<Completion> completions) {
+        bool wake = false;
         {
           std::lock_guard<std::mutex> lock(completions_mu_);
+          // The I/O thread reads the eventfd before it takes the queue, so
+          // a non-empty queue already has a wake pending that covers these.
+          wake = completions_.empty();
           for (Completion& c : completions) {
             completions_.push_back(std::move(c));
           }
         }
-        const uint64_t one = 1;
-        [[maybe_unused]] const ssize_t n =
-            ::write(wake_fd_, &one, sizeof one);
+        if (wake) {
+          const uint64_t one = 1;
+          [[maybe_unused]] const ssize_t n =
+              ::write(wake_fd_, &one, sizeof one);
+        }
       },
       &stats_);
 
@@ -167,9 +177,9 @@ void Server::EventLoop() {
       if (id == kListenId) {
         HandleAccept();
       } else if (id == kWakeId) {
-        uint64_t counter;
-        while (::read(wake_fd_, &counter, sizeof counter) > 0) {
-        }
+        uint64_t counter;  // one read returns and resets the whole count
+        [[maybe_unused]] const ssize_t r =
+            ::read(wake_fd_, &counter, sizeof counter);
         DrainCompletions();
       } else {
         if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
@@ -405,7 +415,11 @@ void Server::HandlePayload(Conn* conn, std::string_view payload) {
                             static_cast<uint8_t>(header.opcode))))));
 }
 
-void Server::QueueResponse(Conn* conn, std::string payload) {
+void Server::QueueResponse(Conn* conn, std::string_view payload) {
+  QueueFrame(conn, EncodeFrame(payload));
+}
+
+void Server::QueueFrame(Conn* conn, std::string frame) {
   if (conn->outq.size() >= kMaxQueuedResponses) {
     LEVA_LOG(kWarning, "conn %llu: %zu unread responses queued — dropping "
              "slow reader",
@@ -413,20 +427,42 @@ void Server::QueueResponse(Conn* conn, std::string payload) {
     conn->close_after_flush = true;
     return;
   }
-  conn->outq.push_back(EncodeFrame(payload));
+  conn->outq.push_back(std::move(frame));
 }
 
 bool Server::FlushConn(Conn* conn) {
   while (!conn->outq.empty()) {
-    const std::string& front = conn->outq.front();
-    const ssize_t n = ::send(conn->fd, front.data() + conn->out_off,
-                             front.size() - conn->out_off, MSG_NOSIGNAL);
+    iovec iov[kMaxSendIov];
+    size_t iov_count = 0;
+    size_t offered = 0;
+    for (const std::string& frame : conn->outq) {
+      if (iov_count == kMaxSendIov) break;
+      const size_t skip = iov_count == 0 ? conn->out_off : 0;
+      iov[iov_count].iov_base = const_cast<char*>(frame.data()) + skip;
+      iov[iov_count].iov_len = frame.size() - skip;
+      offered += iov[iov_count].iov_len;
+      ++iov_count;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iov_count;
+    const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      conn->out_off += static_cast<size_t>(n);
-      if (conn->out_off == front.size()) {
+      // Retire every frame the send finished; a send that ends inside a
+      // frame leaves out_off at the first unsent byte.
+      size_t sent = static_cast<size_t>(n);
+      while (sent > 0) {
+        const size_t left = conn->outq.front().size() - conn->out_off;
+        if (sent < left) {
+          conn->out_off += sent;
+          break;
+        }
+        sent -= left;
         conn->outq.pop_front();
         conn->out_off = 0;
       }
+      // A short send means the socket buffer is full: wait for EPOLLOUT.
+      if (static_cast<size_t>(n) < offered) break;
     } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       break;
     } else if (n < 0 && errno == EINTR) {
@@ -471,11 +507,20 @@ void Server::DrainCompletions() {
     std::lock_guard<std::mutex> lock(completions_mu_);
     batch.swap(completions_);
   }
+  // Queue every frame first, then flush each touched connection once, so a
+  // connection's responses from this wake leave in as few sends as the
+  // socket allows. A queue that was not empty is already waiting for
+  // EPOLLOUT and needs no flush here.
+  std::vector<uint64_t> touched;
   for (Completion& c : batch) {
     auto it = conns_.find(c.conn_id);
     if (it == conns_.end()) continue;  // client vanished mid-flight
-    QueueResponse(&it->second, std::move(c.payload));
-    FlushConn(&it->second);
+    if (it->second.outq.empty()) touched.push_back(c.conn_id);
+    QueueFrame(&it->second, std::move(c.frame));
+  }
+  for (const uint64_t id : touched) {
+    auto it = conns_.find(id);
+    if (it != conns_.end()) FlushConn(&it->second);
   }
 }
 

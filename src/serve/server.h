@@ -39,7 +39,10 @@ struct ServerOptions {
 /// the pipeline's atomic hot swap — safe against the Featurize calls the
 /// dispatcher thread runs concurrently); FEATURIZE requests are admitted
 /// into the RequestBatcher, coalesced, and completed asynchronously, with
-/// OVERLOADED rejections once the admission queue is full.
+/// OVERLOADED rejections once the admission queue is full. The dispatcher
+/// hands back finished frames, so the I/O thread does no per-byte work on a
+/// FEATURIZE response: each wake it queues them and flushes every connection
+/// it touched once, with vectored sends.
 ///
 /// Shutdown is a graceful drain — triggered by Shutdown(), a DRAIN request,
 /// or RequestShutdown() from a signal handler: the listener closes, admitted
@@ -90,9 +93,14 @@ class Server {
   void HandleWritable(uint64_t conn_id);
   /// Parses one request payload and queues its response(s).
   void HandlePayload(Conn* conn, std::string_view payload);
-  void QueueResponse(Conn* conn, std::string payload);
-  /// Sends as much queued output as the socket accepts; closes on error.
-  /// Returns false when the connection was closed.
+  /// Frames a response the I/O thread made itself and queues it.
+  void QueueResponse(Conn* conn, std::string_view payload);
+  /// Queues a finished frame, or marks a slow reader for closing once
+  /// kMaxQueuedResponses frames are waiting.
+  void QueueFrame(Conn* conn, std::string frame);
+  /// Sends as much queued output as the socket accepts, up to kMaxSendIov
+  /// frames per sendmsg; closes on error. Returns false when the connection
+  /// was closed.
   bool FlushConn(Conn* conn);
   void UpdateEpollMask(Conn* conn, uint32_t mask);
   void CloseConn(uint64_t conn_id);

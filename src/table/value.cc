@@ -5,22 +5,6 @@
 
 namespace leva {
 
-std::string DataTypeName(DataType type) {
-  switch (type) {
-    case DataType::kNull:
-      return "null";
-    case DataType::kInt:
-      return "int";
-    case DataType::kDouble:
-      return "double";
-    case DataType::kString:
-      return "string";
-    case DataType::kDatetime:
-      return "datetime";
-  }
-  return "unknown";
-}
-
 std::string Value::ToDisplayString() const {
   if (is_null()) return "";
   if (is_int()) return std::to_string(as_int());

@@ -16,8 +16,6 @@ enum class DataType {
   kDatetime,   ///< seconds since epoch, stored as int64
 };
 
-std::string DataTypeName(DataType type);
-
 /// A single cell: null, integer, double, or string. Datetimes are stored as
 /// int64 and distinguished at the column level.
 class Value {

@@ -16,6 +16,9 @@
 #if defined(__linux__)
 #include <sched.h>
 #endif
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -149,6 +152,62 @@ TEST(ParallelForTest, BackToBackTinyCallsNeverHang) {
     ParallelFor(4, 0, 4, 1, [&](size_t, size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 4 * kCalls);
+}
+
+// A forked child inherits the shared pool object but none of its workers,
+// and the workers' condition variable still records them as waiters. The
+// child's first ParallelFor must get a pool of its own instead of hanging on
+// the inherited one (bench/serving measures each load mode in a child forked
+// after Fit). The child runs under a deadline and is killed if it overruns.
+TEST(ParallelForTest, ForkedChildGetsAWorkingPool) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer aborts a child that starts threads after "
+                  "a multi-threaded fork";
+#endif
+  std::atomic<size_t> warm{0};
+  ParallelFor(4, 0, 64, 1, [&](size_t b, size_t e) { warm.fetch_add(e - b); });
+  ASSERT_EQ(warm.load(), 64u);
+  // Let the workers go back to waiting on the pool's condition variable.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Two chunks, each waiting up to 5 s for the other to start: they
+    // overlap only if a pool worker runs one while the caller runs the other.
+    std::atomic<int> started{0};
+    std::atomic<bool> overlapped{true};
+    ParallelFor(4, 0, 2, 1, [&](size_t, size_t) {
+      started.fetch_add(1);
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (started.load() < 2) {
+        if (std::chrono::steady_clock::now() > until) {
+          overlapped.store(false);
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    ::_exit(overlapped.load() ? 0 : 1);
+  }
+  int status = 0;
+  pid_t done = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((done = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (done == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    FAIL() << "ParallelFor in the forked child hung for 10 s";
+  }
+  ASSERT_EQ(done, pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died, wait status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "no pool worker ran in the forked child";
 }
 
 TEST(StreamRngTest, StreamsAreStableAndDistinct) {

@@ -10,6 +10,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -203,6 +204,32 @@ TEST(ProtocolTest, ResponsesRoundTrip) {
   EXPECT_EQ(out.stats, fields);
 }
 
+// The dispatcher's one-pass frame equals the two-pass encoding byte for
+// byte. A payload is 26 header bytes + 8 per feature, so it is never exactly
+// 12 288 bytes, where Crc32c switches to its three-stream loop; the shapes
+// put it just below and just above that, and at several multiples of it.
+TEST(ProtocolTest, FeaturizeResponseFrameMatchesTwoPassEncoding) {
+  const std::vector<std::pair<size_t, size_t>> shapes = {
+      {0, 3},    {1, 1},    {3, 5},   {16, 24},  {128, 16},
+      {4, 383},  {1, 1531},  // 12 282 and 12 274 bytes
+      {21, 73},  {2, 767},   // 12 290 and 12 298 bytes
+      {128, 64}, {7, 1755}, {1, 4093}, {300, 64}};  // 16 KiB to 150 KiB
+  for (const auto& [rows, width] : shapes) {
+    std::vector<double> features(std::max<size_t>(1, rows * width));
+    for (size_t i = 0; i < features.size(); ++i) {
+      features[i] = static_cast<double>(i) * 0.37 - 11.0;
+    }
+    const uint64_t id = 0x0123456789abcdefull + rows;
+    const std::string frame =
+        EncodeFeaturizeResponseFrame(id, rows, width, features.data());
+    const std::string expected = EncodeFrame(
+        EncodeFeaturizeResponse(id, rows, width, features.data()));
+    ASSERT_EQ(frame.size(),
+              kFrameHeaderSize + FeaturizeResponseSize(rows, width));
+    EXPECT_EQ(frame, expected) << rows << " x " << width;
+  }
+}
+
 // --- batcher ----------------------------------------------------------------
 
 // A deterministic fake executor: features identify the exact input rows, so
@@ -261,6 +288,17 @@ FeaturizeJob MakeJob(uint64_t id, int64_t first_value, size_t rows,
   return job;
 }
 
+/// A completion carries one finished wire frame: checks that it is exactly
+/// one frame with a matching CRC32C, then decodes the response inside it.
+Status DecodeCompletion(const Completion& c, DecodedResponse* response) {
+  const Result<FrameDecode> frame = DecodeFrame(c.frame);
+  if (!frame.ok()) return frame.status();
+  if (!frame->complete || frame->consumed != c.frame.size()) {
+    return Status::InvalidArgument("completion is not exactly one frame");
+  }
+  return DecodeResponse(frame->payload, response);
+}
+
 TEST(BatcherTest, CoalescesSameSchemaAndSlicesPerRequest) {
   FakeExec fake;
   BatcherOptions opts;
@@ -279,7 +317,7 @@ TEST(BatcherTest, CoalescesSameSchemaAndSlicesPerRequest) {
   ASSERT_EQ(fake.completions.size(), 4u);
   for (const Completion& c : fake.completions) {
     DecodedResponse r;
-    ASSERT_TRUE(DecodeResponse(c.payload, &r).ok());
+    ASSERT_TRUE(DecodeCompletion(c, &r).ok());
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     ASSERT_EQ(r.rows, 2u);
     ASSERT_EQ(r.width, 2u);
@@ -338,9 +376,10 @@ TEST(BatcherTest, OversizedResponseIsAPerRequestError) {
   ASSERT_EQ(fake.call_rows, std::vector<size_t>{8194});
   ASSERT_EQ(fake.completions.size(), 2u);
   for (const Completion& c : fake.completions) {
-    ASSERT_LE(c.payload.size(), kMaxFramePayload) << "id " << c.request_id;
+    ASSERT_LE(c.frame.size(), kFrameHeaderSize + kMaxFramePayload)
+        << "id " << c.request_id;
     DecodedResponse r;
-    ASSERT_TRUE(DecodeResponse(c.payload, &r).ok());
+    ASSERT_TRUE(DecodeCompletion(c, &r).ok());
     if (c.request_id == 1) {
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
       EXPECT_EQ(r.rows, 2u);
@@ -459,7 +498,7 @@ TEST(BatcherTest, ExecutorErrorsFanOutPerRequest) {
   ASSERT_EQ(fake.completions.size(), 2u);
   for (const Completion& c : fake.completions) {
     DecodedResponse r;
-    ASSERT_TRUE(DecodeResponse(c.payload, &r).ok());
+    ASSERT_TRUE(DecodeCompletion(c, &r).ok());
     EXPECT_EQ(r.opcode, Opcode::kFeaturize);
     EXPECT_EQ(r.status.code(), StatusCode::kInternal);
   }
@@ -872,6 +911,85 @@ TEST(ServerTest, TruncatedFrameThenHangupLeavesServerHealthy) {
   ASSERT_TRUE(DecodeResponse(pong, &response).ok());
   EXPECT_TRUE(response.status.ok());
   ::close(fd2);
+}
+
+// One connection pipelines 512 FEATURIZE requests, then reads the ~7.9 MB
+// of responses through a small receive buffer, 2 KiB at a time with pauses.
+// That is more than the server's socket send buffer can hold (at most 4 MiB
+// by default), so its vectored sends stop short inside a frame again and
+// again; every response must still arrive whole, in request order, and
+// bit-equal to the offline path.
+TEST(ServerTest, PipelinedResponsesToASlowReaderArriveWholeAndInOrder) {
+  const ServedModel& m = SharedModel();
+  constexpr size_t kRequests = 512;
+  constexpr size_t kRows = 120;
+  ServerOptions options;
+  options.batcher.max_pending_rows = kRequests * kRows;
+  LiveServer live(m.path_a, options);
+
+  // Two row orders, so a response delivered for the wrong request shows.
+  std::vector<Table> subsets = {ServingRows(m, 0, kRows),
+                                ServingRows(m, 0, kRows)};
+  for (size_t c = 0; c < subsets[1].NumColumns(); ++c) {
+    auto& values = subsets[1].mutable_column(c).values;
+    std::reverse(values.begin(), values.end());
+  }
+  const std::vector<std::vector<double>> expected = {
+      ExpectedBits(m.ref_a, subsets[0]), ExpectedBits(m.ref_a, subsets[1])};
+  constexpr size_t kSubsets = 2;
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;  // set before connect, so the window stays small
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  timeval tv{};
+  tv.tv_sec = 20;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(live.server->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0)
+      << std::strerror(errno);
+
+  std::string requests;
+  for (size_t i = 0; i < kRequests; ++i) {
+    FeaturizeRequest req;
+    req.request_id = i + 1;
+    req.rows = subsets[i % kSubsets];
+    requests += EncodeFrame(EncodeFeaturizeRequest(req));
+  }
+  SendRaw(fd, requests);
+
+  std::string buf;
+  size_t consumed = 0;
+  size_t received = 0;
+  size_t reads = 0;
+  char chunk[2048];
+  while (received < kRequests) {
+    const auto frame = DecodeFrame(std::string_view(buf).substr(consumed));
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    if (!frame->complete) {
+      if (reads++ % 16 == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+      ASSERT_GT(n, 0) << "connection ended after " << received
+                      << " response(s)";
+      buf.append(chunk, static_cast<size_t>(n));
+      continue;
+    }
+    DecodedResponse response;
+    ASSERT_TRUE(DecodeResponse(frame->payload, &response).ok());
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.request_id, received + 1) << "out of order";
+    EXPECT_TRUE(SameBits(response.features, expected[received % kSubsets]))
+        << "response " << received + 1 << " differs from offline Featurize";
+    consumed += frame->consumed;
+    ++received;
+  }
+  EXPECT_EQ(consumed, buf.size()) << "bytes after the last response";
+  ::close(fd);
 }
 
 // --- reload + drain ---------------------------------------------------------
