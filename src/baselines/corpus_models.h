@@ -15,20 +15,20 @@ namespace leva {
 /// cells in column order, then shuffled) and trains word embeddings directly,
 /// losing the relational structure. Rows are featurized as the mean of their
 /// token vectors, whose common component Fit removes.
-class DirectWord2VecModel : public EmbeddingModel {
+class DirectWord2VecModel : public RowwiseEmbeddingModel {
  public:
   DirectWord2VecModel(Word2VecOptions w2v, TextifyOptions textify,
                       uint64_t seed)
       : w2v_options_(w2v), textify_options_(textify), seed_(seed) {}
 
   Status Fit(const Database& db) override;
-  Result<std::vector<double>> RowVector(const Table& table, size_t row,
-                                        const std::string& target_column,
-                                        bool rows_in_graph) const override;
   size_t dim() const override { return embedding_.dim(); }
   const Embedding& embedding() const override { return embedding_; }
 
  protected:
+  Result<std::vector<double>> RowVector(const Table& table, size_t row,
+                                        const std::string& target_column,
+                                        bool rows_in_graph) const override;
   /// Token weight used when averaging (1.0 here; DeepER overrides with IDF).
   virtual double TokenWeight(const std::string&) const { return 1.0; }
 

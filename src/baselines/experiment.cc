@@ -184,8 +184,8 @@ Result<std::pair<MLDataset, MLDataset>> FeaturizeTask(
   if (base == nullptr) return Status::NotFound("base table missing");
   LEVA_ASSIGN_OR_RETURN(
       const MLDataset all,
-      FeaturizeWithModel(fitted_model, *base, task.data.target_column,
-                         task.encoder, /*rows_in_graph=*/true));
+      fitted_model.Featurize(*base, task.data.target_column, task.encoder,
+                             /*rows_in_graph=*/true));
   MLDataset train = all.Subset(task.train_rows);
   MLDataset test = all.Subset(task.test_rows);
   StandardizeFeatures(&train, &test);

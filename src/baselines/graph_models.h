@@ -16,7 +16,7 @@ namespace leva {
 /// sharing — no voting refinement, no missing-data removal, no edge
 /// weighting — embedded with p/q-biased second-order walks (Grover &
 /// Leskovec, KDD 2016).
-class Node2VecModel : public EmbeddingModel {
+class Node2VecModel : public RowwiseEmbeddingModel {
  public:
   Node2VecModel(double p, double q, Word2VecOptions w2v,
                 TextifyOptions textify, uint64_t seed)
@@ -24,14 +24,14 @@ class Node2VecModel : public EmbeddingModel {
         seed_(seed) {}
 
   Status Fit(const Database& db) override;
-  Result<std::vector<double>> RowVector(const Table& table, size_t row,
-                                        const std::string& target_column,
-                                        bool rows_in_graph) const override;
   size_t dim() const override { return embedding_.dim(); }
   const Embedding& embedding() const override { return embedding_; }
   const LevaGraph& graph() const { return graph_; }
 
  protected:
+  Result<std::vector<double>> RowVector(const Table& table, size_t row,
+                                        const std::string& target_column,
+                                        bool rows_in_graph) const override;
   // Builds the graph this model embeds; overridden by EmbdiModel.
   virtual Result<LevaGraph> BuildModelGraph(
       const std::vector<TextifiedTable>& tables, size_t total_attributes);

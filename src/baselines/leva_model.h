@@ -14,14 +14,8 @@ class LevaModel : public EmbeddingModel {
 
   Status Fit(const Database& db) override { return pipeline_.Fit(db); }
 
-  Result<std::vector<double>> RowVector(const Table& table, size_t row,
-                                        const std::string& target_column,
-                                        bool rows_in_graph) const override {
-    return pipeline_.RowVector(table, row, target_column, rows_in_graph);
-  }
-
-  /// Batched fast path: column-wise textify + interned token resolution +
-  /// blocked parallel gather, bit-identical to the row-at-a-time default.
+  /// The pipeline's batched Featurize: column-wise textify + interned token
+  /// resolution + blocked parallel gather.
   Result<MLDataset> Featurize(const Table& table,
                               const std::string& target_column,
                               const TargetEncoder& encoder,

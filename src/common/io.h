@@ -118,11 +118,6 @@ class BufferWriter {
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
   void PutU32(uint32_t v) { PutFixed(&v, sizeof v); }
   void PutU64(uint64_t v) { PutFixed(&v, sizeof v); }
-  void PutFloat(float v) {
-    uint32_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    PutU32(bits);
-  }
   void PutDouble(double v) {
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
@@ -186,12 +181,6 @@ class BufferReader {
   }
   Status GetU32(uint32_t* v) { return GetFixed(v, sizeof *v, "u32"); }
   Status GetU64(uint64_t* v) { return GetFixed(v, sizeof *v, "u64"); }
-  Status GetFloat(float* v) {
-    uint32_t bits;
-    LEVA_RETURN_IF_ERROR(GetU32(&bits));
-    std::memcpy(v, &bits, sizeof *v);
-    return Status::OK();
-  }
   Status GetDouble(double* v) {
     uint64_t bits;
     LEVA_RETURN_IF_ERROR(GetU64(&bits));

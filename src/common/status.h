@@ -61,9 +61,6 @@ class Status {
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
-  static Status NotImplemented(std::string msg) {
-    return Status(StatusCode::kNotImplemented, std::move(msg));
-  }
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));
   }

@@ -39,9 +39,6 @@ class MappedRegion {
   const char* data() const { return data_; }
   size_t size() const { return size_; }
 
-  /// True when the bytes are a real file mapping (page-cache backed).
-  bool is_mmap() const { return map_base_ != nullptr; }
-
  private:
   MappedRegion() = default;
 

@@ -78,12 +78,6 @@ bool LooksLikeMissingToken(std::string_view s) {
          t == "none" || t == "nan" || t == "-";
 }
 
-std::string FormatDouble(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
-
 namespace {
 
 // Days since 1970-01-01 for a proleptic-Gregorian civil date (Howard

@@ -42,9 +42,6 @@ std::optional<int64_t> ParseInt(std::string_view s);
 /// defense; this list is only used by dataset generators and tests.
 bool LooksLikeMissingToken(std::string_view s);
 
-/// Formats `v` with `precision` decimal digits.
-std::string FormatDouble(double v, int precision = 3);
-
 /// Parses "YYYY-MM-DD" or "YYYY-MM-DD HH:MM:SS" (also with a 'T' separator)
 /// into seconds since the Unix epoch (UTC, proleptic Gregorian). Returns
 /// nullopt on malformed input or out-of-range fields.

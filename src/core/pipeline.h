@@ -87,14 +87,13 @@ struct PipelineMetrics {
   /// Whole Featurize calls, failed ones included.
   metrics::Histogram featurize;
   /// Featurize work, counted per batch once its tokens are resolved.
-  /// `store_lookups` (hash probes into the embedding/graph stores) equals
-  /// `distinct_tokens`, the tokens newly resolved; on a warm resolver cache
-  /// both stop growing.
+  /// `distinct_tokens` counts the tokens newly resolved, each with one probe
+  /// of the embedding/graph stores; on a warm resolver cache it stops
+  /// growing.
   std::atomic<uint64_t> featurize_rows{0};
   std::atomic<uint64_t> featurize_batches{0};
   std::atomic<uint64_t> token_occurrences{0};
   std::atomic<uint64_t> distinct_tokens{0};
-  std::atomic<uint64_t> store_lookups{0};
 
   /// The Fit stages in pipeline order, by their Fig. 6b/6c names; a stage
   /// the chosen method skips has count() 0.
@@ -157,7 +156,7 @@ struct SnapshotLoadOptions {
 /// whole database (which must contain the Base Table, minus any held-out
 /// test rows); Featurize turns Base-Table slices into training datasets.
 ///
-/// Concurrency: Featurize (and RowVector) may be called from
+/// Concurrency: Featurize may be called from
 /// any number of threads concurrently, and concurrently with ReloadSnapshot
 /// and set_serving_options. Each call snapshots the current fitted model (an
 /// atomically published, immutable ServingState) at entry and runs against
@@ -328,19 +327,15 @@ class LevaPipeline {
   /// model's lifetime (a persistent TokenResolver cache — resolution is a
   /// pure function of the fitted stores), and rows are gathered into the
   /// MLDataset matrix by a cache-blocked ParallelFor with no per-row
-  /// allocation. Output is bit-identical to a row loop over RowVector
+  /// allocation. Output is bit-identical to the row-at-a-time oracle
   /// (tests/reference/featurize_reference.h) at any thread count / batch
-  /// size. Records the call and its work in metrics(); safe to call
-  /// concurrently (see the class comment).
+  /// size. An empty `target_column` means the table has no label: every
+  /// column is featurized and `y` stays zero. Records the call and its work
+  /// in metrics(); safe to call concurrently (see the class comment).
   Result<MLDataset> Featurize(const Table& table,
                               const std::string& target_column,
                               const TargetEncoder& encoder,
                               bool rows_in_graph) const;
-
-  /// Vector for one row under the current featurization strategy.
-  Result<std::vector<double>> RowVector(const Table& table, size_t row,
-                                        const std::string& target_column,
-                                        bool rows_in_graph) const;
 
   const Embedding& embedding() const { return state_or_empty().embedding; }
   const LevaGraph& graph() const { return state_or_empty().graph; }
@@ -429,16 +424,6 @@ class LevaPipeline {
   static constexpr uint32_t kSnapshotVersion = 7;
 
  private:
-  // Mean of the value-node embeddings of `tokens` into `out` (zeros when no
-  // token is known).
-  void ComposeFromTokens(const ServingState& s,
-                         const std::vector<std::string>& tokens,
-                         std::vector<double>* out) const;
-  Result<std::vector<double>> RowVectorImpl(const ServingState& s,
-                                            const Table& table, size_t row,
-                                            const std::string& target_column,
-                                            bool rows_in_graph) const;
-
   // Builds the successor ServingState for one update batch (shared by Update
   // and RecoverFromLog — the latter passes the replayed record's position).
   // Pure with respect to the pipeline: nothing is published here.

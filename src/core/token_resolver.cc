@@ -86,7 +86,6 @@ void TokenResolver::Rebind(const Embedding* embedding, const LevaGraph* graph,
   for (const std::string& token : touched) {
     const uint32_t id = FindId(token);
     if (id == UINT32_MAX) continue;  // never cached: resolves on first sight
-    ++stats_.store_lookups;
     entries_[id] = Resolve(token);
   }
 }
@@ -109,7 +108,6 @@ uint32_t TokenResolver::Intern(std::string_view token) {
   }
 
   ++stats_.distinct;
-  ++stats_.store_lookups;
   const uint32_t id = static_cast<uint32_t>(entries_.size());
   keys_.emplace_back(token);
   entries_.push_back(Resolve(keys_.back()));

@@ -32,17 +32,16 @@ class TokenResolver {
     /// is unseen (it then contributes nothing to the composed vector).
     size_t embedding_id = Embedding::kInvalidId;
     /// Inverse-degree composition weight (1.0 when unweighted or the token
-    /// has no value node), mirroring ComposeFromTokens.
+    /// has no value node), the edge weighting of Section 3.2.
     double weight = 1.0;
   };
 
   /// Hit counters proving the per-distinct-token (not per-occurrence) cost
-  /// model: `store_lookups` — hash probes into the embedding/graph stores —
-  /// equals `distinct`, never `occurrences`.
+  /// model: the stores are probed once per `distinct` token, never once per
+  /// occurrence.
   struct Stats {
-    size_t occurrences = 0;    // Intern() calls
-    size_t distinct = 0;       // unique tokens resolved
-    size_t store_lookups = 0;  // embedding-index probes (== distinct)
+    size_t occurrences = 0;  // Intern() calls
+    size_t distinct = 0;     // unique tokens resolved
   };
 
   /// `graph` may be null when `weighted` is false. Neither is owned; both
@@ -73,8 +72,8 @@ class TokenResolver {
   void Save(BufferWriter* out) const;
 
   /// Clears this resolver and re-interns the keys written by Save against
-  /// the current stores, reproducing identical ids. Counts as store lookups
-  /// in stats() (it performs them).
+  /// the current stores, reproducing identical ids. Counts as interning in
+  /// stats() (it resolves every key).
   Status Load(BufferReader* in);
 
   /// Rebinds the cache to successor stores after a streaming update,
@@ -84,8 +83,7 @@ class TokenResolver {
   /// pure function of the stores, the update appends to them without
   /// renumbering, so untouched entries stay correct by construction. Tokens
   /// in `touched` that were never interned cost nothing (they resolve on
-  /// first sight as usual). Re-resolutions count as store lookups in
-  /// stats().
+  /// first sight as usual).
   void Rebind(const Embedding* embedding, const LevaGraph* graph,
               const std::vector<std::string>& touched);
 

@@ -21,8 +21,8 @@
 //   - Edge weights of a value node that gains edges are recomputed for the
 //     *new* edges (1/deg over the post-batch degree); the node's pre-existing
 //     edges keep their stored weight until Compacted(reweight) runs. Only
-//     weighted walk transition probabilities see the stale values —
-//     ComposeFromTokens and the resolver read Degree() live.
+//     weighted walk transition probabilities see the stale values — the
+//     resolver's 1/deg composition weights read Degree() live.
 //   - New tokens become value nodes only when shared by >= 2 rows of the
 //     batch or already present in the graph (the Algorithm 1 "unshared"
 //     refinement applied batch-locally; the theta votes are not re-run).

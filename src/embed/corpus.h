@@ -61,16 +61,6 @@ class FlatCorpus {
   std::vector<size_t> offsets_ = {0};
 };
 
-/// Flattens a nested sentence corpus (the legacy representation).
-inline FlatCorpus Flatten(const std::vector<std::vector<uint32_t>>& nested) {
-  FlatCorpus flat;
-  size_t tokens = 0;
-  for (const auto& s : nested) tokens += s.size();
-  flat.Reserve(nested.size(), tokens);
-  for (const auto& s : nested) flat.AppendSentence({s.data(), s.size()});
-  return flat;
-}
-
 }  // namespace leva
 
 #endif  // LEVA_EMBED_CORPUS_H_

@@ -340,18 +340,4 @@ double Embedding::L1Distance(std::span<const double> a,
   return sum;
 }
 
-double Embedding::CosineSimilarity(std::span<const double> a,
-                                   std::span<const double> b) {
-  double dot = 0;
-  double na = 0;
-  double nb = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    dot += a[i] * b[i];
-    na += a[i] * a[i];
-    nb += b[i] * b[i];
-  }
-  if (na <= 0 || nb <= 0) return 0.0;
-  return dot / std::sqrt(na * nb);
-}
-
 }  // namespace leva

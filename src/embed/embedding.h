@@ -206,8 +206,6 @@ class Embedding {
 
   /// L1 distance between two vectors of equal length.
   static double L1Distance(std::span<const double> a, std::span<const double> b);
-  static double CosineSimilarity(std::span<const double> a,
-                                 std::span<const double> b);
 
  private:
   /// Out-of-line quantized path of GetById: dequantizes row `id` into a

@@ -24,16 +24,25 @@ Result<ErEvalResult> EvaluateEntityResolution(const EmbeddingModel& model,
   const size_t dim = model.dim();
   const size_t width = dim + 2;  // |a-b| ++ cosine ++ L1
 
+  // Both tables are unlabeled and fitted: one Featurize call each gives every
+  // row's embedding, and the pairs index into the two matrices.
+  const TargetEncoder no_target;
+  LEVA_ASSIGN_OR_RETURN(
+      const MLDataset rows_a,
+      model.Featurize(dataset.table_a, "", no_target, /*rows_in_graph=*/true));
+  LEVA_ASSIGN_OR_RETURN(
+      const MLDataset rows_b,
+      model.Featurize(dataset.table_b, "", no_target, /*rows_in_graph=*/true));
+
   Matrix x(dataset.pairs.size(), width);
   std::vector<double> y(dataset.pairs.size());
   for (size_t p = 0; p < dataset.pairs.size(); ++p) {
     const ErPair& pair = dataset.pairs[p];
-    LEVA_ASSIGN_OR_RETURN(
-        const std::vector<double> va,
-        model.RowVector(dataset.table_a, pair.row_a, "", true));
-    LEVA_ASSIGN_OR_RETURN(
-        const std::vector<double> vb,
-        model.RowVector(dataset.table_b, pair.row_b, "", true));
+    if (pair.row_a >= rows_a.NumRows() || pair.row_b >= rows_b.NumRows()) {
+      return Status::InvalidArgument("candidate pair row out of range");
+    }
+    const double* va = rows_a.x.RowPtr(pair.row_a);
+    const double* vb = rows_b.x.RowPtr(pair.row_b);
     double dot = 0;
     double na = 0;
     double nb = 0;

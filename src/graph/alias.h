@@ -53,12 +53,6 @@ class AliasTable {
   bool empty() const { return prob_.empty(); }
   size_t size() const { return prob_.size(); }
 
-  /// Bytes used by this table (for the memory accounting in Section 4.3).
-  size_t MemoryBytes() const {
-    return prob_.capacity() * sizeof(double) +
-           alias_.capacity() * sizeof(uint32_t);
-  }
-
  private:
   std::vector<double> prob_;
   std::vector<uint32_t> alias_;

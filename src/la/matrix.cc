@@ -1,7 +1,6 @@
 #include "la/matrix.h"
 
 #include <cassert>
-#include <cmath>
 
 #include "common/parallel.h"
 #include "common/simd.h"
@@ -50,31 +49,11 @@ void MatTMulRows(const Matrix& a, const Matrix& b, Matrix* c, size_t i0,
 
 }  // namespace
 
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::GaussianRandom(size_t rows, size_t cols, Rng* rng,
                               double stddev) {
   Matrix m(rows, cols);
   for (double& v : m.data_) v = rng->Normal(0.0, stddev);
   return m;
-}
-
-Matrix Matrix::Transposed() const {
-  Matrix t(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  }
-  return t;
-}
-
-double Matrix::FrobeniusNorm() const {
-  double sum = 0;
-  for (double v : data_) sum += v * v;
-  return std::sqrt(sum);
 }
 
 LEVA_TARGET_CLONES

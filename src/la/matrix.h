@@ -16,7 +16,6 @@ class Matrix {
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  static Matrix Identity(size_t n);
   /// i.i.d. N(0, stddev²) entries.
   static Matrix GaussianRandom(size_t rows, size_t cols, Rng* rng,
                                double stddev = 1.0);
@@ -32,11 +31,6 @@ class Matrix {
 
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& mutable_data() { return data_; }
-
-  Matrix Transposed() const;
-
-  /// Frobenius norm.
-  double FrobeniusNorm() const;
 
   /// this += alpha * other (shapes must match).
   void AddScaled(const Matrix& other, double alpha);

@@ -138,12 +138,4 @@ Matrix SparseMatrix::TransposeMultiply(const Matrix& x, size_t threads) const {
   return y;
 }
 
-double SparseMatrix::At(size_t r, size_t c) const {
-  const auto begin = cols_idx_.begin() + static_cast<ptrdiff_t>(offsets_[r]);
-  const auto end = cols_idx_.begin() + static_cast<ptrdiff_t>(offsets_[r + 1]);
-  const auto it = std::lower_bound(begin, end, static_cast<uint32_t>(c));
-  if (it == end || *it != c) return 0.0;
-  return values_[static_cast<size_t>(it - cols_idx_.begin())];
-}
-
 }  // namespace leva

@@ -39,16 +39,6 @@ class SparseMatrix {
   /// merged in chunk order — deterministic at every thread count.
   Matrix TransposeMultiply(const Matrix& x, size_t threads = 1) const;
 
-  /// Value at (r, c), 0 when absent. O(log deg) lookup.
-  double At(size_t r, size_t c) const;
-
-  /// Approximate heap footprint in bytes.
-  size_t MemoryBytes() const {
-    return offsets_.capacity() * sizeof(size_t) +
-           cols_idx_.capacity() * sizeof(uint32_t) +
-           values_.capacity() * sizeof(double);
-  }
-
   const std::vector<size_t>& offsets() const { return offsets_; }
   const std::vector<uint32_t>& col_indices() const { return cols_idx_; }
   const std::vector<double>& values() const { return values_; }

@@ -22,17 +22,6 @@ double MeanAbsoluteError(const std::vector<double>& truth,
   return sum / static_cast<double>(truth.size());
 }
 
-double MeanSquaredError(const std::vector<double>& truth,
-                        const std::vector<double>& pred) {
-  if (truth.empty()) return 0.0;
-  double sum = 0;
-  for (size_t i = 0; i < truth.size(); ++i) {
-    const double d = truth[i] - pred[i];
-    sum += d * d;
-  }
-  return sum / static_cast<double>(truth.size());
-}
-
 double R2Score(const std::vector<double>& truth,
                const std::vector<double>& pred) {
   if (truth.empty()) return 0.0;

@@ -13,9 +13,6 @@ double Accuracy(const std::vector<double>& truth,
 double MeanAbsoluteError(const std::vector<double>& truth,
                          const std::vector<double>& pred);
 
-double MeanSquaredError(const std::vector<double>& truth,
-                        const std::vector<double>& pred);
-
 /// Coefficient of determination (used by the Fig. 3 recovery study).
 double R2Score(const std::vector<double>& truth,
                const std::vector<double>& pred);

@@ -30,7 +30,6 @@ class Client {
   Status Connect(const std::string& host, uint16_t port,
                  int timeout_ms = 5000);
   void Close();
-  bool connected() const { return fd_ >= 0; }
 
   Status Ping();
   /// Featurizes `request.rows`; the request id is assigned by the client.

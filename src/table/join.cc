@@ -63,42 +63,6 @@ Value Aggregate(const Column& col, const std::vector<size_t>& rows) {
 
 }  // namespace
 
-Result<Table> InnerHashJoin(const Table& left, const Table& right,
-                            const std::string& left_col,
-                            const std::string& right_col) {
-  LEVA_ASSIGN_OR_RETURN(const size_t li, left.ColumnIndex(left_col));
-  LEVA_ASSIGN_OR_RETURN(const size_t ri, right.ColumnIndex(right_col));
-
-  Table out(left.name() + "_join_" + right.name());
-  for (const Column& c : left.columns()) {
-    Column col;
-    col.name = Qualify(left.name(), c.name);
-    col.type = c.type;
-    LEVA_RETURN_IF_ERROR(out.AddColumn(std::move(col)));
-  }
-  for (const Column& c : right.columns()) {
-    Column col;
-    col.name = Qualify(right.name(), c.name);
-    col.type = c.type;
-    LEVA_RETURN_IF_ERROR(out.AddColumn(std::move(col)));
-  }
-
-  const auto index = BuildIndex(right.column(ri));
-  for (size_t r = 0; r < left.NumRows(); ++r) {
-    const Value& key = left.at(r, li);
-    if (key.is_null()) continue;
-    const auto it = index.find(key.ToDisplayString());
-    if (it == index.end()) continue;
-    for (size_t rr : it->second) {
-      std::vector<Value> row = left.Row(r);
-      std::vector<Value> rrow = right.Row(rr);
-      row.insert(row.end(), rrow.begin(), rrow.end());
-      LEVA_RETURN_IF_ERROR(out.AddRow(std::move(row)));
-    }
-  }
-  return out;
-}
-
 Result<Table> LeftJoinAggregate(const Table& left, const Table& right,
                                 const std::string& left_col,
                                 const std::string& right_col) {

@@ -8,12 +8,6 @@
 
 namespace leva {
 
-/// Inner hash join of `left` and `right` on display-string equality of
-/// `left_col` / `right_col`. Output columns are named "<table>.<column>".
-Result<Table> InnerHashJoin(const Table& left, const Table& right,
-                            const std::string& left_col,
-                            const std::string& right_col);
-
 /// Left join that preserves the cardinality of `left`: when a left key
 /// matches multiple right rows, the matches are aggregated (mean for numeric
 /// columns, most-frequent value for strings). This is the standard treatment

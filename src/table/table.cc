@@ -16,15 +16,6 @@ double Column::DistinctRatio() const {
   return static_cast<double>(distinct.size()) / static_cast<double>(non_null);
 }
 
-double Column::NullRatio() const {
-  if (values.empty()) return 0.0;
-  size_t nulls = 0;
-  for (const Value& v : values) {
-    if (v.is_null()) ++nulls;
-  }
-  return static_cast<double>(nulls) / static_cast<double>(values.size());
-}
-
 Status Table::AddColumn(Column column) {
   if (!columns_.empty() && column.size() != NumRows()) {
     return Status::InvalidArgument(
@@ -132,12 +123,6 @@ size_t Database::TotalRows() const {
   size_t rows = 0;
   for (const Table& t : tables_) rows += t.NumRows();
   return rows;
-}
-
-size_t Database::TotalColumns() const {
-  size_t cols = 0;
-  for (const Table& t : tables_) cols += t.NumColumns();
-  return cols;
 }
 
 }  // namespace leva

@@ -23,9 +23,6 @@ struct Column {
   /// Fraction of distinct non-null display strings among non-null values.
   /// Returns 0 for an all-null column.
   double DistinctRatio() const;
-
-  /// Fraction of null values.
-  double NullRatio() const;
 };
 
 /// A relational table: a name plus equally sized columns.
@@ -107,8 +104,6 @@ class Database {
 
   /// Total rows across all tables.
   size_t TotalRows() const;
-  /// Total columns across all tables.
-  size_t TotalColumns() const;
 
  private:
   std::vector<Table> tables_;

@@ -119,10 +119,6 @@ class Textifier {
 
   /// Total number of distinct attributes registered at Fit time.
   size_t NumAttributes() const { return attr_names_.size(); }
-  /// Qualified "<table>.<column>" name for `attr_id`.
-  const std::string& AttributeName(uint32_t attr_id) const {
-    return attr_names_[attr_id];
-  }
   /// Fitted class for a column; error if unknown.
   Result<ColumnClass> ClassOf(const std::string& table_name,
                               const std::string& column_name) const;

@@ -115,15 +115,24 @@ Word2VecOptions FastW2v() {
   return w;
 }
 
+// A fitted model's features for `base`, labeled by its "target" column.
+MLDataset FeaturizeBase(const EmbeddingModel& model, const Database& db) {
+  const Table* base = db.FindTable("base");
+  TargetEncoder encoder;
+  EXPECT_TRUE(encoder.Fit(*base->FindColumn("target"), true).ok());
+  auto features = model.Featurize(*base, "target", encoder, true);
+  EXPECT_TRUE(features.ok()) << features.status().ToString();
+  return std::move(features).value();
+}
+
 TEST(CorpusModelsTest, DirectWord2VecFitsAndFeaturizes) {
   const SyntheticDataset ds = SmallTask();
   DirectWord2VecModel model(FastW2v(), {}, 3);
   ASSERT_TRUE(model.Fit(ds.db).ok());
   EXPECT_GT(model.embedding().size(), 0u);
-  const Table* base = ds.db.FindTable("base");
-  const auto vec = model.RowVector(*base, 0, "target", true);
-  ASSERT_TRUE(vec.ok());
-  EXPECT_EQ(vec->size(), 8u);
+  const MLDataset features = FeaturizeBase(model, ds.db);
+  EXPECT_EQ(features.NumRows(), 250u);
+  EXPECT_EQ(features.NumFeatures(), 8u);
 }
 
 // The token vectors must move well off their random init. Init draws each
@@ -157,13 +166,9 @@ TEST(CorpusModelsTest, DeeperWeightsDiffer) {
   DeeperModel deeper(FastW2v(), {}, 3);
   ASSERT_TRUE(direct.Fit(ds.db).ok());
   ASSERT_TRUE(deeper.Fit(ds.db).ok());
-  const Table* base = ds.db.FindTable("base");
-  const auto v1 = direct.RowVector(*base, 0, "target", true);
-  const auto v2 = deeper.RowVector(*base, 0, "target", true);
-  ASSERT_TRUE(v1.ok());
-  ASSERT_TRUE(v2.ok());
   // IDF weighting must change the composition.
-  EXPECT_NE(*v1, *v2);
+  EXPECT_NE(FeaturizeBase(direct, ds.db).x.data(),
+            FeaturizeBase(deeper, ds.db).x.data());
 }
 
 TEST(GraphModelsTest, Node2VecBuildsUnrefinedGraph) {
@@ -172,10 +177,9 @@ TEST(GraphModelsTest, Node2VecBuildsUnrefinedGraph) {
   ASSERT_TRUE(model.Fit(ds.db).ok());
   // Unrefined: no missing-data removal happened.
   EXPECT_EQ(model.graph().stats().tokens_removed_missing, 0u);
-  const Table* base = ds.db.FindTable("base");
-  const auto vec = model.RowVector(*base, 5, "target", true);
-  ASSERT_TRUE(vec.ok());
-  EXPECT_EQ(vec->size(), 8u);
+  const MLDataset features = FeaturizeBase(model, ds.db);
+  EXPECT_EQ(features.NumRows(), 250u);
+  EXPECT_EQ(features.NumFeatures(), 8u);
 }
 
 TEST(GraphModelsTest, EmbdiTripartiteHasColumnNodes) {
@@ -218,29 +222,33 @@ TEST(LevaModelTest, AdapterMatchesPipeline) {
   LevaModel model(config);
   ASSERT_TRUE(model.Fit(ds.db).ok());
   EXPECT_EQ(model.dim(), 16u);  // Row + Value
-  const Table* base = ds.db.FindTable("base");
-  TargetEncoder encoder;
-  ASSERT_TRUE(encoder.Fit(*base->FindColumn("target"), true).ok());
-  const auto features =
-      FeaturizeWithModel(model, *base, "target", encoder, true);
-  ASSERT_TRUE(features.ok());
-  EXPECT_EQ(features->NumFeatures(), 16u);
-  EXPECT_EQ(features->NumRows(), 250u);
+  const MLDataset features = FeaturizeBase(model, ds.db);
+  EXPECT_EQ(features.NumFeatures(), 16u);
+  EXPECT_EQ(features.NumRows(), 250u);
 }
 
-TEST(FeaturizeWithModelTest, EncodesTargets) {
+TEST(RowwiseFeaturizeTest, EncodesTargets) {
   const SyntheticDataset ds = SmallTask();
   DirectWord2VecModel model(FastW2v(), {}, 3);
   ASSERT_TRUE(model.Fit(ds.db).ok());
-  const Table* base = ds.db.FindTable("base");
-  TargetEncoder encoder;
-  ASSERT_TRUE(encoder.Fit(*base->FindColumn("target"), true).ok());
-  const auto features =
-      FeaturizeWithModel(model, *base, "target", encoder, true);
-  ASSERT_TRUE(features.ok());
-  for (const double y : features->y) {
+  for (const double y : FeaturizeBase(model, ds.db).y) {
     EXPECT_TRUE(y == 0.0 || y == 1.0);
   }
+}
+
+TEST(RowwiseFeaturizeTest, EmptyTargetEncodesNothing) {
+  const SyntheticDataset ds = SmallTask();
+  Node2VecModel model(1.0, 1.0, FastW2v(), {}, 3);
+  ASSERT_TRUE(model.Fit(ds.db).ok());
+  const Table* base = ds.db.FindTable("base");
+  const auto features = model.Featurize(*base, "", TargetEncoder(), true);
+  ASSERT_TRUE(features.ok()) << features.status().ToString();
+  EXPECT_EQ(features->NumRows(), base->NumRows());
+  EXPECT_EQ(features->y, std::vector<double>(base->NumRows(), 0.0));
+  EXPECT_EQ(model.Featurize(*base, "no_such_column", TargetEncoder(), true)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -201,25 +201,27 @@ TEST(PipelineTest, FeaturizeBeforeFitFails) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(PipelineTest, RowVectorSkipsTargetTokens) {
-  // Two pipelines fitted identically must produce identical features
-  // regardless of the target values in the featurized table: the target
-  // column must not leak into the row vector.
+TEST(PipelineTest, FeaturizeSkipsTargetTokens) {
+  // The features must not depend on the target values in the featurized
+  // table: the target column must not leak into the row vectors.
   const SyntheticDataset ds = Student();
   LevaPipeline pipeline(TestConfig(EmbeddingMethod::kMatrixFactorization));
   ASSERT_TRUE(pipeline.Fit(ds.db).ok());
   const Table* base = ds.db.FindTable("expenses");
+  TargetEncoder encoder;
+  ASSERT_TRUE(encoder.Fit(*base->FindColumn("total_expenses"), false).ok());
 
   Table mutated = *base;
   mutated.set_name("expenses");
   const size_t target_idx = *mutated.ColumnIndex("total_expenses");
   mutated.mutable_column(target_idx).values[0] = Value(99999.0);
 
-  const auto v1 = pipeline.RowVector(*base, 0, "total_expenses", true);
-  const auto v2 = pipeline.RowVector(mutated, 0, "total_expenses", true);
-  ASSERT_TRUE(v1.ok());
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(*v1, *v2);
+  const auto f1 = pipeline.Featurize(*base, "total_expenses", encoder, true);
+  const auto f2 = pipeline.Featurize(mutated, "total_expenses", encoder, true);
+  ASSERT_TRUE(f1.ok());
+  ASSERT_TRUE(f2.ok());
+  EXPECT_NE(f1->y[0], f2->y[0]);
+  EXPECT_EQ(f1->x.data(), f2->x.data());
 }
 
 TEST(PipelineTest, WeightedConfigPropagates) {

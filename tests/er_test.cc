@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "baselines/leva_model.h"
 #include "datagen/er_data.h"
 #include "er/entity_resolution.h"
+#include "reference/featurize_reference.h"
 
 namespace leva {
 namespace {
@@ -37,6 +39,38 @@ TEST(ErTest, DatabaseHelper) {
   const auto db = ErDatabase(ds);
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(db->tables().size(), 2u);
+}
+
+// The ER harness featurizes each table with one batched, unlabeled
+// Featurize call over its fitted rows. Those rows must be the row-at-a-time
+// vectors bit for bit, so Table 8 does not move with the featurizer.
+TEST(ErTest, BatchedRowsMatchRowAtATimeVectors) {
+  const ErDataset ds = SmallEr(0.1);
+  const auto db = ErDatabase(ds);
+  ASSERT_TRUE(db.ok());
+  for (const Featurization mode :
+       {Featurization::kRowOnly, Featurization::kRowPlusValue}) {
+    LevaConfig config = FastLeva();
+    config.featurization = mode;
+    LevaModel model(config);
+    ASSERT_TRUE(model.Fit(*db).ok());
+    for (const Table* table : {&ds.table_a, &ds.table_b}) {
+      const auto batched =
+          model.Featurize(*table, "", TargetEncoder(), /*rows_in_graph=*/true);
+      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+      ASSERT_EQ(batched->NumRows(), table->NumRows());
+      ASSERT_EQ(batched->NumFeatures(), model.dim());
+      for (size_t r = 0; r < table->NumRows(); ++r) {
+        const auto row = ReferenceRowVector(model.pipeline(), *table, r, "",
+                                            /*rows_in_graph=*/true);
+        ASSERT_TRUE(row.ok());
+        ASSERT_EQ(row->size(), model.dim());
+        EXPECT_EQ(0, std::memcmp(batched->x.RowPtr(r), row->data(),
+                                 row->size() * sizeof(double)))
+            << table->name() << " row " << r;
+      }
+    }
+  }
 }
 
 TEST(ErTest, LevaResolvesLightlyPerturbedEntities) {
@@ -91,7 +125,7 @@ TEST(ErTest, PrecisionRecallWithinBounds) {
 // matched pair shares its entity offset. Every pair's cosine is >= 0.999,
 // and the features that separate matches are four orders of magnitude
 // below the common component.
-class NearlyParallelModel : public EmbeddingModel {
+class NearlyParallelModel : public RowwiseEmbeddingModel {
  public:
   NearlyParallelModel(const ErDataset& ds, size_t dim) : dim_(dim) {
     for (size_t r = 0; r < ds.table_a.NumRows(); ++r) entity_a_[r] = r;
@@ -105,7 +139,10 @@ class NearlyParallelModel : public EmbeddingModel {
   }
 
   Status Fit(const Database&) override { return Status::OK(); }
+  size_t dim() const override { return dim_; }
+  const Embedding& embedding() const override { return embedding_; }
 
+ protected:
   Result<std::vector<double>> RowVector(const Table& table, size_t row,
                                         const std::string&,
                                         bool) const override {
@@ -120,9 +157,6 @@ class NearlyParallelModel : public EmbeddingModel {
     return v;
   }
 
-  size_t dim() const override { return dim_; }
-  const Embedding& embedding() const override { return embedding_; }
-
  private:
   size_t dim_;
   std::map<size_t, size_t> entity_a_;
@@ -133,17 +167,19 @@ class NearlyParallelModel : public EmbeddingModel {
 TEST(ErTest, NearlyParallelVectorsStillResolve) {
   const ErDataset ds = SmallEr(0.1);
   const NearlyParallelModel model(ds, 16);
+  const auto rows_a = model.Featurize(ds.table_a, "", TargetEncoder(), true);
+  const auto rows_b = model.Featurize(ds.table_b, "", TargetEncoder(), true);
+  ASSERT_TRUE(rows_a.ok());
+  ASSERT_TRUE(rows_b.ok());
   double min_cosine = 1.0;
   for (const ErPair& pair : ds.pairs) {
-    const auto a = model.RowVector(ds.table_a, pair.row_a, "", true);
-    const auto b = model.RowVector(ds.table_b, pair.row_b, "", true);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
+    const double* a = rows_a->x.RowPtr(pair.row_a);
+    const double* b = rows_b->x.RowPtr(pair.row_b);
     double dot = 0, na = 0, nb = 0;
-    for (size_t j = 0; j < a->size(); ++j) {
-      dot += (*a)[j] * (*b)[j];
-      na += (*a)[j] * (*a)[j];
-      nb += (*b)[j] * (*b)[j];
+    for (size_t j = 0; j < model.dim(); ++j) {
+      dot += a[j] * b[j];
+      na += a[j] * a[j];
+      nb += b[j] * b[j];
     }
     min_cosine = std::min(min_cosine, dot / std::sqrt(na * nb));
   }
@@ -163,6 +199,18 @@ TEST(ErTest, EmptyPairsRejected) {
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE(model.Fit(*db).ok());
   EXPECT_FALSE(EvaluateEntityResolution(model, ds).ok());
+}
+
+TEST(ErTest, OutOfRangePairRejected) {
+  ErDataset ds = SmallEr(0.1);
+  const auto db = ErDatabase(ds);
+  ASSERT_TRUE(db.ok());
+  LevaModel model(FastLeva());
+  ASSERT_TRUE(model.Fit(*db).ok());
+  ds.pairs[0].row_b = ds.table_b.NumRows();
+  const auto result = EvaluateEntityResolution(model, ds);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -64,21 +64,18 @@ struct FeaturizeCounts {
   uint64_t batches = 0;
   uint64_t token_occurrences = 0;
   uint64_t distinct_tokens = 0;
-  uint64_t store_lookups = 0;
 
   FeaturizeCounts operator-(const FeaturizeCounts& o) const {
     return {rows - o.rows, batches - o.batches,
             token_occurrences - o.token_occurrences,
-            distinct_tokens - o.distinct_tokens,
-            store_lookups - o.store_lookups};
+            distinct_tokens - o.distinct_tokens};
   }
 };
 
 FeaturizeCounts Counts(const LevaPipeline& pipeline) {
   const PipelineMetrics& m = pipeline.metrics();
   return {m.featurize_rows.load(), m.featurize_batches.load(),
-          m.token_occurrences.load(), m.distinct_tokens.load(),
-          m.store_lookups.load()};
+          m.token_occurrences.load(), m.distinct_tokens.load()};
 }
 
 // The counters one Featurize call of `table` adds.
@@ -211,6 +208,38 @@ TEST(BatchedFeaturizeTest, UnseenTokensMatchLegacy) {
   ExpectBitIdentical(*batched, *legacy);
 }
 
+// An empty target names no label: every column, the would-be target
+// included, is featurized and no target is encoded. A non-empty target that
+// names no column is still an error.
+TEST(BatchedFeaturizeTest, EmptyTargetKeepsEveryColumn) {
+  StudentSplit split = MakeSplit();
+  LevaPipeline pipeline(TestConfig(Featurization::kRowPlusValue));
+  ASSERT_TRUE(pipeline.Fit(split.fit_db).ok());
+  const TargetEncoder no_target;
+  for (const bool rows_in_graph : {true, false}) {
+    const Table& table = rows_in_graph ? split.train_table : split.test_table;
+    const auto unlabeled =
+        pipeline.Featurize(table, "", no_target, rows_in_graph);
+    const auto legacy =
+        ReferenceFeaturize(pipeline, table, "", no_target, rows_in_graph);
+    ASSERT_TRUE(unlabeled.ok()) << unlabeled.status().ToString();
+    ASSERT_TRUE(legacy.ok());
+    ExpectBitIdentical(*unlabeled, *legacy);
+    EXPECT_EQ(unlabeled->y, std::vector<double>(table.NumRows(), 0.0));
+
+    // The target's tokens now enter the value half of some row.
+    const auto labeled = pipeline.Featurize(table, "total_expenses",
+                                            split.encoder, rows_in_graph);
+    ASSERT_TRUE(labeled.ok());
+    EXPECT_NE(unlabeled->x.data(), labeled->x.data());
+
+    const auto unknown =
+        pipeline.Featurize(table, "no_such_column", no_target, rows_in_graph);
+    ASSERT_FALSE(unknown.ok());
+    EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  }
+}
+
 TEST(BatchedFeaturizeTest, ResolverStatsShowPerDistinctTokenLookups) {
   StudentSplit split = MakeSplit();
   LevaPipeline pipeline(TestConfig(Featurization::kRowPlusValue));
@@ -220,10 +249,10 @@ TEST(BatchedFeaturizeTest, ResolverStatsShowPerDistinctTokenLookups) {
   EXPECT_EQ(stats.rows, split.train_table.NumRows());
   EXPECT_EQ(stats.batches, 1u);
   // Gender/school/item tokens repeat heavily across the 100 rows, so the
-  // distinct count must be far below the occurrence count, and store hash
-  // lookups must track distinct tokens, not (row, token) occurrences.
+  // distinct count — one store probe each — must be far below the
+  // occurrence count.
+  EXPECT_GT(stats.distinct_tokens, 0u);
   EXPECT_GT(stats.token_occurrences, stats.distinct_tokens);
-  EXPECT_EQ(stats.store_lookups, stats.distinct_tokens);
 }
 
 TEST(BatchedFeaturizeTest, WarmResolverCacheSkipsStoreLookups) {
@@ -234,7 +263,7 @@ TEST(BatchedFeaturizeTest, WarmResolverCacheSkipsStoreLookups) {
   const auto cold = pipeline.Featurize(split.train_table, "total_expenses",
                                        split.encoder, true);
   ASSERT_TRUE(cold.ok());
-  EXPECT_GT((Counts(pipeline) - before).store_lookups, 0u);
+  EXPECT_GT((Counts(pipeline) - before).distinct_tokens, 0u);
 
   // The resolver cache persists across calls, so a repeat over the same
   // vocabulary resolves every token from the cache — zero store probes —
@@ -245,14 +274,13 @@ TEST(BatchedFeaturizeTest, WarmResolverCacheSkipsStoreLookups) {
   ASSERT_TRUE(warm.ok());
   const FeaturizeCounts warm_counts = Counts(pipeline) - before;
   EXPECT_EQ(warm_counts.distinct_tokens, 0u);
-  EXPECT_EQ(warm_counts.store_lookups, 0u);
   EXPECT_GT(warm_counts.token_occurrences, 0u);
   ExpectBitIdentical(*warm, *cold);
 
   // Re-Fit invalidates the cache: the next call resolves from scratch.
   ASSERT_TRUE(pipeline.Fit(split.fit_db).ok());
   EXPECT_GT(FeaturizeDelta(pipeline, split, split.train_table, true)
-                .store_lookups,
+                .distinct_tokens,
             0u);
 }
 
@@ -264,7 +292,7 @@ TEST(BatchedFeaturizeTest, RowOnlyInGraphSkipsTextification) {
       FeaturizeDelta(pipeline, split, split.train_table, true);
   // The row-node gather never consults tokens, so none are interned.
   EXPECT_EQ(counts.token_occurrences, 0u);
-  EXPECT_EQ(counts.store_lookups, 0u);
+  EXPECT_EQ(counts.distinct_tokens, 0u);
 }
 
 TEST(BatchedFeaturizeTest, MissingRowNodeFailsLikeLegacy) {
@@ -329,7 +357,6 @@ TEST(BatchedFeaturizeTest, ConcurrentCallsSumIntoCounters) {
   run_concurrently();
   const FeaturizeCounts cold = Counts(pipeline);
   EXPECT_GT(cold.distinct_tokens, 0u);
-  EXPECT_EQ(cold.store_lookups, cold.distinct_tokens);
 
   // One warm call is the per-call unit; the concurrent calls sum to it
   // times their number.
@@ -348,7 +375,7 @@ TEST(BatchedFeaturizeTest, ConcurrentCallsSumIntoCounters) {
   const FeaturizeCounts warm = Counts(pipeline) - before;
   EXPECT_EQ(warm.rows, kCalls * one.rows);
   EXPECT_EQ(warm.token_occurrences, kCalls * one.token_occurrences);
-  EXPECT_EQ(warm.store_lookups, 0u);
+  EXPECT_EQ(warm.distinct_tokens, 0u);
   EXPECT_EQ(pipeline.metrics().featurize.count(), 2 * kCalls + 1);
 }
 
@@ -363,7 +390,6 @@ TEST(TokenResolverTest, InternsOncePerDistinctToken) {
   EXPECT_EQ(resolver.NumDistinct(), 2u);
   EXPECT_EQ(resolver.stats().occurrences, 3u);
   EXPECT_EQ(resolver.stats().distinct, 2u);
-  EXPECT_EQ(resolver.stats().store_lookups, 2u);
   EXPECT_EQ(resolver.entry(red).embedding_id, embedding.IdOf("red"));
   EXPECT_DOUBLE_EQ(resolver.entry(red).weight, 1.0);
   EXPECT_EQ(resolver.entry(unseen).embedding_id, Embedding::kInvalidId);

@@ -25,12 +25,12 @@ TEST(MatrixTest, ConstructAndIndex) {
 }
 
 TEST(MatrixTest, IdentityAndTranspose) {
-  const Matrix eye = Matrix::Identity(3);
+  const Matrix eye = IdentityMatrix(3);
   EXPECT_DOUBLE_EQ(eye(1, 1), 1.0);
   EXPECT_DOUBLE_EQ(eye(0, 1), 0.0);
   Matrix m(2, 3);
   m(0, 2) = 5.0;
-  const Matrix t = m.Transposed();
+  const Matrix t = Transposed(m);
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_DOUBLE_EQ(t(2, 0), 5.0);
 }
@@ -58,7 +58,7 @@ TEST(MatrixTest, MatTMulEqualsTransposeThenMul) {
   const Matrix a = Matrix::GaussianRandom(5, 3, &rng);
   const Matrix b = Matrix::GaussianRandom(5, 2, &rng);
   const Matrix direct = MatTMul(a, b);
-  const Matrix expected = MatMul(a.Transposed(), b);
+  const Matrix expected = MatMul(Transposed(a), b);
   for (size_t i = 0; i < 3; ++i) {
     for (size_t j = 0; j < 2; ++j) {
       EXPECT_NEAR(direct(i, j), expected(i, j), 1e-12);
@@ -70,7 +70,7 @@ TEST(MatrixTest, AddScaledAndNorm) {
   Matrix a(1, 2);
   a(0, 0) = 3;
   a(0, 1) = 4;
-  EXPECT_DOUBLE_EQ(a.FrobeniusNorm(), 5.0);
+  EXPECT_DOUBLE_EQ(FrobeniusNorm(a), 5.0);
   Matrix b(1, 2, 1.0);
   a.AddScaled(b, 2.0);
   EXPECT_DOUBLE_EQ(a(0, 0), 5.0);
@@ -87,16 +87,16 @@ SparseMatrix SmallSparse() {
 TEST(SparseTest, FromTripletsAndAt) {
   const SparseMatrix m = SmallSparse();
   EXPECT_EQ(m.nnz(), 3u);
-  EXPECT_DOUBLE_EQ(m.At(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(m.At(1, 1), 3.0);
+  EXPECT_DOUBLE_EQ(SparseAt(m, 0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(SparseAt(m, 0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(SparseAt(m, 1, 1), 3.0);
 }
 
 TEST(SparseTest, DuplicateTripletsSum) {
   const SparseMatrix m =
       SparseMatrix::FromTriplets(1, 1, {{0, 0, 1.0}, {0, 0, 2.5}});
   EXPECT_EQ(m.nnz(), 1u);
-  EXPECT_DOUBLE_EQ(m.At(0, 0), 3.5);
+  EXPECT_DOUBLE_EQ(SparseAt(m, 0, 0), 3.5);
 }
 
 TEST(SparseTest, MultiplyMatchesDense) {
@@ -167,7 +167,7 @@ TEST(DecompTest, SymmetricEigenReconstructs) {
   for (size_t i = 0; i < 6; ++i) {
     for (size_t j = 0; j < 6; ++j) vl(i, j) *= eig->eigenvalues[j];
   }
-  const Matrix recon = MatMul(vl, eig->eigenvectors.Transposed());
+  const Matrix recon = MatMul(vl, Transposed(eig->eigenvectors));
   for (size_t i = 0; i < 6; ++i) {
     for (size_t j = 0; j < 6; ++j) {
       EXPECT_NEAR(recon(i, j), a(i, j), 1e-7);
@@ -189,7 +189,7 @@ TEST(DecompTest, ThinSVDReconstructs) {
   for (size_t i = 0; i < us.rows(); ++i) {
     for (size_t j = 0; j < us.cols(); ++j) us(i, j) *= svd->singular_values[j];
   }
-  const Matrix recon = MatMul(us, svd->v.Transposed());
+  const Matrix recon = MatMul(us, Transposed(svd->v));
   for (size_t i = 0; i < a.rows(); ++i) {
     for (size_t j = 0; j < a.cols(); ++j) {
       EXPECT_NEAR(recon(i, j), a(i, j), 1e-7);
@@ -241,14 +241,14 @@ TEST(DecompTest, RandomizedSvdApproximatesLowRank) {
   for (size_t i = 0; i < us.rows(); ++i) {
     for (size_t j = 0; j < us.cols(); ++j) us(i, j) *= svd->singular_values[j];
   }
-  const Matrix recon = MatMul(us, right.Transposed());
+  const Matrix recon = MatMul(us, Transposed(right));
   double err = 0;
   double norm = 0;
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = 0; j < n; ++j) {
-      const double d = recon(i, j) - a.At(i, j);
+      const double d = recon(i, j) - SparseAt(a, i, j);
       err += d * d;
-      norm += a.At(i, j) * a.At(i, j);
+      norm += SparseAt(a, i, j) * SparseAt(a, i, j);
     }
   }
   EXPECT_LT(std::sqrt(err / norm), 1e-4);
@@ -359,8 +359,9 @@ double OrthonormalityError(const Matrix& q) {
 double OutsideSpan(const Matrix& q, const Matrix& x) {
   Matrix residual = x;
   residual.AddScaled(MatMul(q, MatTMul(q, x)), -1.0);
-  const double norm = x.FrobeniusNorm();
-  return norm == 0.0 ? residual.FrobeniusNorm() : residual.FrobeniusNorm() / norm;
+  const double norm = FrobeniusNorm(x);
+  return norm == 0.0 ? FrobeniusNorm(residual)
+                     : FrobeniusNorm(residual) / norm;
 }
 
 // max over i > j of |(QᵀY)(i, j)| / ‖Y‖_F: column i of Q must be orthogonal
@@ -373,7 +374,7 @@ double BelowDiagonal(const Matrix& q, const Matrix& y) {
       worst = std::max(worst, std::fabs(r(i, j)));
     }
   }
-  return worst / y.FrobeniusNorm();
+  return worst / FrobeniusNorm(y);
 }
 
 // An m x k sketch with singular values 1e6 · 251^(-5 j / (k - 1)): what two
@@ -389,7 +390,7 @@ Matrix IllConditionedSketch(size_t m, size_t k, Rng* rng) {
     const double s = 1e6 * std::pow(sigma, 5.0);
     for (size_t r = 0; r < m; ++r) us(r, j) *= s;
   }
-  return MatMul(us, v.Transposed());
+  return MatMul(us, Transposed(v));
 }
 
 TEST(FactorizationTest, GramSchmidtOnIllConditionedSketch) {
@@ -462,7 +463,7 @@ Matrix WithSpectrum(const std::vector<double>& values, Rng* rng) {
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) ql(i, j) *= values[j];
   }
-  Matrix a = MatMul(ql, q.Transposed());
+  Matrix a = MatMul(ql, Transposed(q));
   // Exactly symmetric, as the MF Gram matrices are.
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < i; ++j) a(i, j) = a(j, i);

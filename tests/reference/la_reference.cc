@@ -85,6 +85,35 @@ void ScatterRows(const SparseMatrix& a, const Matrix& x, Matrix* y, size_t r0,
 
 }  // namespace
 
+Matrix IdentityMatrix(size_t n) {
+  Matrix m(n, n);
+  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
+  return m;
+}
+
+Matrix Transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) t(c, r) = m(r, c);
+  }
+  return t;
+}
+
+double FrobeniusNorm(const Matrix& m) {
+  double sum = 0;
+  for (const double v : m.data()) sum += v * v;
+  return std::sqrt(sum);
+}
+
+double SparseAt(const SparseMatrix& m, size_t r, size_t c) {
+  const auto cols = m.col_indices().begin();
+  const auto begin = cols + static_cast<ptrdiff_t>(m.offsets()[r]);
+  const auto end = cols + static_cast<ptrdiff_t>(m.offsets()[r + 1]);
+  const auto it = std::lower_bound(begin, end, static_cast<uint32_t>(c));
+  if (it == end || *it != c) return 0.0;
+  return m.values()[static_cast<size_t>(it - cols)];
+}
+
 Matrix MgsGramSchmidtQ(const Matrix& a) {
   Matrix q = a;
   const size_t k = q.cols();
@@ -113,7 +142,7 @@ Result<EigenResult> JacobiSymmetricEigen(const Matrix& a, size_t max_sweeps,
   }
   const size_t n = a.rows();
   Matrix d = a;
-  Matrix v = Matrix::Identity(n);
+  Matrix v = IdentityMatrix(n);
 
   for (size_t sweep = 0; sweep < max_sweeps; ++sweep) {
     double off = 0;

@@ -28,6 +28,13 @@
 
 namespace leva {
 
+/// Plain helpers the tests build and check matrices with.
+Matrix IdentityMatrix(size_t n);
+Matrix Transposed(const Matrix& m);
+double FrobeniusNorm(const Matrix& m);
+/// Entry (r, c) of a CSR matrix, 0 when absent.
+double SparseAt(const SparseMatrix& m, size_t r, size_t c);
+
 /// What GramSchmidtQ must return.
 Matrix ReferenceGramSchmidtQ(const Matrix& a);
 

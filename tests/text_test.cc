@@ -314,7 +314,6 @@ TEST(TextifierTest, AttributeRegistry) {
   Textifier tx;
   ASSERT_TRUE(tx.Fit(db).ok());
   EXPECT_EQ(tx.NumAttributes(), 4u);
-  EXPECT_EQ(tx.AttributeName(0), "t.id");
 }
 
 TEST(TextifierTest, SpaceSeparatedStringsSplit) {

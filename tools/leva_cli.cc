@@ -465,14 +465,13 @@ int RunCli(const CliOptions& options) {
     const PipelineMetrics& m = pipeline.metrics();
     std::fprintf(stderr,
                  "featurize: %llu rows in %.3fs (%zu threads, %llu batch(es), "
-                 "%llu tokens, %llu distinct -> %llu store lookups)\n",
+                 "%llu tokens, %llu distinct)\n",
                  static_cast<unsigned long long>(m.featurize_rows.load()),
                  m.featurize.sum_seconds(),
                  ResolveThreads(options.config.threads),
                  static_cast<unsigned long long>(m.featurize_batches.load()),
                  static_cast<unsigned long long>(m.token_occurrences.load()),
-                 static_cast<unsigned long long>(m.distinct_tokens.load()),
-                 static_cast<unsigned long long>(m.store_lookups.load()));
+                 static_cast<unsigned long long>(m.distinct_tokens.load()));
     std::fprintf(stderr, "wrote featurized %s (%s) to %s\n",
                  options.featurize_table.c_str(),
                  classification ? "classification" : "regression",
