@@ -182,6 +182,12 @@ Status TargetEncoder::Fit(const Column& target, bool classification) {
   return Status::OK();
 }
 
+Result<size_t> TargetColumnIndex(const Table& table,
+                                 const std::string& target_column) {
+  if (target_column.empty()) return table.NumColumns();
+  return table.ColumnIndex(target_column);
+}
+
 Result<double> TargetEncoder::Encode(const Value& v) const {
   if (!classification_) {
     if (!v.is_numeric()) {

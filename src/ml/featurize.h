@@ -54,6 +54,13 @@ class OneHotFeaturizer {
   std::unordered_map<std::string, size_t> label_map_;  // classification only
 };
 
+/// Index of the label column `target_column` in `table`. An empty name means
+/// "no label" and yields `table.NumColumns()`, which matches no column, so
+/// featurizers skip no column and encode no target; a non-empty name that is
+/// not a column is an error.
+Result<size_t> TargetColumnIndex(const Table& table,
+                                 const std::string& target_column);
+
 /// Maps a target column to y values consistently across train/test slices:
 /// class labels are sorted lexicographically so the mapping is deterministic
 /// regardless of row order.

@@ -218,33 +218,26 @@ void RequestBatcher::ExecuteBatch(std::vector<FeaturizeJob> batch,
   sink_(std::move(completions));
 }
 
-Result<MLDataset> ExecuteFeaturize(const LevaPipeline& pipeline, Table rows,
-                                   std::string target_column,
+Result<MLDataset> ExecuteFeaturize(const LevaPipeline& pipeline,
+                                   const Table& rows,
+                                   const std::string& target_column,
                                    bool rows_in_graph) {
   if (rows.NumRows() == 0) {
     return Status::InvalidArgument("FEATURIZE request with zero rows");
   }
-  bool synthetic_target = false;
+  // No target: pure serving; Featurize skips no column and encodes no y.
   if (target_column.empty()) {
-    target_column = kSyntheticTargetColumn;
-    Column y;
-    y.name = target_column;
-    y.type = DataType::kDouble;
-    y.values.assign(rows.NumRows(), Value(0.0));
-    LEVA_RETURN_IF_ERROR(rows.AddColumn(std::move(y)));
-    synthetic_target = true;
+    return pipeline.Featurize(rows, "", TargetEncoder(), rows_in_graph);
   }
   const Column* target = rows.FindColumn(target_column);
   if (target == nullptr) {
     return Status::NotFound("no target column '" + target_column +
                             "' in FEATURIZE rows");
   }
-  // The synthetic target is numeric by construction; a client-supplied one
-  // follows the CLI convention — classification first, regression fallback.
+  // A client-supplied target follows the CLI convention — classification
+  // first, regression fallback.
   TargetEncoder encoder;
-  if (synthetic_target) {
-    LEVA_RETURN_IF_ERROR(encoder.Fit(*target, /*classification=*/false));
-  } else if (!encoder.Fit(*target, /*classification=*/true).ok()) {
+  if (!encoder.Fit(*target, /*classification=*/true).ok()) {
     LEVA_RETURN_IF_ERROR(encoder.Fit(*target, /*classification=*/false));
   }
   return pipeline.Featurize(rows, target_column, encoder, rows_in_graph);

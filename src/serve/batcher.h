@@ -114,17 +114,14 @@ class RequestBatcher {
 };
 
 /// The canonical executor: featurizes `rows` against `pipeline` exactly as
-/// the offline path would. An empty `target_column` appends a synthetic
-/// all-zero regression target (Featurize requires one; pure serving requests
-/// have none — the target never influences the feature matrix, only the
-/// unused y). Exposed so differential tests and benches can compute the
-/// expected bits offline through the identical code path.
-Result<MLDataset> ExecuteFeaturize(const LevaPipeline& pipeline, Table rows,
-                                   std::string target_column,
+/// the offline path would. An empty `target_column` means "no label" (pure
+/// serving requests have none): no column is skipped and y stays zero.
+/// Exposed so differential tests and benches can compute the expected bits
+/// offline through the identical code path.
+Result<MLDataset> ExecuteFeaturize(const LevaPipeline& pipeline,
+                                   const Table& rows,
+                                   const std::string& target_column,
                                    bool rows_in_graph);
-
-/// Column name ExecuteFeaturize appends when no target is given.
-inline constexpr const char* kSyntheticTargetColumn = "__leva_served_y";
 
 }  // namespace leva::serve
 

@@ -48,8 +48,7 @@ Status Server::Start() {
   batcher_ = std::make_unique<RequestBatcher>(
       options_.batcher,
       [this](Table rows, std::string target, bool rows_in_graph) {
-        return ExecuteFeaturize(*pipeline_, std::move(rows), std::move(target),
-                                rows_in_graph);
+        return ExecuteFeaturize(*pipeline_, rows, target, rows_in_graph);
       },
       [this](std::vector<Completion> completions) {
         bool wake = false;
