@@ -64,12 +64,8 @@ Status Node2VecModel::Fit(const Database& db) {
   Word2Vec model(w2v_options_);
   LEVA_RETURN_IF_ERROR(model.Train(corpus, graph_.NumNodes(), &rng));
 
-  embedding_ = Embedding(w2v_options_.dim);
-  const Matrix& vectors = model.node_vectors();
-  for (NodeId n = 0; n < graph_.NumNodes(); ++n) {
-    LEVA_RETURN_IF_ERROR(
-        embedding_.Put(graph_.label(n), {vectors.RowPtr(n), vectors.cols()}));
-  }
+  LEVA_ASSIGN_OR_RETURN(embedding_,
+                        Embedding::FromNodeVectors(graph_, model.node_vectors()));
   return Status::OK();
 }
 

@@ -25,16 +25,6 @@ constexpr size_t kFeaturizeGrain = 64;
 // the cap — far beyond any fitted vocabulary that fits in the store anyway).
 constexpr size_t kResolverCacheCap = size_t{1} << 22;
 
-std::vector<std::string> FeatureNames(size_t dim, size_t width) {
-  std::vector<std::string> names;
-  names.reserve(width);
-  for (size_t j = 0; j < dim; ++j) names.push_back("emb" + std::to_string(j));
-  if (width == 2 * dim) {
-    for (size_t j = 0; j < dim; ++j) names.push_back("val" + std::to_string(j));
-  }
-  return names;
-}
-
 // How many occurrences ahead the gather prefetches embedding rows. The
 // resolved arrays are padded by this much so the loop needs no bounds check.
 constexpr size_t kPrefetchDist = 4;
@@ -232,61 +222,77 @@ Status LevaPipeline::Fit(const Database& db) {
   }
   state->chosen = chosen;
 
-  // Stage 4: embedding construction.
-  Matrix node_vectors;
-  if (chosen == EmbeddingMethod::kMatrixFactorization) {
-    metrics::Span span(&metrics_.factorization);
-    MfOptions mf = config_.mf;
-    mf.dim = config_.embedding_dim;
-    mf.threads = threads;
-    LEVA_ASSIGN_OR_RETURN(node_vectors,
-                          MatrixFactorizationEmbed(graph, mf, &rng));
-  } else if (chosen == EmbeddingMethod::kLine) {
-    metrics::Span span(&metrics_.edge_sampling);
-    LineOptions line = config_.line;
-    line.dim = config_.embedding_dim;
-    LEVA_ASSIGN_OR_RETURN(node_vectors, LineEmbed(graph, line, &rng));
-  } else {
-    FlatCorpus corpus;
-    {
-      metrics::Span span(&metrics_.walk_generation);
-      WalkOptions walk_options = config_.walks;
-      walk_options.weighted = config_.graph.weighted && walk_options.weighted;
-      walk_options.threads = threads;
-      BatchedWalkGenerator generator(&graph, walk_options);
-      LEVA_ASSIGN_OR_RETURN(corpus, generator.Generate(&rng));
-    }
-    {
-      metrics::Span span(&metrics_.embedding_training);
-      Word2VecOptions w2v = config_.word2vec;
-      w2v.dim = config_.embedding_dim;
-      w2v.threads = threads;
-      Word2Vec model(w2v);
-      LEVA_RETURN_IF_ERROR(model.Train(corpus, graph.NumNodes(), &rng));
-      node_vectors = model.node_vectors();
-    }
-  }
-
-  // Store vectors keyed by node label.
+  // Stage 4: embedding construction, stored keyed by node label.
+  LEVA_ASSIGN_OR_RETURN(const Matrix node_vectors,
+                        EmbedGraph(graph, config_, chosen,
+                                   config_.embedding_dim, threads, &rng,
+                                   &metrics_));
   {
     metrics::Span span(&metrics_.deploy_index);
-    state->embedding = Embedding(node_vectors.cols());
-    for (NodeId n = 0; n < graph.NumNodes(); ++n) {
-      LEVA_RETURN_IF_ERROR(state->embedding.Put(
-          graph.label(n), {node_vectors.RowPtr(n), node_vectors.cols()}));
-    }
+    LEVA_ASSIGN_OR_RETURN(state->embedding,
+                          Embedding::FromNodeVectors(graph, node_vectors));
   }
-  // The serving cache resolves against this state's stores; their addresses
-  // are stable because the state is heap-allocated and immutable once
-  // published.
-  state->resolver =
-      TokenResolver(&state->embedding, &state->graph, config_.graph.weighted);
-  const size_t dim = state->embedding.dim();
-  const size_t width =
-      config_.featurization == Featurization::kRowPlusValue ? 2 * dim : dim;
-  state->feature_names = FeatureNames(dim, width);
+  state->Finish();
   serving_.store(std::move(state));
   return Status::OK();
+}
+
+Result<Matrix> LevaPipeline::EmbedGraph(const LevaGraph& graph,
+                                        const LevaConfig& config,
+                                        EmbeddingMethod method, size_t dim,
+                                        size_t threads, Rng* rng,
+                                        PipelineMetrics* metrics) {
+  const auto stage = [metrics](metrics::Histogram PipelineMetrics::*h) {
+    return metrics == nullptr ? nullptr : &(metrics->*h);
+  };
+  if (method == EmbeddingMethod::kMatrixFactorization) {
+    metrics::Span span(stage(&PipelineMetrics::factorization));
+    MfOptions mf = config.mf;
+    mf.dim = dim;
+    mf.threads = threads;
+    return MatrixFactorizationEmbed(graph, mf, rng);
+  }
+  if (method == EmbeddingMethod::kLine) {
+    metrics::Span span(stage(&PipelineMetrics::edge_sampling));
+    LineOptions line = config.line;
+    line.dim = dim;
+    return LineEmbed(graph, line, rng);
+  }
+  const auto [walk_options, w2v] = RandomWalkOptions(config, dim, threads);
+  FlatCorpus corpus;
+  {
+    metrics::Span span(stage(&PipelineMetrics::walk_generation));
+    BatchedWalkGenerator generator(&graph, walk_options);
+    LEVA_ASSIGN_OR_RETURN(corpus, generator.Generate(rng));
+  }
+  metrics::Span span(stage(&PipelineMetrics::embedding_training));
+  Word2Vec model(w2v);
+  LEVA_RETURN_IF_ERROR(model.Train(corpus, graph.NumNodes(), rng));
+  return model.node_vectors();
+}
+
+std::pair<WalkOptions, Word2VecOptions> LevaPipeline::RandomWalkOptions(
+    const LevaConfig& config, size_t dim, size_t threads) {
+  WalkOptions walks = config.walks;
+  walks.weighted = config.graph.weighted && walks.weighted;
+  walks.threads = threads;
+  Word2VecOptions w2v = config.word2vec;
+  w2v.dim = dim;
+  w2v.threads = threads;
+  return {std::move(walks), std::move(w2v)};
+}
+
+void LevaPipeline::ServingState::Finish() {
+  resolver = TokenResolver(&embedding, &graph, config.graph.weighted);
+  const size_t dim = embedding.dim();
+  for (size_t j = 0; j < dim; ++j) {
+    feature_names.push_back("emb" + std::to_string(j));
+  }
+  if (config.featurization == Featurization::kRowPlusValue) {
+    for (size_t j = 0; j < dim; ++j) {
+      feature_names.push_back("val" + std::to_string(j));
+    }
+  }
 }
 
 Result<MLDataset> LevaPipeline::Featurize(const Table& table,

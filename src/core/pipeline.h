@@ -237,9 +237,9 @@ class LevaPipeline {
   /// a lazily loaded model can be re-verified on demand (VerifyStorage).
   struct BulkPages {
     std::string name;
-    size_t file_offset = 0;
-    size_t page_size = 0;
-    size_t payload_len = 0;  // unpadded bytes
+    uint64_t file_offset = 0;
+    uint64_t page_size = 0;
+    uint64_t payload_len = 0;  // unpadded bytes
     std::vector<uint32_t> page_crcs;
   };
 
@@ -254,7 +254,7 @@ class LevaPipeline {
     LevaGraph graph;
     Embedding embedding;
     EmbeddingMethod chosen = EmbeddingMethod::kAuto;
-    // Pure function of (dim, featurization); rendered once at publish time.
+    // Pure function of (dim, featurization); rendered by Finish.
     std::vector<std::string> feature_names;
     // Set only for mmap-backed loads: the mapping the stores borrow from,
     // and the page-CRC table for deferred verification.
@@ -271,6 +271,13 @@ class LevaPipeline {
     // batch runs under the mutex; the parallel gather phase only reads.
     mutable std::mutex resolver_mu;
     mutable TokenResolver resolver{nullptr, nullptr, false};
+
+    /// The last step of every path that builds a model (Fit, snapshot load,
+    /// Update): binds an empty resolver cache to this state's stores — whose
+    /// addresses stay put, the state being heap-allocated and immutable once
+    /// published — and renders the feature names. Callers that carry a warm
+    /// cache over load or copy it in afterwards.
+    void Finish();
   };
 
   /// Runs stages 1-4 over `db`. Test data must not be part of `db`
@@ -424,6 +431,21 @@ class LevaPipeline {
   static constexpr uint32_t kSnapshotVersion = 7;
 
  private:
+  // Stage 4 (Section 4.2): embeds every node of `graph` with `method` (MF,
+  // LINE, or RW walks + SGNS) at `dim` columns — MF may return fewer — and
+  // returns the vectors indexed by node id. Fit and Update's full refit both
+  // embed through here; only Fit passes `metrics`, so the stage spans count
+  // Fit calls alone.
+  static Result<Matrix> EmbedGraph(const LevaGraph& graph,
+                                   const LevaConfig& config,
+                                   EmbeddingMethod method, size_t dim,
+                                   size_t threads, Rng* rng,
+                                   PipelineMetrics* metrics);
+
+  // The walk and SGNS options every RW embedding of a `config` model uses.
+  static std::pair<WalkOptions, Word2VecOptions> RandomWalkOptions(
+      const LevaConfig& config, size_t dim, size_t threads);
+
   // Builds the successor ServingState for one update batch (shared by Update
   // and RecoverFromLog — the latter passes the replayed record's position).
   // Pure with respect to the pipeline: nothing is published here.

@@ -239,27 +239,39 @@ BulkSpec MakeBulk(const char* name, ArrayView<T> view) {
   return b;
 }
 
-// A bulk section as parsed back out of a manifest.
-struct BulkRef {
-  std::string name;
-  uint64_t len = 0;
-  uint64_t offset = 0;
-  uint64_t page_size = 0;
-  std::vector<uint32_t> page_crcs;
-};
+using BulkPages = LevaPipeline::BulkPages;
+
+// Checks every page of `bulks` against its CRC32C; `base` is the start of
+// the snapshot file's bytes. Names the first damaged (section, page) and its
+// file offset, prefixed by `where`.
+Status VerifyPages(const char* base, const std::vector<BulkPages>& bulks,
+                   const std::string& where) {
+  for (const BulkPages& b : bulks) {
+    for (size_t p = 0; p < b.page_crcs.size(); ++p) {
+      const uint64_t offset = b.file_offset + p * b.page_size;
+      if (Crc32c(base + offset, b.page_size) != b.page_crcs[p]) {
+        return Status::InvalidArgument(
+            where + " bulk section '" + b.name + "' page " +
+            std::to_string(p) + " (file offset " + std::to_string(offset) +
+            ") failed its page checksum");
+      }
+    }
+  }
+  return Status::OK();
+}
 
 // Materializes bulk section `name` as a typed array: a zero-copy borrow of
 // the region when mapping is requested and the bytes are suitably aligned,
 // an owned heap copy otherwise.
 template <typename T>
 Result<OwnedOrMapped<T>> TakeBulk(const std::string& path,
-                                  const std::vector<BulkRef>& bulks,
+                                  const std::vector<BulkPages>& bulks,
                                   const char* name,
                                   const std::shared_ptr<const MappedRegion>&
                                       region,
                                   bool borrow) {
-  const BulkRef* ref = nullptr;
-  for (const BulkRef& b : bulks) {
+  const BulkPages* ref = nullptr;
+  for (const BulkPages& b : bulks) {
     if (b.name == name) {
       ref = &b;
       break;
@@ -270,32 +282,22 @@ Result<OwnedOrMapped<T>> TakeBulk(const std::string& path,
                                    "' is missing required bulk section '" +
                                    std::string(name) + "'");
   }
-  if (ref->len % sizeof(T) != 0) {
+  if (ref->payload_len % sizeof(T) != 0) {
     return Status::InvalidArgument(
         "snapshot '" + path + "' bulk section '" + std::string(name) +
-        "' holds " + std::to_string(ref->len) + " byte(s), not a multiple of " +
-        std::to_string(sizeof(T)));
+        "' holds " + std::to_string(ref->payload_len) +
+        " byte(s), not a multiple of " + std::to_string(sizeof(T)));
   }
-  const char* bytes = region->data() + ref->offset;
-  const size_t count = ref->len / sizeof(T);
+  const char* bytes = region->data() + ref->file_offset;
+  const size_t count = ref->payload_len / sizeof(T);
   if (borrow &&
       reinterpret_cast<uintptr_t>(bytes) % alignof(T) == 0) {
     return OwnedOrMapped<T>::Mapped(region,
                                     reinterpret_cast<const T*>(bytes), count);
   }
   std::vector<T> owned(count);
-  std::memcpy(owned.data(), bytes, ref->len);
+  std::memcpy(owned.data(), bytes, ref->payload_len);
   return OwnedOrMapped<T>(std::move(owned));
-}
-
-std::vector<std::string> RenderFeatureNames(size_t dim, size_t width) {
-  std::vector<std::string> names;
-  names.reserve(width);
-  for (size_t j = 0; j < dim; ++j) names.push_back("emb" + std::to_string(j));
-  if (width == 2 * dim) {
-    for (size_t j = 0; j < dim; ++j) names.push_back("val" + std::to_string(j));
-  }
-  return names;
 }
 
 // Parses and validates a whole snapshot out of `region` into a fresh
@@ -354,7 +356,7 @@ Result<std::shared_ptr<LevaPipeline::ServingState>> LoadState(
   }
 
   std::unordered_map<std::string, std::string_view> sections;
-  std::vector<BulkRef> bulks;
+  std::vector<BulkPages> bulks;
   for (uint32_t i = 0; i < section_count; ++i) {
     std::string name;
     uint8_t kind = 0;
@@ -373,10 +375,10 @@ Result<std::shared_ptr<LevaPipeline::ServingState>> LoadState(
       }
       sections.emplace(std::move(name), payload);
     } else if (kind == 1) {
-      BulkRef b;
+      BulkPages b;
       b.name = std::move(name);
-      b.len = len;
-      LEVA_RETURN_IF_ERROR(reader.GetU64(&b.offset));
+      b.payload_len = len;
+      LEVA_RETURN_IF_ERROR(reader.GetU64(&b.file_offset));
       LEVA_RETURN_IF_ERROR(reader.GetU64(&b.page_size));
       if (b.page_size < 512 || b.page_size > (uint64_t{1} << 24) ||
           (b.page_size & (b.page_size - 1)) != 0) {
@@ -384,7 +386,7 @@ Result<std::shared_ptr<LevaPipeline::ServingState>> LoadState(
             "snapshot '" + path + "' bulk section '" + b.name +
             "' declares invalid page size " + std::to_string(b.page_size));
       }
-      const uint64_t pages = (b.len + b.page_size - 1) / b.page_size;
+      const uint64_t pages = (len + b.page_size - 1) / b.page_size;
       // The CRC table is the bulk of the manifest (one u32 per 4 KiB of
       // payload); decode it in one shot rather than per-entry.
       std::string_view crc_bytes;
@@ -417,31 +419,31 @@ Result<std::shared_ptr<LevaPipeline::ServingState>> LoadState(
   // nothing after the last one. Combined with the manifest CRC above and the
   // per-page CRCs below, this pins every byte of the file.
   uint64_t cursor = manifest_end;
-  for (const BulkRef& b : bulks) {
-    if (b.offset % b.page_size != 0 || b.offset < cursor ||
-        b.offset > bytes.size()) {
+  for (const BulkPages& b : bulks) {
+    if (b.file_offset % b.page_size != 0 || b.file_offset < cursor ||
+        b.file_offset > bytes.size()) {
       return Status::InvalidArgument(
           "snapshot '" + path + "' bulk section '" + b.name +
-          "' has a misplaced payload (offset " + std::to_string(b.offset) +
-          ")");
+          "' has a misplaced payload (offset " +
+          std::to_string(b.file_offset) + ")");
     }
-    for (uint64_t i = cursor; i < b.offset; ++i) {
+    for (uint64_t i = cursor; i < b.file_offset; ++i) {
       if (bytes[i] != '\0') {
         return Status::InvalidArgument(
             "snapshot '" + path + "' has non-zero padding at offset " +
             std::to_string(i) + ": corrupt");
       }
     }
-    const uint64_t padded = RoundUp(b.len, b.page_size);
-    if (padded < b.len || b.offset + padded < b.offset ||
-        b.offset + padded > bytes.size()) {
+    const uint64_t padded = RoundUp(b.payload_len, b.page_size);
+    if (padded < b.payload_len || b.file_offset + padded < b.file_offset ||
+        b.file_offset + padded > bytes.size()) {
       return Status::InvalidArgument(
           "snapshot '" + path + "' bulk section '" + b.name +
-          "' overruns the file (offset " + std::to_string(b.offset) +
-          ", length " + std::to_string(b.len) + ", file size " +
+          "' overruns the file (offset " + std::to_string(b.file_offset) +
+          ", length " + std::to_string(b.payload_len) + ", file size " +
           std::to_string(bytes.size()) + ")");
     }
-    cursor = b.offset + padded;
+    cursor = b.file_offset + padded;
   }
   if (cursor != bytes.size()) {
     return Status::InvalidArgument(
@@ -453,19 +455,8 @@ Result<std::shared_ptr<LevaPipeline::ServingState>> LoadState(
   // Page verification — the O(model size) part a lazy mmap load defers to
   // VerifyStorage(). Damage is localized to (section, page).
   if (options.verify_pages) {
-    for (const BulkRef& b : bulks) {
-      for (size_t p = 0; p < b.page_crcs.size(); ++p) {
-        const uint32_t actual =
-            Crc32c(bytes.data() + b.offset + p * b.page_size, b.page_size);
-        if (actual != b.page_crcs[p]) {
-          return Status::InvalidArgument(
-              "snapshot '" + path + "' bulk section '" + b.name + "' page " +
-              std::to_string(p) + " (file offset " +
-              std::to_string(b.offset + p * b.page_size) +
-              ") failed its page checksum");
-        }
-      }
-    }
+    LEVA_RETURN_IF_ERROR(
+        VerifyPages(bytes.data(), bulks, "snapshot '" + path + "'"));
   }
 
   const auto section = [&](const char* name) -> Result<std::string_view> {
@@ -569,33 +560,17 @@ Result<std::shared_ptr<LevaPipeline::ServingState>> LoadState(
     LEVA_RETURN_IF_ERROR(state->embedding.Load(&in, std::move(storage)));
   }
 
-  state->resolver = TokenResolver(&state->embedding, &state->graph,
-                                  state->config.graph.weighted);
+  state->Finish();
   if (const auto it = sections.find("resolver"); it != sections.end()) {
     BufferReader in(it->second);
     LEVA_RETURN_IF_ERROR(state->resolver.Load(&in));
   }
 
-  const size_t dim = state->embedding.dim();
-  const size_t width =
-      state->config.featurization == Featurization::kRowPlusValue ? 2 * dim
-                                                                  : dim;
-  state->feature_names = RenderFeatureNames(dim, width);
-
   if (options.use_mmap) {
     // Keep the mapping (the stores borrow from it) and the page-CRC table
     // so VerifyStorage can run the deferred integrity check on demand.
     state->region = std::move(region);
-    state->bulk_pages.reserve(bulks.size());
-    for (BulkRef& b : bulks) {
-      LevaPipeline::BulkPages pages;
-      pages.name = std::move(b.name);
-      pages.file_offset = b.offset;
-      pages.page_size = b.page_size;
-      pages.payload_len = b.len;
-      pages.page_crcs = std::move(b.page_crcs);
-      state->bulk_pages.push_back(std::move(pages));
-    }
+    state->bulk_pages = std::move(bulks);
   }
   return state;
 }
@@ -800,19 +775,8 @@ Status LevaPipeline::VerifyStorage() const {
     return Status::FailedPrecondition("pipeline is not fitted");
   }
   if (state->region == nullptr) return Status::OK();  // nothing mapped
-  const char* base = state->region->data();
-  for (const BulkPages& b : state->bulk_pages) {
-    for (size_t p = 0; p < b.page_crcs.size(); ++p) {
-      const uint32_t actual =
-          Crc32c(base + b.file_offset + p * b.page_size, b.page_size);
-      if (actual != b.page_crcs[p]) {
-        return Status::InvalidArgument(
-            "mapped snapshot bulk section '" + b.name + "' page " +
-            std::to_string(p) + " failed its page checksum");
-      }
-    }
-  }
-  return Status::OK();
+  return VerifyPages(state->region->data(), state->bulk_pages,
+                     "mapped snapshot");
 }
 
 }  // namespace leva

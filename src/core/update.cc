@@ -89,7 +89,6 @@ LevaPipeline::ApplyUpdateBatch(const ServingState& s, const Table& new_rows,
   next->graph = s.graph;
   next->embedding = s.embedding;
   next->chosen = s.chosen;
-  next->feature_names = s.feature_names;
   next->region = s.region;
   next->bulk_pages = s.bulk_pages;
   next->wal_offset = wal_offset;
@@ -204,17 +203,12 @@ LevaPipeline::ApplyUpdateBatch(const ServingState& s, const Table& new_rows,
     }
     starts.insert(starts.end(), touched_values.begin(), touched_values.end());
 
-    WalkOptions walk_options = s.config.walks;
-    walk_options.weighted = s.config.graph.weighted && walk_options.weighted;
-    walk_options.threads = threads;
+    auto [walk_options, w2v] = RandomWalkOptions(s.config, dim, threads);
     walk_options.start_nodes = starts;
 
     BatchedWalkGenerator generator(&next->graph, walk_options);
     LEVA_ASSIGN_OR_RETURN(const FlatCorpus corpus, generator.Generate(&rng));
 
-    Word2VecOptions w2v = s.config.word2vec;
-    w2v.dim = dim;
-    w2v.threads = threads;
     Word2Vec model(w2v);
     // Continue from the served vectors: row id == node id (checked above),
     // quantized tiers dequantize to exactly the values they serve.
@@ -247,59 +241,34 @@ LevaPipeline::ApplyUpdateBatch(const ServingState& s, const Table& new_rows,
   } else {
     // MF/LINE (or a store whose row ids diverged from node ids): no
     // incremental form. Compact the delta into a base CSR — the spectral
-    // paths consume base adjacency only — and re-embed everything, exactly
-    // as Fit would.
+    // paths consume base adjacency only — and re-embed everything through
+    // Fit's own embedding stage.
     LEVA_ASSIGN_OR_RETURN(LevaGraph compacted,
                           next->graph.Compacted(s.config.graph.weighted));
     next->graph = std::move(compacted);
     result->compacted = true;
     result->full_refit = true;
 
-    Matrix node_vectors;
-    if (s.chosen == EmbeddingMethod::kMatrixFactorization) {
-      MfOptions mf = s.config.mf;
-      mf.dim = dim;
-      mf.threads = threads;
-      LEVA_ASSIGN_OR_RETURN(node_vectors,
-                            MatrixFactorizationEmbed(next->graph, mf, &rng));
-    } else if (s.chosen == EmbeddingMethod::kLine) {
-      LineOptions line = s.config.line;
-      line.dim = dim;
-      LEVA_ASSIGN_OR_RETURN(node_vectors, LineEmbed(next->graph, line, &rng));
-    } else {
-      WalkOptions walk_options = s.config.walks;
-      walk_options.weighted = s.config.graph.weighted && walk_options.weighted;
-      walk_options.threads = threads;
-      BatchedWalkGenerator generator(&next->graph, walk_options);
-      LEVA_ASSIGN_OR_RETURN(const FlatCorpus corpus,
-                            generator.Generate(&rng));
-      Word2VecOptions w2v = s.config.word2vec;
-      w2v.dim = dim;
-      w2v.threads = threads;
-      Word2Vec model(w2v);
-      LEVA_RETURN_IF_ERROR(model.Train(corpus, next->graph.NumNodes(), &rng));
-      node_vectors = model.node_vectors();
-    }
-    next->embedding = Embedding(node_vectors.cols());
-    for (NodeId n = 0; n < next->graph.NumNodes(); ++n) {
-      LEVA_RETURN_IF_ERROR(next->embedding.Put(
-          next->graph.label(n),
-          {node_vectors.RowPtr(n), node_vectors.cols()}));
-    }
+    // The served dim, not the config's: MF may have fitted fewer columns.
+    LEVA_ASSIGN_OR_RETURN(const Matrix node_vectors,
+                          EmbedGraph(next->graph, s.config, s.chosen, dim,
+                                     threads, &rng, /*metrics=*/nullptr));
+    LEVA_ASSIGN_OR_RETURN(next->embedding, Embedding::FromNodeVectors(
+                                               next->graph, node_vectors));
     result->refreshed_vectors = next->graph.NumNodes();
   }
 
   // 4. Serving cache: carry the warm entries over, re-resolving only the
   // tokens this batch embedded for the first time or whose degree changed.
-  // After a full refit every id was reassigned, so re-intern the keys from
-  // scratch instead (Load re-resolves each one against the new stores).
+  // After a full refit every id was reassigned, so re-intern the keys into
+  // the fresh cache instead (Load re-resolves each one against the new
+  // stores).
+  next->Finish();
   {
     std::lock_guard<std::mutex> lock(s.resolver_mu);
     if (result->full_refit) {
       BufferWriter keys;
       s.resolver.Save(&keys);
-      next->resolver = TokenResolver(&next->embedding, &next->graph,
-                                     s.config.graph.weighted);
       BufferReader in(keys.data());
       LEVA_RETURN_IF_ERROR(next->resolver.Load(&in));
     } else {

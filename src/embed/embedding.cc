@@ -8,6 +8,8 @@
 
 #include "common/simd.h"
 #include "common/string_util.h"
+#include "graph/graph.h"
+#include "la/matrix.h"
 
 namespace leva {
 
@@ -50,6 +52,16 @@ void QuantizeRowInt8(const double* x, size_t n, int8_t* q, float* scale) {
     const long v = std::lround(x[j] / sd);
     q[j] = static_cast<int8_t>(std::clamp(v, -127L, 127L));
   }
+}
+
+Result<Embedding> Embedding::FromNodeVectors(const LevaGraph& graph,
+                                             const Matrix& node_vectors) {
+  Embedding out(node_vectors.cols());
+  for (NodeId n = 0; n < graph.NumNodes(); ++n) {
+    LEVA_RETURN_IF_ERROR(out.Put(graph.label(n),
+                                 {node_vectors.RowPtr(n), node_vectors.cols()}));
+  }
+  return out;
 }
 
 Status Embedding::Put(const std::string& key, std::span<const double> vec) {
@@ -179,29 +191,6 @@ Embedding Embedding::WithTier(StorageTier tier) const {
   for (size_t i = 0; i < n; ++i) DequantizeRow(i, block.data() + i * dim_);
   out.data_ = std::move(block);
   return out;
-}
-
-Status Embedding::MapVectors(
-    size_t new_dim, const std::function<void(std::span<const double>,
-                                             std::span<double>)>& project) {
-  std::vector<double> new_data(keys_.size() * new_dim, 0.0);
-  std::vector<double> row(dim_);
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    if (tier_ == StorageTier::kFp64) {
-      project({data_.data() + i * dim_, dim_},
-              {new_data.data() + i * new_dim, new_dim});
-    } else {
-      DequantizeRow(i, row.data());
-      project({row.data(), dim_}, {new_data.data() + i * new_dim, new_dim});
-    }
-  }
-  dim_ = new_dim;
-  data_ = std::move(new_data);
-  bf16_ = OwnedOrMapped<uint16_t>();
-  q8_ = OwnedOrMapped<int8_t>();
-  scales_ = OwnedOrMapped<float>();
-  tier_ = StorageTier::kFp64;
-  return Status::OK();
 }
 
 std::string Embedding::ToText() const {

@@ -17,6 +17,9 @@
 
 namespace leva {
 
+class LevaGraph;
+class Matrix;
+
 /// Storage precision of the embedding vector block. A snapshot is written at
 /// one tier (`leva_cli --quantize`, recorded in the config) and served at
 /// that tier without ever materializing a full-precision matrix: the
@@ -60,6 +63,12 @@ class Embedding {
  public:
   Embedding() = default;
   explicit Embedding(size_t dim) : dim_(dim) {}
+
+  /// The store of a node embedding: row n of `node_vectors` under
+  /// graph.label(n) for every node, so store row id n is node n (the layout
+  /// Featurize's row-node fast path and Update's warm start rely on).
+  static Result<Embedding> FromNodeVectors(const LevaGraph& graph,
+                                           const Matrix& node_vectors);
 
   size_t dim() const { return dim_; }
   size_t size() const { return keys_.size(); }
@@ -174,13 +183,6 @@ class Embedding {
   /// time without touching the serving store.
   Embedding WithTier(StorageTier tier) const;
 
-  /// Replaces every vector by its projection through `project`, changing the
-  /// dimensionality (used by the PCA study of Table 7). Input rows are
-  /// dequantized as served; the result is always an owned fp64 store.
-  Status MapVectors(size_t new_dim,
-                    const std::function<void(std::span<const double>,
-                                             std::span<double>)>& project);
-
   /// Serializes as "key dim v1 ... vd" lines (values as served at the
   /// current tier).
   std::string ToText() const;
@@ -225,7 +227,7 @@ class Embedding {
   // The big read-only-in-serving array — one of the three tiers is active
   // (see tier_). Owned while fitting (Put mutates), a borrowed page-cache
   // view after an mmap snapshot load. Mutating an mmap-loaded or quantized
-  // store (Put, MapVectors) transparently detaches to an owned fp64 copy.
+  // store (Put) transparently detaches to an owned fp64 copy.
   OwnedOrMapped<double> data_;
   OwnedOrMapped<uint16_t> bf16_;
   OwnedOrMapped<int8_t> q8_;

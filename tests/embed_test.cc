@@ -100,18 +100,6 @@ TEST(EmbeddingTest, Distances) {
   EXPECT_DOUBLE_EQ(Embedding::L1Distance(a, a), 0.0);
 }
 
-TEST(EmbeddingTest, MapVectorsChangesDim) {
-  Embedding e(4);
-  ASSERT_TRUE(e.Put("a", std::vector<double>{1, 2, 3, 4}).ok());
-  ASSERT_TRUE(e.MapVectors(2, [](std::span<const double> in,
-                                 std::span<double> out) {
-                 out[0] = in[0];
-                 out[1] = in[3];
-               }).ok());
-  EXPECT_EQ(e.dim(), 2u);
-  EXPECT_DOUBLE_EQ(e.Get("a")[1], 4.0);
-}
-
 // A small connected bipartite graph for walk tests.
 LevaGraph ChainGraph() {
   TextifiedTable t;

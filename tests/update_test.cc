@@ -178,10 +178,20 @@ TEST_P(UpdateServing, AppendedRowsServeAndUpdateIsDeterministic) {
   ASSERT_TRUE(p.Fit(f.fit_db).ok());
   const size_t nodes_before = p.graph().NumNodes();
   const MLDataset before = ComposedOut(p, f);
+  std::vector<uint64_t> stage_counts;
+  for (const auto& [name, histogram] : p.metrics().FitStages()) {
+    stage_counts.push_back(histogram->count());
+  }
 
   auto r = p.Update(f.batch);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const UpdateResult& res = r.value();
+  // The refresh embeds through Fit's stage code but records none of its
+  // spans: the Fit-stage histograms count Fit calls alone.
+  size_t stage = 0;
+  for (const auto& [name, histogram] : p.metrics().FitStages()) {
+    EXPECT_EQ(histogram->count(), stage_counts[stage++]) << name;
+  }
   EXPECT_EQ(res.rows_applied, kStudents - kFitRows);
   EXPECT_EQ(res.new_row_nodes, kStudents - kFitRows);
   EXPECT_GT(res.new_edges, 0u);
@@ -191,7 +201,7 @@ TEST_P(UpdateServing, AppendedRowsServeAndUpdateIsDeterministic) {
     EXPECT_GT(res.refreshed_vectors, 0u);
     EXPECT_LT(res.refreshed_vectors, p.graph().NumNodes());
   } else {
-    // MF has no incremental form: compaction + full re-embed.
+    // MF and LINE have no incremental form: compaction + full re-embed.
     EXPECT_TRUE(res.full_refit);
     EXPECT_TRUE(res.compacted);
     EXPECT_EQ(res.refreshed_vectors, p.graph().NumNodes());
@@ -219,12 +229,17 @@ TEST_P(UpdateServing, AppendedRowsServeAndUpdateIsDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(Methods, UpdateServing,
                          ::testing::Values(EmbeddingMethod::kMatrixFactorization,
-                                           EmbeddingMethod::kRandomWalk),
+                                           EmbeddingMethod::kRandomWalk,
+                                           EmbeddingMethod::kLine),
                          [](const auto& info) {
-                           return info.param ==
-                                          EmbeddingMethod::kMatrixFactorization
-                                      ? "MF"
-                                      : "RandomWalk";
+                           switch (info.param) {
+                             case EmbeddingMethod::kMatrixFactorization:
+                               return "MF";
+                             case EmbeddingMethod::kLine:
+                               return "Line";
+                             default:
+                               return "RandomWalk";
+                           }
                          });
 
 TEST(UpdateTest, UpdateUnknownTableIsRejected) {

@@ -44,7 +44,6 @@ src/graph/graph.h:MemoryBytes             pending: no production caller; give it
 src/serve/client.h:Drain                  pending: no production caller; give it one or delete it (ROADMAP item 10)
 src/core/pipeline.h:VerifyStorage         pending: no tool runs the deferred page check of a lazy load (ROADMAP item 10)
 src/embed/embedding.h:FromText            pending: no production caller; give it one or delete it (ROADMAP item 10)
-src/embed/embedding.h:MapVectors          pending: no production caller; give it one or delete it (ROADMAP item 10)
 '
 
 files() {
