@@ -74,9 +74,10 @@ int main() {
   std::printf("\nWhat Leva inferred:\n");
   for (const Table& t : db.tables()) {
     for (const Column& c : t.columns()) {
-      auto cls = pipeline.textifier().ClassOf(t.name(), c.name);
+      const Textifier::ColumnState* state =
+          pipeline.textifier().FindColumn(t.name(), c.name);
       std::printf("  %-20s -> %s\n", (t.name() + "." + c.name).c_str(),
-                  cls.ok() ? ColumnClassName(*cls).c_str() : "?");
+                  state != nullptr ? ColumnClassName(state->cls).c_str() : "?");
     }
   }
   const GraphStats& stats = pipeline.graph().stats();

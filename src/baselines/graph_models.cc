@@ -84,9 +84,10 @@ Result<std::vector<double>> Node2VecModel::RowVector(
     const Column& col = table.column(c);
     if (col.name == target_column) continue;
     LEVA_ASSIGN_OR_RETURN(
-        const std::vector<std::string> tokens,
-        textifier_.TransformCell(table.name(), col.name, col.values[row]));
-    for (const std::string& token : tokens) {
+        const TextifiedColumn cell,
+        textifier_.TransformColumn(table.name(), col, row, row + 1));
+    for (const std::string_view view : cell.tokens) {
+      const std::string token(view);
       const auto vec = embedding_.Get(TokenKey(token));
       if (vec.empty()) continue;
       ++hits;

@@ -182,13 +182,13 @@ class BufferReader {
   Status GetU32(uint32_t* v) { return GetFixed(v, sizeof *v, "u32"); }
   Status GetU64(uint64_t* v) { return GetFixed(v, sizeof *v, "u64"); }
   Status GetDouble(double* v) {
-    uint64_t bits;
+    uint64_t bits = 0;
     LEVA_RETURN_IF_ERROR(GetU64(&bits));
     std::memcpy(v, &bits, sizeof *v);
     return Status::OK();
   }
   Status GetString(std::string* s) {
-    uint64_t n;
+    uint64_t n = 0;
     LEVA_RETURN_IF_ERROR(GetU64(&n));
     LEVA_RETURN_IF_ERROR(Need(n, "string body"));
     s->assign(data_.data() + pos_, n);

@@ -7,21 +7,6 @@
 
 namespace leva {
 
-std::vector<std::string> Split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    const size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      break;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   size_t begin = 0;
   size_t end = s.size();

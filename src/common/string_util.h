@@ -18,9 +18,6 @@ struct TransparentStringHash {
   }
 };
 
-/// Splits `s` on `delim`, keeping empty fields.
-std::vector<std::string> Split(std::string_view s, char delim);
-
 /// Removes leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 

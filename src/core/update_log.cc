@@ -1,64 +1,13 @@
 #include "core/update_log.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
+#include "table/value_codec.h"
+
 namespace leva {
 namespace {
-
-// Value wire tags. Stable: the WAL outlives the process that wrote it.
-enum : uint8_t {
-  kTagNull = 0,
-  kTagInt = 1,
-  kTagDouble = 2,
-  kTagString = 3,
-};
-
-void PutValue(BufferWriter* w, const Value& v) {
-  if (v.is_null()) {
-    w->PutU8(kTagNull);
-  } else if (v.is_int()) {
-    w->PutU8(kTagInt);
-    w->PutU64(static_cast<uint64_t>(v.as_int()));
-  } else if (v.is_double()) {
-    w->PutU8(kTagDouble);
-    w->PutDouble(v.as_double());
-  } else {
-    w->PutU8(kTagString);
-    w->PutString(v.as_string());
-  }
-}
-
-Status GetValue(BufferReader* r, Value* out) {
-  uint8_t tag;
-  LEVA_RETURN_IF_ERROR(r->GetU8(&tag));
-  switch (tag) {
-    case kTagNull:
-      *out = Value::Null();
-      return Status::OK();
-    case kTagInt: {
-      uint64_t bits;
-      LEVA_RETURN_IF_ERROR(r->GetU64(&bits));
-      *out = Value(static_cast<int64_t>(bits));
-      return Status::OK();
-    }
-    case kTagDouble: {
-      double d;
-      LEVA_RETURN_IF_ERROR(r->GetDouble(&d));
-      *out = Value(d);
-      return Status::OK();
-    }
-    case kTagString: {
-      std::string s;
-      LEVA_RETURN_IF_ERROR(r->GetString(&s));
-      *out = Value(std::move(s));
-      return Status::OK();
-    }
-    default:
-      return Status::InvalidArgument("update log: unknown value tag " +
-                                     std::to_string(tag));
-  }
-}
 
 std::string SerializeRecord(const UpdateRecord& record) {
   BufferWriter w;
@@ -68,7 +17,7 @@ std::string SerializeRecord(const UpdateRecord& record) {
   w.PutU64(record.rows.size());
   for (const std::vector<Value>& row : record.rows) {
     for (size_t c = 0; c < record.columns.size(); ++c) {
-      PutValue(&w, c < row.size() ? row[c] : Value::Null());
+      EncodeValue(c < row.size() ? row[c] : Value::Null(), &w);
     }
   }
   return w.Release();
@@ -77,8 +26,17 @@ std::string SerializeRecord(const UpdateRecord& record) {
 Status ParseRecord(std::string_view payload, UpdateRecord* out) {
   BufferReader r(payload);
   LEVA_RETURN_IF_ERROR(r.GetString(&out->table));
-  uint32_t num_cols;
+  // Counts are checked against the bytes left before anything is reserved,
+  // so a crafted count cannot force a huge allocation. A column name costs
+  // at least its 8-byte length, and a row at least 1 byte: 1 per cell (a
+  // null), and a row of no cells is never written, since a table without
+  // columns has no rows.
+  uint32_t num_cols = 0;
   LEVA_RETURN_IF_ERROR(r.GetU32(&num_cols));
+  if (num_cols > r.remaining() / 8) {
+    return Status::InvalidArgument("update log: corrupt column count " +
+                                   std::to_string(num_cols));
+  }
   out->columns.clear();
   out->columns.reserve(num_cols);
   for (uint32_t c = 0; c < num_cols; ++c) {
@@ -86,13 +44,18 @@ Status ParseRecord(std::string_view payload, UpdateRecord* out) {
     LEVA_RETURN_IF_ERROR(r.GetString(&name));
     out->columns.push_back(std::move(name));
   }
-  uint64_t num_rows;
+  uint64_t num_rows = 0;
   LEVA_RETURN_IF_ERROR(r.GetU64(&num_rows));
+  if (num_rows > r.remaining() / std::max<uint64_t>(num_cols, 1)) {
+    return Status::InvalidArgument("update log: corrupt row count " +
+                                   std::to_string(num_rows));
+  }
   out->rows.clear();
+  out->rows.reserve(num_rows);
   for (uint64_t i = 0; i < num_rows; ++i) {
     std::vector<Value> row(num_cols);
     for (uint32_t c = 0; c < num_cols; ++c) {
-      LEVA_RETURN_IF_ERROR(GetValue(&r, &row[c]));
+      LEVA_RETURN_IF_ERROR(DecodeValue(&r, &row[c]));
     }
     out->rows.push_back(std::move(row));
   }

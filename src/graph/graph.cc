@@ -424,18 +424,6 @@ Status LevaGraph::Load(BufferReader* in, OwnedOrMapped<uint64_t> offsets,
   return Status::OK();
 }
 
-size_t LevaGraph::MemoryBytes() const {
-  size_t bytes = kinds_.capacity() * sizeof(NodeKind) +
-                 offsets_.capacity() * sizeof(size_t) +
-                 targets_.capacity() * sizeof(NodeId) +
-                 weights_.capacity() * sizeof(float) +
-                 delta_offsets_.capacity() * sizeof(uint64_t) +
-                 delta_targets_.capacity() * sizeof(NodeId) +
-                 delta_weights_.capacity() * sizeof(float);
-  for (const std::string& l : labels_) bytes += l.capacity() + sizeof(l);
-  return bytes;
-}
-
 NodeId GraphBuilder::AddNode(NodeKind kind, std::string label) {
   const NodeId id = static_cast<NodeId>(kinds_.size());
   kinds_.push_back(kind);

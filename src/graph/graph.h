@@ -176,9 +176,6 @@ class LevaGraph {
   /// flag the graph was built with).
   Result<LevaGraph> Compacted(bool reweight) const;
 
-  /// Approximate heap footprint of the CSR structure in bytes.
-  size_t MemoryBytes() const;
-
   const GraphStats& stats() const { return stats_; }
 
   /// Serializes the graph *metadata* (nodes, labels, table row ranges,

@@ -4,60 +4,11 @@
 
 #include "common/logging.h"
 #include "common/status.h"
+#include "table/value_codec.h"
 
 namespace leva::serve {
 
 namespace {
-
-constexpr uint8_t kCellNull = 0;
-constexpr uint8_t kCellInt = 1;
-constexpr uint8_t kCellDouble = 2;
-constexpr uint8_t kCellString = 3;
-
-void EncodeValue(const Value& v, BufferWriter* w) {
-  if (v.is_null()) {
-    w->PutU8(kCellNull);
-  } else if (v.is_int()) {
-    w->PutU8(kCellInt);
-    w->PutU64(static_cast<uint64_t>(v.as_int()));
-  } else if (v.is_double()) {
-    w->PutU8(kCellDouble);
-    w->PutDouble(v.as_double());
-  } else {
-    w->PutU8(kCellString);
-    w->PutString(v.as_string());
-  }
-}
-
-Status DecodeValue(BufferReader* r, Value* v) {
-  uint8_t tag;
-  LEVA_RETURN_IF_ERROR(r->GetU8(&tag));
-  switch (tag) {
-    case kCellNull:
-      *v = Value::Null();
-      return Status::OK();
-    case kCellInt: {
-      uint64_t bits;
-      LEVA_RETURN_IF_ERROR(r->GetU64(&bits));
-      *v = Value(static_cast<int64_t>(bits));
-      return Status::OK();
-    }
-    case kCellDouble: {
-      double d;
-      LEVA_RETURN_IF_ERROR(r->GetDouble(&d));
-      *v = Value(d);
-      return Status::OK();
-    }
-    case kCellString: {
-      std::string s;
-      LEVA_RETURN_IF_ERROR(r->GetString(&s));
-      *v = Value(std::move(s));
-      return Status::OK();
-    }
-    default:
-      return Status::InvalidArgument("corrupt cell tag " + std::to_string(tag));
-  }
-}
 
 void PutResponseHeader(Opcode opcode, uint64_t request_id,
                        const Status& status, BufferWriter* w) {
@@ -240,7 +191,8 @@ Status DecodeResponse(std::string_view payload, DecodedResponse* response) {
   response->status = Status::OK();
   switch (response->opcode) {
     case Opcode::kFeaturize: {
-      uint32_t rows, width;
+      uint32_t rows = 0;
+      uint32_t width = 0;
       LEVA_RETURN_IF_ERROR(r.GetU32(&rows));
       LEVA_RETURN_IF_ERROR(r.GetU32(&width));
       std::string_view raw;
@@ -253,7 +205,7 @@ Status DecodeResponse(std::string_view payload, DecodedResponse* response) {
       break;
     }
     case Opcode::kStats: {
-      uint32_t count;
+      uint32_t count = 0;
       LEVA_RETURN_IF_ERROR(r.GetU32(&count));
       response->stats.clear();
       response->stats.reserve(std::min<size_t>(count, 1024));
@@ -287,7 +239,7 @@ void EncodeTable(const Table& table, BufferWriter* writer) {
 }
 
 Status DecodeTable(BufferReader* reader, Table* table) {
-  uint32_t num_columns;
+  uint32_t num_columns = 0;
   LEVA_RETURN_IF_ERROR(reader->GetU32(&num_columns));
   std::vector<Column> columns;
   // Every column header costs at least 9 bytes on the wire, so a corrupt
@@ -307,7 +259,7 @@ Status DecodeTable(BufferReader* reader, Table* table) {
     }
     c.type = static_cast<DataType>(type);
   }
-  uint32_t num_rows;
+  uint32_t num_rows = 0;
   LEVA_RETURN_IF_ERROR(reader->GetU32(&num_rows));
   if (size_t{num_rows} * num_columns > reader->remaining()) {
     return Status::InvalidArgument("corrupt row count " +

@@ -121,95 +121,34 @@ Status Textifier::Fit(const Database& db) {
   return Status::OK();
 }
 
-const Textifier::ColumnState* Textifier::FindState(
+const Textifier::ColumnState* Textifier::FindColumn(
     const std::string& table_name, const std::string& column_name) const {
   const auto it = columns_.find(table_name + "." + column_name);
   return it == columns_.end() ? nullptr : &it->second;
-}
-
-void Textifier::EmitTokens(const ColumnState& state, const Value& value,
-                           std::vector<TextToken>* out) const {
-  if (value.is_null()) return;  // true nulls never emit tokens
-  switch (state.cls) {
-    case ColumnClass::kNumeric:
-    case ColumnClass::kDatetime: {
-      if (!value.is_numeric()) {
-        // Dirty cell in a numeric column (e.g. a stray "?"): emit the raw
-        // token and let the voting refinement deal with it.
-        const std::string raw(Trim(value.ToDisplayString()));
-        if (!raw.empty()) out->push_back({state.attr_id, raw});
-        return;
-      }
-      const size_t bin = state.histogram.BinOf(value.ToNumeric());
-      // Token is "<attribute>#bin<k>": numeric tokens are attribute-scoped so
-      // different attributes never collide on bin ids, but the same attribute
-      // appearing in several tables (a denormalized copy) still links up.
-      const std::string& qualified = attr_names_[state.attr_id];
-      const size_t dot = qualified.find('.');
-      const std::string attr = qualified.substr(dot + 1);
-      out->push_back({state.attr_id, attr + "#bin" + std::to_string(bin)});
-      return;
-    }
-    case ColumnClass::kKey:
-    case ColumnClass::kStringAtomic: {
-      const std::string raw(Trim(value.ToDisplayString()));
-      if (!raw.empty()) out->push_back({state.attr_id, raw});
-      return;
-    }
-    case ColumnClass::kStringList: {
-      const std::string raw = value.ToDisplayString();
-      for (const std::string& part : Split(raw, state.list_separator)) {
-        const std::string elem(Trim(part));
-        if (!elem.empty()) out->push_back({state.attr_id, elem});
-      }
-      return;
-    }
-  }
 }
 
 Result<TextifiedTable> Textifier::Transform(const Table& table) const {
   TextifiedTable out;
   out.table_name = table.name();
   out.rows.resize(table.NumRows());
-
-  std::vector<const ColumnState*> states;
-  states.reserve(table.NumColumns());
+  for (std::vector<TextToken>& row : out.rows) row.reserve(table.NumColumns());
   for (const Column& col : table.columns()) {
-    const ColumnState* state = FindState(table.name(), col.name);
-    if (state == nullptr) {
-      return Status::NotFound("column '" + table.name() + "." + col.name +
-                              "' was not fitted");
-    }
-    states.push_back(state);
-  }
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    for (size_t c = 0; c < table.NumColumns(); ++c) {
-      EmitTokens(*states[c], table.at(r, c), &out.rows[r]);
+    LEVA_ASSIGN_OR_RETURN(const TextifiedColumn tokens,
+                          TransformColumn(table.name(), col));
+    const uint32_t attr_id = FindColumn(table.name(), col.name)->attr_id;
+    for (size_t r = 0; r < tokens.NumRows(); ++r) {
+      for (size_t i = tokens.offsets[r]; i < tokens.offsets[r + 1]; ++i) {
+        out.rows[r].push_back({attr_id, std::string(tokens.tokens[i])});
+      }
     }
   }
-  return out;
-}
-
-Result<std::vector<std::string>> Textifier::TransformCell(
-    const std::string& table_name, const std::string& column_name,
-    const Value& value) const {
-  const ColumnState* state = FindState(table_name, column_name);
-  if (state == nullptr) {
-    return Status::NotFound("column '" + table_name + "." + column_name +
-                            "' was not fitted");
-  }
-  std::vector<TextToken> tokens;
-  EmitTokens(*state, value, &tokens);
-  std::vector<std::string> out;
-  out.reserve(tokens.size());
-  for (TextToken& t : tokens) out.push_back(std::move(t.token));
   return out;
 }
 
 Result<TextifiedColumn> Textifier::TransformColumn(
     const std::string& table_name, const Column& column, size_t row_begin,
     size_t row_end) const {
-  const ColumnState* state = FindState(table_name, column.name);
+  const ColumnState* state = FindColumn(table_name, column.name);
   if (state == nullptr) {
     return Status::NotFound("column '" + table_name + "." + column.name +
                             "' was not fitted");
@@ -249,11 +188,12 @@ Result<TextifiedColumn> Textifier::TransformColumn(
   switch (state->cls) {
     case ColumnClass::kNumeric:
     case ColumnClass::kDatetime: {
-      // The attribute-scoped bin prefix is a pure function of the column;
-      // build it once instead of re-deriving it per cell (EmitTokens pays a
-      // substr + two string concats for every value). Bin labels are a pure
-      // function of the bin id, so each is materialized at most once per
-      // call rather than concatenated per cell.
+      // Token is "<attribute>#bin<k>": numeric tokens are attribute-scoped
+      // so different attributes never collide on bin ids, but the same
+      // attribute appearing in several tables (a denormalized copy) still
+      // links up. The prefix is a pure function of the column, so it is
+      // built once; bin labels are a pure function of the bin id, so each
+      // is materialized at most once per call.
       const std::string& qualified = attr_names_[state->attr_id];
       const std::string prefix = qualified.substr(qualified.find('.') + 1) +
                                  "#bin";
@@ -271,9 +211,10 @@ Result<TextifiedColumn> Textifier::TransformColumn(
             out.dict_ids.push_back(bin_dict_id[bin]);
             out.tokens.push_back(out.dict[bin_dict_id[bin]]);
           } else {
-            // Dirty non-numeric cells are rare; give each occurrence its own
-            // dict entry rather than dedup-hashing here (downstream interning
-            // dedups them anyway).
+            // Dirty cell in a numeric column (e.g. a stray "?"): emit the raw
+            // token and let the voting refinement deal with it. Such cells
+            // are rare; give each occurrence its own dict entry rather than
+            // dedup-hashing here (downstream interning dedups them anyway).
             const std::string_view raw = Trim(raw_view(value));
             if (!raw.empty()) {
               out.dict_ids.push_back(static_cast<uint32_t>(out.dict.size()));
@@ -303,9 +244,8 @@ Result<TextifiedColumn> Textifier::TransformColumn(
       for (size_t r = row_begin; r < row_end; ++r) {
         const Value& value = column.values[r];
         if (!value.is_null()) {
-          // In-place Split + Trim over a view: same parts as
-          // Split(raw, sep) — empty fields kept, then trimmed and dropped
-          // when empty — without materializing any of them.
+          // Split on `sep` over a view, keeping empty fields, then trim each
+          // part and drop it when empty, without materializing any of them.
           const std::string_view raw = raw_view(value);
           size_t start = 0;
           while (true) {
@@ -324,16 +264,6 @@ Result<TextifiedColumn> Textifier::TransformColumn(
     }
   }
   return out;
-}
-
-Result<ColumnClass> Textifier::ClassOf(const std::string& table_name,
-                                       const std::string& column_name) const {
-  const ColumnState* state = FindState(table_name, column_name);
-  if (state == nullptr) {
-    return Status::NotFound("column '" + table_name + "." + column_name +
-                            "' was not fitted");
-  }
-  return state->cls;
 }
 
 void Textifier::Save(BufferWriter* out) const {

@@ -53,10 +53,9 @@ struct TextifiedTable {
   std::vector<std::vector<TextToken>> rows;
 };
 
-/// One column textified in a single pass (the batched analogue of
-/// TransformCell): tokens are flattened in row order, with
-/// `offsets[r] .. offsets[r+1]` delimiting row r's tokens. Rows are local to
-/// the transformed range, so offsets always start at 0.
+/// One column textified in a single pass: tokens are flattened in row order,
+/// with `offsets[r] .. offsets[r+1]` delimiting row r's tokens. Rows are
+/// local to the transformed range, so offsets always start at 0.
 ///
 /// Tokens are views, not strings, so the serving path pays no heap
 /// allocation per occurrence: each view points either into the source
@@ -89,39 +88,48 @@ struct TextifiedColumn {
 /// The textification module. `Fit` scans a database, classifies every column
 /// and fits histograms; `Transform` converts (possibly unseen) tables into
 /// token streams using the fitted state, which implements the paper's
-/// bin-quantization handling of unseen numeric test data.
+/// bin-quantization handling of unseen numeric test data. `TransformColumn`
+/// is the one implementation of the cell rule: `Transform`, Featurize and the
+/// row-wise baselines all textify through it.
 class Textifier {
  public:
+  /// The fitted state of one column.
+  struct ColumnState {
+    uint32_t attr_id = 0;
+    ColumnClass cls = ColumnClass::kStringAtomic;
+    Histogram histogram;       // fitted for kNumeric / kDatetime
+    char list_separator = ','; // for kStringList
+  };
+
   explicit Textifier(TextifyOptions options = {}) : options_(options) {}
 
   /// Classifies each column of each table and fits numeric histograms.
   Status Fit(const Database& db);
 
-  /// Textifies `table`. Columns are matched by (table name, column name); a
-  /// table/column not seen at Fit time is an error.
+  /// Textifies `table`, one TransformColumn call per column in schema order;
+  /// each row lists its columns' tokens in that order. Columns are matched by
+  /// (table name, column name); a table/column not seen at Fit time is an
+  /// error.
   Result<TextifiedTable> Transform(const Table& table) const;
 
-  /// Textifies a single cell of a fitted column. Used at inference time.
-  Result<std::vector<std::string>> TransformCell(
-      const std::string& table_name, const std::string& column_name,
-      const Value& value) const;
-
-  /// Textifies rows [row_begin, row_end) of `column` in one pass. The column
-  /// state lookup, type dispatch, and numeric token prefix are resolved once
-  /// per call instead of once per cell, and bin labels are materialized once
-  /// per distinct bin; emitted tokens are byte-identical to repeated
-  /// TransformCell calls. `row_end` == npos means column.size(). The result
-  /// holds views into `column`, which must outlive it. This is the
-  /// batched-featurization serving path.
+  /// Textifies rows [row_begin, row_end) of `column` in one pass (Section
+  /// 4.1): nulls emit nothing; keys and atomic strings emit the trimmed raw
+  /// value; numerics and datetimes emit "<attribute>#bin<k>" (a dirty
+  /// non-numeric cell emits its trimmed raw value); lists emit each trimmed,
+  /// non-empty element. Empty tokens are dropped. The column state lookup,
+  /// type dispatch, and numeric token prefix are resolved once per call, and
+  /// bin labels are materialized once per distinct bin. `row_end` == npos
+  /// means column.size(). The result holds views into `column`, which must
+  /// outlive it.
   Result<TextifiedColumn> TransformColumn(
       const std::string& table_name, const Column& column, size_t row_begin = 0,
       size_t row_end = static_cast<size_t>(-1)) const;
 
   /// Total number of distinct attributes registered at Fit time.
   size_t NumAttributes() const { return attr_names_.size(); }
-  /// Fitted class for a column; error if unknown.
-  Result<ColumnClass> ClassOf(const std::string& table_name,
-                              const std::string& column_name) const;
+  /// The fitted state of a column, or nullptr when it was not fitted.
+  const ColumnState* FindColumn(const std::string& table_name,
+                                const std::string& column_name) const;
 
   const TextifyOptions& options() const { return options_; }
 
@@ -135,20 +143,6 @@ class Textifier {
   Status Load(BufferReader* in);
 
  private:
-  struct ColumnState {
-    uint32_t attr_id = 0;
-    ColumnClass cls = ColumnClass::kStringAtomic;
-    Histogram histogram;      // fitted for kNumeric / kDatetime
-    char list_separator = ','; // for kStringList
-  };
-
-  // Emits the tokens of `value` under `state` into `out`.
-  void EmitTokens(const ColumnState& state, const Value& value,
-                  std::vector<TextToken>* out) const;
-
-  const ColumnState* FindState(const std::string& table_name,
-                               const std::string& column_name) const;
-
   TextifyOptions options_;
   // Keyed by "<table>.<column>".
   std::unordered_map<std::string, ColumnState> columns_;

@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "reference/textify_reference.h"
 
 namespace leva {
 namespace {

@@ -8,6 +8,7 @@
 #include "datagen/datasets.h"
 #include "datagen/er_data.h"
 #include "datagen/synthetic.h"
+#include "reference/textify_reference.h"
 
 namespace leva {
 namespace {

@@ -208,6 +208,85 @@ TEST(BatchedFeaturizeTest, UnseenTokensMatchLegacy) {
   ExpectBitIdentical(*batched, *legacy);
 }
 
+// Two tables joined on int keys, with every column class the textifier
+// knows: int keys, comma lists with padded elements and empty fields,
+// atomic strings with a dirty "?", numerics and datetimes. Keys and list
+// elements recur across rows, so their tokens are value nodes.
+Database MakeEveryClassDb() {
+  Column id;
+  id.name = "id";
+  id.type = DataType::kInt;
+  Column tags;
+  tags.name = "tags";
+  tags.type = DataType::kString;
+  Column color;
+  color.name = "color";
+  color.type = DataType::kString;
+  Column amount;
+  amount.name = "amount";
+  amount.type = DataType::kDouble;
+  Column ts;
+  ts.name = "ts";
+  ts.type = DataType::kDatetime;
+  Column ref;
+  ref.name = "ref";
+  ref.type = DataType::kInt;
+  Column score;
+  score.name = "score";
+  score.type = DataType::kDouble;
+  for (int i = 0; i < 60; ++i) {
+    id.values.push_back(Value(int64_t{100} + i));
+    tags.values.push_back(Value(" t" + std::to_string(i % 4) + " ,, u" +
+                                std::to_string(i % 7) + " "));
+    color.values.push_back(
+        Value(i % 9 == 0 ? std::string("?") : i % 2 ? "red" : "blue"));
+    amount.values.push_back(i % 11 == 0 ? Value("  ? ")
+                                        : Value(0.25 * (i % 13)));
+    ts.values.push_back(Value(int64_t{1600000000} + int64_t{86400} * (i % 17)));
+    ref.values.push_back(Value(int64_t{100} + i));
+    score.values.push_back(Value(1.5 * (i % 5)));
+  }
+  Table left("left");
+  Table right("right");
+  EXPECT_TRUE(left.AddColumn(id).ok());
+  EXPECT_TRUE(left.AddColumn(tags).ok());
+  EXPECT_TRUE(left.AddColumn(color).ok());
+  EXPECT_TRUE(left.AddColumn(amount).ok());
+  EXPECT_TRUE(left.AddColumn(ts).ok());
+  EXPECT_TRUE(right.AddColumn(ref).ok());
+  EXPECT_TRUE(right.AddColumn(score).ok());
+  Database db;
+  EXPECT_TRUE(db.AddTable(left).ok());
+  EXPECT_TRUE(db.AddTable(right).ok());
+  return db;
+}
+
+// The Featurize differential on every column class, so a tokenizer change
+// that Fit and Featurize share still shows against the per-cell reference.
+TEST(BatchedFeaturizeTest, EveryColumnClassMatchesLegacy) {
+  const Database db = MakeEveryClassDb();
+  LevaConfig config = TestConfig(Featurization::kRowPlusValue);
+  config.graph.theta_min = 0.0;  // keep every attribute at this scale
+  LevaPipeline pipeline(config);
+  ASSERT_TRUE(pipeline.Fit(db).ok());
+  const Table& left = db.tables()[0];
+  EXPECT_EQ(pipeline.textifier().FindColumn("left", "id")->cls,
+            ColumnClass::kKey);
+  EXPECT_EQ(pipeline.textifier().FindColumn("left", "tags")->cls,
+            ColumnClass::kStringList);
+  EXPECT_NE(pipeline.graph().ValueNode("117"), kInvalidNode);
+  EXPECT_NE(pipeline.graph().ValueNode("u3"), kInvalidNode);
+  const TargetEncoder no_target;
+  for (const bool rows_in_graph : {true, false}) {
+    const auto batched = pipeline.Featurize(left, "", no_target, rows_in_graph);
+    const auto legacy =
+        ReferenceFeaturize(pipeline, left, "", no_target, rows_in_graph);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+    ExpectBitIdentical(*batched, *legacy);
+  }
+}
+
 // An empty target names no label: every column, the would-be target
 // included, is featurized and no target is encoded. A non-empty target that
 // names no column is still an error.

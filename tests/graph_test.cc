@@ -283,11 +283,5 @@ TEST(GraphTest, ValueNodeCountReduction) {
   EXPECT_EQ(g->NumEdges(), 100u);  // vs 100*99/2 pairwise
 }
 
-TEST(GraphTest, MemoryBytesPositive) {
-  const auto g = BuildGraph(SharedTokenTables(), 4);
-  ASSERT_TRUE(g.ok());
-  EXPECT_GT(g->MemoryBytes(), 0u);
-}
-
 }  // namespace
 }  // namespace leva

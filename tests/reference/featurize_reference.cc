@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "reference/textify_reference.h"
+
 namespace leva {
 namespace {
 
@@ -47,9 +49,10 @@ Result<std::vector<double>> ReferenceRowVector(const LevaPipeline& pipeline,
     for (size_t c = 0; c < table.NumColumns(); ++c) {
       const Column& col = table.column(c);
       if (!target_column.empty() && col.name == target_column) continue;
-      LEVA_ASSIGN_OR_RETURN(std::vector<std::string> cell,
-                            pipeline.textifier().TransformCell(
-                                table.name(), col.name, col.values[row]));
+      LEVA_ASSIGN_OR_RETURN(
+          std::vector<std::string> cell,
+          ReferenceCellTokens(pipeline.textifier(), table.name(), col.name,
+                              col.values[row]));
       for (std::string& t : cell) tokens.push_back(std::move(t));
     }
   }

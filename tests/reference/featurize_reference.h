@@ -1,9 +1,9 @@
 // Row-at-a-time featurization: the differential oracle for the batched
 // LevaPipeline::Featurize. Each row is built on its own from the pipeline's
-// public accessors — per-cell Textifier::TransformCell, per-token
-// Embedding::Get and graph degree lookups, a freshly allocated vector — with
-// no TokenResolver and no column-batch textification. Never used outside
-// tests.
+// public accessors — the per-cell reference tokenizer (ReferenceCellTokens,
+// which reads Textifier::FindColumn), per-token Embedding::Get and graph
+// degree lookups, a freshly allocated vector — with no TokenResolver and no
+// column-batch textification. Never used outside tests.
 #ifndef LEVA_TESTS_REFERENCE_FEATURIZE_REFERENCE_H_
 #define LEVA_TESTS_REFERENCE_FEATURIZE_REFERENCE_H_
 

@@ -8,10 +8,13 @@
 #include <fstream>
 
 #include "common/string_util.h"
+#include "common/io.h"
 #include "core/pipeline.h"
+#include "core/update_log.h"
 #include "datagen/synthetic.h"
 #include "embed/walks_batched.h"
 #include "ml/featurize.h"
+#include "reference/textify_reference.h"
 #include "table/csv.h"
 
 namespace leva {
@@ -78,8 +81,8 @@ TEST(CsvDatetimeTest, TextifierBinsDatetime) {
   ASSERT_TRUE(db.AddTable(t).ok());
   Textifier tx;
   ASSERT_TRUE(tx.Fit(db).ok());
-  EXPECT_EQ(*tx.ClassOf("log", "ts"), ColumnClass::kDatetime);
-  const auto tokens = tx.TransformCell("log", "ts", Value(int64_t{86400}));
+  EXPECT_EQ(tx.FindColumn("log", "ts")->cls, ColumnClass::kDatetime);
+  const auto tokens = TransformOneCell(tx, "log", "ts", Value(int64_t{86400}));
   ASSERT_TRUE(tokens.ok());
   ASSERT_EQ(tokens->size(), 1u);
   EXPECT_TRUE(tokens->front().starts_with("ts#bin"));
@@ -295,6 +298,67 @@ TEST(RobustnessTest, WideTableManyColumns) {
   config.textify.bin_count = 4;
   LevaPipeline pipeline(config);
   EXPECT_TRUE(pipeline.Fit(db).ok());
+}
+
+// Writes a log file holding the magic and one frame around `payload` with a
+// valid CRC, so that the record decoder, not the frame check, judges it.
+std::string WriteLogWithRecord(const std::string& name,
+                               const std::string& payload) {
+  BufferWriter w;
+  w.PutBytes(UpdateLog::kMagic, sizeof UpdateLog::kMagic);
+  w.PutU32(static_cast<uint32_t>(payload.size()));
+  w.PutU32(Crc32c(payload));
+  w.PutBytes(payload.data(), payload.size());
+  const std::string path = ::testing::TempDir() + "leva_crafted_" + name;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << w.data();
+  return path;
+}
+
+// A record whose column or row count its payload cannot hold is corrupt: it
+// ends the scan as a torn tail, with nothing reserved for the claimed count.
+TEST(UpdateLogTest, CraftedCountsEndTheScanAsATornTail) {
+  // 21 bytes on disk past the magic: the table name "t", then 2^32 - 1
+  // columns.
+  BufferWriter huge_columns;
+  huge_columns.PutString("t");
+  huge_columns.PutU32(0xFFFFFFFFu);
+  ASSERT_EQ(8 + huge_columns.size(), 21u);
+  // One column, then 2^40 rows: far more cells than bytes left.
+  BufferWriter huge_rows;
+  huge_rows.PutString("t");
+  huge_rows.PutU32(1);
+  huge_rows.PutString("a");
+  huge_rows.PutU64(uint64_t{1} << 40);
+  // No columns, then 2^20 rows of no cells, which no writer emits.
+  BufferWriter empty_rows;
+  empty_rows.PutString("t");
+  empty_rows.PutU32(0);
+  empty_rows.PutU64(uint64_t{1} << 20);
+
+  const std::pair<const char*, const BufferWriter*> cases[] = {
+      {"huge_columns", &huge_columns},
+      {"huge_rows", &huge_rows},
+      {"empty_rows", &empty_rows}};
+  for (const auto& [name, payload] : cases) {
+    const std::string path =
+        WriteLogWithRecord(name, std::string(payload->data()));
+    const auto replay = UpdateLog::Read(path, UpdateLog::kHeaderSize);
+    ASSERT_TRUE(replay.ok()) << name << ": " << replay.status().ToString();
+    EXPECT_TRUE(replay->torn_tail) << name;
+    EXPECT_TRUE(replay->records.empty()) << name;
+    EXPECT_EQ(replay->record_count, 0u) << name;
+    EXPECT_EQ(replay->end_offset, UpdateLog::kHeaderSize) << name;
+
+    // Open runs the same scan and truncates the torn record away.
+    auto log = UpdateLog::Open(path);
+    ASSERT_TRUE(log.ok()) << name << ": " << log.status().ToString();
+    EXPECT_EQ(log.value()->end_offset(), UpdateLog::kHeaderSize) << name;
+    ASSERT_TRUE(log.value()->Close().ok());
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    EXPECT_EQ(static_cast<uint64_t>(in.tellg()), UpdateLog::kHeaderSize)
+        << name;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "common/rng.h"
+#include "reference/textify_reference.h"
 #include "table/table.h"
 #include "text/histogram.h"
 #include "text/textifier.h"
@@ -166,11 +167,11 @@ TEST(TextifierTest, ClassifiesColumnTypes) {
   const Database db = MakeTypedDb();
   Textifier tx;
   ASSERT_TRUE(tx.Fit(db).ok());
-  EXPECT_EQ(*tx.ClassOf("t", "id"), ColumnClass::kKey);
-  EXPECT_EQ(*tx.ClassOf("t", "amount"), ColumnClass::kNumeric);
-  EXPECT_EQ(*tx.ClassOf("t", "color"), ColumnClass::kStringAtomic);
-  EXPECT_EQ(*tx.ClassOf("t", "tags"), ColumnClass::kStringList);
-  EXPECT_FALSE(tx.ClassOf("t", "nope").ok());
+  EXPECT_EQ(tx.FindColumn("t", "id")->cls, ColumnClass::kKey);
+  EXPECT_EQ(tx.FindColumn("t", "amount")->cls, ColumnClass::kNumeric);
+  EXPECT_EQ(tx.FindColumn("t", "color")->cls, ColumnClass::kStringAtomic);
+  EXPECT_EQ(tx.FindColumn("t", "tags")->cls, ColumnClass::kStringList);
+  EXPECT_EQ(tx.FindColumn("t", "nope"), nullptr);
 }
 
 TEST(TextifierTest, FloatColumnIsNeverKey) {
@@ -184,7 +185,7 @@ TEST(TextifierTest, FloatColumnIsNeverKey) {
   ASSERT_TRUE(db.AddTable(t).ok());
   Textifier tx;
   ASSERT_TRUE(tx.Fit(db).ok());
-  EXPECT_EQ(*tx.ClassOf("t", "f"), ColumnClass::kNumeric);
+  EXPECT_EQ(tx.FindColumn("t", "f")->cls, ColumnClass::kNumeric);
 }
 
 TEST(TextifierTest, NumericTokensAreBinned) {
@@ -193,7 +194,7 @@ TEST(TextifierTest, NumericTokensAreBinned) {
   options.bin_count = 10;
   Textifier tx(options);
   ASSERT_TRUE(tx.Fit(db).ok());
-  const auto tokens = tx.TransformCell("t", "amount", Value(50.0));
+  const auto tokens = TransformOneCell(tx, "t", "amount", Value(50.0));
   ASSERT_TRUE(tokens.ok());
   ASSERT_EQ(tokens->size(), 1u);
   EXPECT_TRUE(tokens->front().starts_with("amount#bin"));
@@ -204,7 +205,7 @@ TEST(TextifierTest, UnseenNumericFallsIntoExistingBin) {
   Textifier tx;
   ASSERT_TRUE(tx.Fit(db).ok());
   // Way outside the fitted range: clamps to the last bin rather than failing.
-  const auto tokens = tx.TransformCell("t", "amount", Value(1e9));
+  const auto tokens = TransformOneCell(tx, "t", "amount", Value(1e9));
   ASSERT_TRUE(tokens.ok());
   ASSERT_EQ(tokens->size(), 1u);
 }
@@ -213,7 +214,7 @@ TEST(TextifierTest, NullEmitsNothing) {
   const Database db = MakeTypedDb();
   Textifier tx;
   ASSERT_TRUE(tx.Fit(db).ok());
-  const auto tokens = tx.TransformCell("t", "amount", Value::Null());
+  const auto tokens = TransformOneCell(tx, "t", "amount", Value::Null());
   ASSERT_TRUE(tokens.ok());
   EXPECT_TRUE(tokens->empty());
 }
@@ -222,7 +223,7 @@ TEST(TextifierTest, ListsSplitIntoElements) {
   const Database db = MakeTypedDb();
   Textifier tx;
   ASSERT_TRUE(tx.Fit(db).ok());
-  const auto tokens = tx.TransformCell("t", "tags", Value("a, b ,c"));
+  const auto tokens = TransformOneCell(tx, "t", "tags", Value("a, b ,c"));
   ASSERT_TRUE(tokens.ok());
   ASSERT_EQ(tokens->size(), 3u);
   EXPECT_EQ((*tokens)[1], "b");
@@ -233,7 +234,7 @@ TEST(TextifierTest, MissingStringTokenPassesThrough) {
   const Database db = MakeTypedDb();
   Textifier tx;
   ASSERT_TRUE(tx.Fit(db).ok());
-  const auto tokens = tx.TransformCell("t", "color", Value("?"));
+  const auto tokens = TransformOneCell(tx, "t", "color", Value("?"));
   ASSERT_TRUE(tokens.ok());
   ASSERT_EQ(tokens->size(), 1u);
   EXPECT_EQ(tokens->front(), "?");
@@ -250,30 +251,93 @@ TEST(TextifierTest, TransformWholeTable) {
   EXPECT_EQ(tt->rows[0].size(), 5u);
 }
 
-TEST(TextifierTest, TransformColumnMatchesTransformCell) {
+// Every column class, with the cells each branch of the rule special-cases:
+// nulls, a dirty numeric cell, list cells with empty and blank fields, int
+// and integral-double keys, and datetimes.
+Database MakeEveryClassDb() {
   Database db = MakeTypedDb();
-  // Sprinkle in nulls and a dirty numeric cell so every EmitTokens branch is
-  // exercised by the column-batch path.
   Table& t = db.mutable_tables()[0];
   t.mutable_column(1).values[3] = Value::Null();
   t.mutable_column(1).values[4] = Value("  ? ");
   t.mutable_column(2).values[5] = Value::Null();
+  t.mutable_column(2).values[6] = Value("  ");
   t.mutable_column(3).values[6] = Value(" a ,, b ");
+  t.mutable_column(3).values[7] = Value(",,");
+  t.mutable_column(3).values[8] = Value("");
+  t.mutable_column(3).values[9] = Value::Null();
+  Column int_key;
+  int_key.name = "int_id";
+  int_key.type = DataType::kInt;
+  Column double_key;
+  double_key.name = "double_id";
+  double_key.type = DataType::kDouble;
+  Column ts;
+  ts.name = "ts";
+  ts.type = DataType::kDatetime;
+  for (int i = 0; i < 100; ++i) {
+    int_key.values.push_back(Value(int64_t{7} * i - 300));
+    double_key.values.push_back(Value(1000.0 + i));
+    ts.values.push_back(Value(int64_t{1600000000} + int64_t{86400} * i));
+  }
+  int_key.values[10] = Value::Null();
+  ts.values[11] = Value::Null();
+  ts.values[12] = Value("n/a");
+  EXPECT_TRUE(t.AddColumn(int_key).ok());
+  EXPECT_TRUE(t.AddColumn(double_key).ok());
+  EXPECT_TRUE(t.AddColumn(ts).ok());
+  return db;
+}
+
+TEST(TextifierTest, TransformColumnAndTransformMatchReference) {
+  const Database db = MakeEveryClassDb();
   Textifier tx;
   ASSERT_TRUE(tx.Fit(db).ok());
-  for (size_t c = 0; c < t.NumColumns(); ++c) {
-    const Column& col = t.column(c);
-    const auto batched = tx.TransformColumn("t", col);
-    ASSERT_TRUE(batched.ok()) << col.name;
-    ASSERT_EQ(batched->NumRows(), col.size());
-    for (size_t r = 0; r < col.size(); ++r) {
-      const auto cell = tx.TransformCell("t", col.name, col.values[r]);
-      ASSERT_TRUE(cell.ok());
-      std::vector<std::string> got;
-      for (size_t i = batched->offsets[r]; i < batched->offsets[r + 1]; ++i) {
-        got.emplace_back(batched->tokens[i]);
+  const Table& fitted = db.tables()[0];
+  ASSERT_EQ(fitted.NumColumns(), 7u);
+  EXPECT_EQ(tx.FindColumn("t", "int_id")->cls, ColumnClass::kKey);
+  EXPECT_EQ(tx.FindColumn("t", "double_id")->cls, ColumnClass::kKey);
+  EXPECT_EQ(tx.FindColumn("t", "ts")->cls, ColumnClass::kDatetime);
+  EXPECT_EQ(tx.FindColumn("t", "tags")->cls, ColumnClass::kStringList);
+
+  // Unseen rows: numerics and datetimes on both sides of the fitted range.
+  Table unseen = fitted;
+  unseen.mutable_column(1).values[20] = Value(1e9);
+  unseen.mutable_column(1).values[21] = Value(-1e9);
+  unseen.mutable_column(1).values[22] = Value(int64_t{50});
+  unseen.mutable_column(6).values[23] = Value(int64_t{0});
+  unseen.mutable_column(6).values[24] = Value(int64_t{4000000000});
+
+  for (const Table* t : std::vector<const Table*>{&fitted, &unseen}) {
+    const auto whole = tx.Transform(*t);
+    ASSERT_TRUE(whole.ok());
+    ASSERT_EQ(whole->rows.size(), t->NumRows());
+    std::vector<std::vector<TextToken>> expected_rows(t->NumRows());
+    for (size_t c = 0; c < t->NumColumns(); ++c) {
+      const Column& col = t->column(c);
+      const uint32_t attr_id = tx.FindColumn("t", col.name)->attr_id;
+      const auto batched = tx.TransformColumn("t", col);
+      ASSERT_TRUE(batched.ok()) << col.name;
+      ASSERT_EQ(batched->NumRows(), col.size());
+      for (size_t r = 0; r < col.size(); ++r) {
+        const auto cell = ReferenceCellTokens(tx, "t", col.name, col.values[r]);
+        ASSERT_TRUE(cell.ok());
+        const std::vector<std::string> got(
+            batched->tokens.begin() + batched->offsets[r],
+            batched->tokens.begin() + batched->offsets[r + 1]);
+        EXPECT_EQ(got, *cell) << col.name << " row " << r;
+        for (const std::string& token : *cell) {
+          expected_rows[r].push_back({attr_id, token});
+        }
       }
-      EXPECT_EQ(got, *cell) << col.name << " row " << r;
+    }
+    // Transform lists each row's tokens column by column, in schema order.
+    for (size_t r = 0; r < t->NumRows(); ++r) {
+      const std::vector<TextToken>& row = whole->rows[r];
+      ASSERT_EQ(row.size(), expected_rows[r].size()) << "row " << r;
+      for (size_t i = 0; i < row.size(); ++i) {
+        EXPECT_EQ(row[i].attr_id, expected_rows[r][i].attr_id) << "row " << r;
+        EXPECT_EQ(row[i].token, expected_rows[r][i].token) << "row " << r;
+      }
     }
   }
 }
@@ -329,7 +393,7 @@ TEST(TextifierTest, SpaceSeparatedStringsSplit) {
   ASSERT_TRUE(db.AddTable(t).ok());
   Textifier tx;
   ASSERT_TRUE(tx.Fit(db).ok());
-  const auto tokens = tx.TransformCell("p", "title", Value("alpha beta"));
+  const auto tokens = TransformOneCell(tx, "p", "title", Value("alpha beta"));
   ASSERT_TRUE(tokens.ok());
   EXPECT_EQ(tokens->size(), 2u);
 }
@@ -345,12 +409,10 @@ TEST_P(TextifierBinSweep, TokenCardinalityBounded) {
   options.bin_count = bins;
   Textifier tx(options);
   ASSERT_TRUE(tx.Fit(db).ok());
-  std::set<std::string> distinct;
-  for (const Value& v : db.tables()[0].column(1).values) {
-    const auto tokens = tx.TransformCell("t", "amount", v);
-    ASSERT_TRUE(tokens.ok());
-    for (const auto& t : *tokens) distinct.insert(t);
-  }
+  const auto column = tx.TransformColumn("t", db.tables()[0].column(1));
+  ASSERT_TRUE(column.ok());
+  const std::set<std::string_view> distinct(column->tokens.begin(),
+                                            column->tokens.end());
   EXPECT_LE(distinct.size(), bins);
   EXPECT_GE(distinct.size(), 1u);
 }

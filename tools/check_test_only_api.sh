@@ -40,7 +40,6 @@ src/embed/walks_batched.h:num_blocks      test seam: walk tests pin the vertex-b
 src/embed/word2vec.h:context_vectors      test seam: SGNS differential suites compare both matrices
 src/la/decomp.h:explained_variance        test seam: PCA tests check the spectrum is sorted
 src/serve/server.h:running                test seam: serve tests observe the drained server stop
-src/graph/graph.h:MemoryBytes             pending: no production caller; give it one or delete it (ROADMAP item 10)
 src/serve/client.h:Drain                  pending: no production caller; give it one or delete it (ROADMAP item 10)
 src/core/pipeline.h:VerifyStorage         pending: no tool runs the deferred page check of a lazy load (ROADMAP item 10)
 src/embed/embedding.h:FromText            pending: no production caller; give it one or delete it (ROADMAP item 10)
