@@ -1,6 +1,7 @@
 #include "baselines/corpus_models.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
 #include "la/decomp.h"
@@ -72,7 +73,7 @@ Status DirectWord2VecModel::Fit(const Database& db) {
   Word2Vec model(w2v_options_);
   LEVA_RETURN_IF_ERROR(model.Train(corpus, vocab.size(), &rng));
 
-  Matrix vectors = model.node_vectors();
+  Matrix vectors = std::move(model).node_vectors();
   LEVA_RETURN_IF_ERROR(RemoveCommonComponent(&vectors));
   embedding_ = Embedding(w2v_options_.dim);
   for (size_t i = 0; i < vocab_tokens.size(); ++i) {

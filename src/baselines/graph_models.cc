@@ -4,6 +4,7 @@
 #include <cctype>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/rng.h"
 #include "embed/walks_batched.h"
@@ -64,8 +65,9 @@ Status Node2VecModel::Fit(const Database& db) {
   Word2Vec model(w2v_options_);
   LEVA_RETURN_IF_ERROR(model.Train(corpus, graph_.NumNodes(), &rng));
 
-  LEVA_ASSIGN_OR_RETURN(embedding_,
-                        Embedding::FromNodeVectors(graph_, model.node_vectors()));
+  LEVA_ASSIGN_OR_RETURN(
+      embedding_,
+      Embedding::FromNodeVectors(graph_, std::move(model).node_vectors()));
   return Status::OK();
 }
 

@@ -18,7 +18,8 @@
 // (Tridiagonalize: Dot, GatherAdd, SubRank2 over rows of Vᵀ) and implicit QL
 // (TridiagonalQl: Rotate over rows of Vᵀ), the MatMul/MatTMul row-range
 // helpers and the CSR Multiply/TransposeMultiply row helpers (GatherAdd),
-// and Matrix::AddScaled/Scale (GatherAdd, Scale).
+// and Matrix::AddScaled/Scale (GatherAdd, Scale); in src/embed/mf.cc, the
+// Chebyshev step of SpectralPropagate (GatherAdd, Scale).
 //
 // LEVA_TARGET_CLONES: runtime-dispatched function multi-versioning. Apply it
 // to the HOT OUTER FUNCTION (the loop that calls the kernels below), not to

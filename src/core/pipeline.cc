@@ -205,6 +205,7 @@ Status LevaPipeline::Fit(const Database& db) {
     LEVA_ASSIGN_OR_RETURN(
         state->graph,
         BuildGraph(textified, state->textifier.NumAttributes(), config_.graph));
+    textified = {};  // the graph holds all the embedding stage reads
   }
   const LevaGraph& graph = state->graph;
 
@@ -213,7 +214,8 @@ Status LevaPipeline::Fit(const Database& db) {
   EmbeddingMethod chosen = config_.method;
   if (chosen == EmbeddingMethod::kAuto) {
     const size_t mf_bytes = EstimateMfMemoryBytes(
-        graph.NumNodes(), graph.NumEdges(), config_.embedding_dim);
+        graph.NumNodes(), graph.NumEdges(),
+        MfStageOptions(config_, config_.embedding_dim, threads));
     chosen = mf_bytes <= config_.memory_budget_bytes
                  ? EmbeddingMethod::kMatrixFactorization
                  : EmbeddingMethod::kRandomWalk;
@@ -223,14 +225,15 @@ Status LevaPipeline::Fit(const Database& db) {
   state->chosen = chosen;
 
   // Stage 4: embedding construction, stored keyed by node label.
-  LEVA_ASSIGN_OR_RETURN(const Matrix node_vectors,
+  LEVA_ASSIGN_OR_RETURN(Matrix node_vectors,
                         EmbedGraph(graph, config_, chosen,
                                    config_.embedding_dim, threads, &rng,
                                    &metrics_));
   {
     metrics::Span span(&metrics_.deploy_index);
-    LEVA_ASSIGN_OR_RETURN(state->embedding,
-                          Embedding::FromNodeVectors(graph, node_vectors));
+    LEVA_ASSIGN_OR_RETURN(
+        state->embedding,
+        Embedding::FromNodeVectors(graph, std::move(node_vectors)));
   }
   state->Finish();
   serving_.store(std::move(state));
@@ -247,10 +250,8 @@ Result<Matrix> LevaPipeline::EmbedGraph(const LevaGraph& graph,
   };
   if (method == EmbeddingMethod::kMatrixFactorization) {
     metrics::Span span(stage(&PipelineMetrics::factorization));
-    MfOptions mf = config.mf;
-    mf.dim = dim;
-    mf.threads = threads;
-    return MatrixFactorizationEmbed(graph, mf, rng);
+    return MatrixFactorizationEmbed(
+        graph, MfStageOptions(config, dim, threads), rng);
   }
   if (method == EmbeddingMethod::kLine) {
     metrics::Span span(stage(&PipelineMetrics::edge_sampling));
@@ -268,7 +269,15 @@ Result<Matrix> LevaPipeline::EmbedGraph(const LevaGraph& graph,
   metrics::Span span(stage(&PipelineMetrics::embedding_training));
   Word2Vec model(w2v);
   LEVA_RETURN_IF_ERROR(model.Train(corpus, graph.NumNodes(), rng));
-  return model.node_vectors();
+  return std::move(model).node_vectors();
+}
+
+MfOptions LevaPipeline::MfStageOptions(const LevaConfig& config, size_t dim,
+                                       size_t threads) {
+  MfOptions mf = config.mf;
+  mf.dim = dim;
+  mf.threads = threads;
+  return mf;
 }
 
 std::pair<WalkOptions, Word2VecOptions> LevaPipeline::RandomWalkOptions(

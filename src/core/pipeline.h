@@ -417,6 +417,12 @@ class LevaPipeline {
     return s != nullptr && s->region != nullptr;
   }
 
+  /// The MF options a `config` model embeds with at `dim` columns and
+  /// `threads` workers. Fit's MF-vs-RW estimate, Fit's MF stage and
+  /// Update's MF refit all read them from here.
+  static MfOptions MfStageOptions(const LevaConfig& config, size_t dim,
+                                  size_t threads);
+
   /// Snapshot format version written by SaveSnapshot. Version 2 introduced
   /// page-aligned, per-page-checksummed bulk sections (mmap-able); version 3
   /// added the walk engine selection fields to the serialized config;

@@ -221,9 +221,9 @@ LevaPipeline::ApplyUpdateBatch(const ServingState& s, const Table& new_rows,
 
     // Write back only the refreshed rows: new nodes plus touched existing
     // ones. Untouched vectors keep their served bits, bounding the
-    // perturbation a single batch can cause. (Put detaches a quantized or
-    // mapped store to owned fp64 — the snapshot writer re-quantizes to the
-    // configured tier on save.)
+    // perturbation a single batch can cause. Put encodes each row at the
+    // served tier (a mapped store detaches to an owned copy at that tier),
+    // so an update never changes the tier a model serves.
     for (const NodeId n : starts) {
       LEVA_RETURN_IF_ERROR(next->embedding.Put(
           next->graph.label(n), {model.node_vectors().RowPtr(n), dim}));
@@ -250,11 +250,16 @@ LevaPipeline::ApplyUpdateBatch(const ServingState& s, const Table& new_rows,
     result->full_refit = true;
 
     // The served dim, not the config's: MF may have fitted fewer columns.
-    LEVA_ASSIGN_OR_RETURN(const Matrix node_vectors,
+    // The refit store is re-encoded at the served tier.
+    LEVA_ASSIGN_OR_RETURN(Matrix node_vectors,
                           EmbedGraph(next->graph, s.config, s.chosen, dim,
                                      threads, &rng, /*metrics=*/nullptr));
-    LEVA_ASSIGN_OR_RETURN(next->embedding, Embedding::FromNodeVectors(
-                                               next->graph, node_vectors));
+    LEVA_ASSIGN_OR_RETURN(
+        next->embedding,
+        Embedding::FromNodeVectors(next->graph, std::move(node_vectors)));
+    if (s.embedding.tier() != StorageTier::kFp64) {
+      next->embedding = next->embedding.WithTier(s.embedding.tier());
+    }
     result->refreshed_vectors = next->graph.NumNodes();
   }
 

@@ -55,12 +55,30 @@ void QuantizeRowInt8(const double* x, size_t n, int8_t* q, float* scale) {
 }
 
 Result<Embedding> Embedding::FromNodeVectors(const LevaGraph& graph,
-                                             const Matrix& node_vectors) {
-  Embedding out(node_vectors.cols());
-  for (NodeId n = 0; n < graph.NumNodes(); ++n) {
-    LEVA_RETURN_IF_ERROR(out.Put(graph.label(n),
-                                 {node_vectors.RowPtr(n), node_vectors.cols()}));
+                                             Matrix node_vectors) {
+  const size_t nodes = graph.NumNodes();
+  if (node_vectors.rows() != nodes) {
+    return Status::InvalidArgument(
+        "node vectors have " + std::to_string(node_vectors.rows()) +
+        " rows for " + std::to_string(nodes) + " graph nodes");
   }
+  const size_t dim = node_vectors.cols();
+  Embedding out(dim);
+  out.keys_.reserve(nodes);
+  out.index_.reserve(nodes);
+  std::vector<double>& block = node_vectors.mutable_data();
+  // Node n's row moves to its store id, which is n unless an earlier node
+  // shares its label; ids never pass node ids, so the compaction runs in
+  // place.
+  for (NodeId n = 0; n < nodes; ++n) {
+    const auto [it, fresh] = out.index_.emplace(graph.label(n), out.size());
+    if (fresh) out.keys_.push_back(graph.label(n));
+    if (it->second != n) {
+      std::copy_n(block.data() + n * dim, dim, block.data() + it->second * dim);
+    }
+  }
+  block.resize(out.size() * dim);
+  out.data_ = std::move(block);
   return out;
 }
 
@@ -70,17 +88,43 @@ Status Embedding::Put(const std::string& key, std::span<const double> vec) {
                                    std::to_string(vec.size()) + ", expected " +
                                    std::to_string(dim_));
   }
-  EnsureFp64Owned();
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    std::copy(vec.begin(), vec.end(),
-              data_.owned().begin() + static_cast<ptrdiff_t>(it->second * dim_));
-    return Status::OK();
+  const auto [it, fresh] = index_.emplace(key, keys_.size());
+  if (fresh) {
+    keys_.push_back(key);
+    switch (tier_) {
+      case StorageTier::kBf16:
+        bf16_.resize(keys_.size() * dim_);
+        break;
+      case StorageTier::kInt8:
+        q8_.resize(keys_.size() * dim_);
+        scales_.resize(keys_.size());
+        break;
+      case StorageTier::kFp64:
+        data_.resize(keys_.size() * dim_);
+        break;
+    }
   }
-  index_.emplace(key, keys_.size());
-  keys_.push_back(key);
-  data_.owned().insert(data_.owned().end(), vec.begin(), vec.end());
+  EncodeRow(it->second, vec.data());
   return Status::OK();
+}
+
+void Embedding::EncodeRow(size_t id, const double* x) {
+  switch (tier_) {
+    case StorageTier::kBf16: {
+      uint16_t* row = bf16_.begin() + id * dim_;
+      for (size_t j = 0; j < dim_; ++j) {
+        row[j] = simd::Bf16FromFloat(static_cast<float>(x[j]));
+      }
+      return;
+    }
+    case StorageTier::kInt8:
+      QuantizeRowInt8(x, dim_, q8_.begin() + id * dim_,
+                      scales_.begin() + id);
+      return;
+    case StorageTier::kFp64:
+      break;
+  }
+  std::copy_n(x, dim_, data_.begin() + id * dim_);
 }
 
 std::span<const double> Embedding::Get(const std::string& key) const {
@@ -122,19 +166,6 @@ std::span<const double> Embedding::DequantScratch(size_t id) const {
   return {scratch.data(), dim_};
 }
 
-void Embedding::EnsureFp64Owned() {
-  if (tier_ == StorageTier::kFp64) return;
-  std::vector<double> block(keys_.size() * dim_);
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    DequantizeRow(i, block.data() + i * dim_);
-  }
-  data_ = std::move(block);
-  bf16_ = OwnedOrMapped<uint16_t>();
-  q8_ = OwnedOrMapped<int8_t>();
-  scales_ = OwnedOrMapped<float>();
-  tier_ = StorageTier::kFp64;
-}
-
 Embedding Embedding::WithTier(StorageTier tier) const {
   Embedding out;
   out.dim_ = dim_;
@@ -159,37 +190,23 @@ Embedding Embedding::WithTier(StorageTier tier) const {
     out.data_ = std::vector<double>(data_.data(), data_.data() + n * dim_);
     return out;
   }
-  std::vector<double> row(dim_);
   switch (tier) {
-    case StorageTier::kBf16: {
-      std::vector<uint16_t> block(n * dim_);
-      for (size_t i = 0; i < n; ++i) {
-        DequantizeRow(i, row.data());
-        for (size_t j = 0; j < dim_; ++j) {
-          block[i * dim_ + j] =
-              simd::Bf16FromFloat(static_cast<float>(row[j]));
-        }
-      }
-      out.bf16_ = std::move(block);
-      return out;
-    }
-    case StorageTier::kInt8: {
-      std::vector<int8_t> block(n * dim_);
-      std::vector<float> scales(n);
-      for (size_t i = 0; i < n; ++i) {
-        DequantizeRow(i, row.data());
-        QuantizeRowInt8(row.data(), dim_, block.data() + i * dim_, &scales[i]);
-      }
-      out.q8_ = std::move(block);
-      out.scales_ = std::move(scales);
-      return out;
-    }
+    case StorageTier::kBf16:
+      out.bf16_.assign(n * dim_, 0);
+      break;
+    case StorageTier::kInt8:
+      out.q8_.assign(n * dim_, 0);
+      out.scales_.assign(n, 0.0f);
+      break;
     case StorageTier::kFp64:
+      out.data_.assign(n * dim_, 0.0);
       break;
   }
-  std::vector<double> block(n * dim_);
-  for (size_t i = 0; i < n; ++i) DequantizeRow(i, block.data() + i * dim_);
-  out.data_ = std::move(block);
+  std::vector<double> row(dim_);
+  for (size_t i = 0; i < n; ++i) {
+    DequantizeRow(i, row.data());
+    out.EncodeRow(i, row.data());
+  }
   return out;
 }
 
@@ -263,6 +280,14 @@ Status Embedding::Load(BufferReader* in, EmbeddingStorage storage) {
   if (tier_raw > static_cast<uint8_t>(StorageTier::kInt8)) {
     return Status::InvalidArgument("corrupt embedding: unknown storage tier " +
                                    std::to_string(tier_raw));
+  }
+  // Each key takes at least its 8-byte length prefix: a count the buffer
+  // cannot hold fails here instead of in the reserve below.
+  if (count > in->remaining() / sizeof(uint64_t)) {
+    return Status::InvalidArgument("corrupt embedding: key count " +
+                                   std::to_string(count) + " exceeds " +
+                                   std::to_string(in->remaining()) +
+                                   " remaining byte(s)");
   }
   e.dim_ = dim;
   e.tier_ = static_cast<StorageTier>(tier_raw);

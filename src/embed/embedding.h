@@ -67,14 +67,18 @@ class Embedding {
   /// The store of a node embedding: row n of `node_vectors` under
   /// graph.label(n) for every node, so store row id n is node n (the layout
   /// Featurize's row-node fast path and Update's warm start rely on).
+  /// `node_vectors` must have one row per node; its buffer becomes the
+  /// store's fp64 block without a copy. Two nodes with the same label keep
+  /// one row, the later node's, as a Put of each row in node order would.
   static Result<Embedding> FromNodeVectors(const LevaGraph& graph,
-                                           const Matrix& node_vectors);
+                                           Matrix node_vectors);
 
   size_t dim() const { return dim_; }
   size_t size() const { return keys_.size(); }
 
   /// Storage precision of the vector block. Fitting always produces kFp64;
-  /// quantized tiers arrive via WithTier (save path) or Load (serve path).
+  /// quantized tiers arrive via WithTier (save path) or Load (serve path),
+  /// and Put keeps the tier the store has.
   StorageTier tier() const { return tier_; }
 
   /// Bytes of vector-block storage per row at the current tier (the int8
@@ -89,9 +93,10 @@ class Embedding {
   }
 
   /// Adds (or overwrites) the vector for `key`. `vec` must have length dim().
-  /// On a quantized store this first detaches to an owned fp64 copy of the
-  /// whole block (mutation is a fitting-path operation; quantized stores are
-  /// serve-only).
+  /// The row is encoded at the store's tier, as WithTier encodes each row
+  /// (an int8 row's scale comes from that row alone), and every other row
+  /// keeps its bytes. A store borrowing an mmap'ed block first detaches it
+  /// to an owned copy at the same tier.
   Status Put(const std::string& key, std::span<const double> vec);
 
   bool Has(const std::string& key) const { return index_.count(key) > 0; }
@@ -214,9 +219,9 @@ class Embedding {
   /// thread-local scratch buffer and returns a span over it.
   std::span<const double> DequantScratch(size_t id) const;
 
-  /// Detaches a quantized store to an owned fp64 block so Put can mutate it
-  /// (the quantized analogue of OwnedOrMapped's detach-on-mutate).
-  void EnsureFp64Owned();
+  /// Writes `x` (dim() doubles) as row `id` of the owned block of the
+  /// active tier, which must already hold that row.
+  void EncodeRow(size_t id, const double* x);
 
   size_t dim_ = 0;
   StorageTier tier_ = StorageTier::kFp64;
@@ -226,8 +231,8 @@ class Embedding {
   std::vector<std::string> keys_;
   // The big read-only-in-serving array — one of the three tiers is active
   // (see tier_). Owned while fitting (Put mutates), a borrowed page-cache
-  // view after an mmap snapshot load. Mutating an mmap-loaded or quantized
-  // store (Put) transparently detaches to an owned fp64 copy.
+  // view after an mmap snapshot load. Mutating an mmap-loaded store (Put)
+  // transparently detaches it to an owned copy at its tier.
   OwnedOrMapped<double> data_;
   OwnedOrMapped<uint16_t> bf16_;
   OwnedOrMapped<int8_t> q8_;

@@ -52,10 +52,13 @@ SparseMatrix NormalizedAdjacency(const LevaGraph& graph);
 
 /// ProNE-style spectral propagation: applies a Chebyshev-expanded band-pass
 /// filter of the (rescaled) graph Laplacian to the embedding, amplifying the
-/// informative spectral band. (Zhang et al., IJCAI 2019.)
-Result<Matrix> SpectralPropagate(const LevaGraph& graph,
-                                 const Matrix& embedding, size_t order,
-                                 double mu, double theta, size_t threads = 1);
+/// informative spectral band. (Zhang et al., IJCAI 2019.) Takes the
+/// embedding by value and recurs in its buffer: the recurrence holds three
+/// n x d matrices (T_{k-1}, T_k and the filtered sum), and a caller that
+/// moves the embedding in pays no copy. Bit-identical at every thread count.
+Result<Matrix> SpectralPropagate(const LevaGraph& graph, Matrix embedding,
+                                 size_t order, double mu, double theta,
+                                 size_t threads = 1);
 
 /// Full MF pipeline: proximity matrix -> randomized SVD -> E = U_d Σ_d^{1/2}
 /// -> optional spectral propagation. Returns an N x dim matrix whose rows
@@ -63,9 +66,13 @@ Result<Matrix> SpectralPropagate(const LevaGraph& graph,
 Result<Matrix> MatrixFactorizationEmbed(const LevaGraph& graph,
                                         const MfOptions& options, Rng* rng);
 
-/// Estimated working-set bytes of the MF path for N nodes / E edges and
-/// dimension d; drives the automatic MF-vs-RW selection (Section 4.2).
-size_t EstimateMfMemoryBytes(size_t nodes, size_t edges, size_t dim);
+/// Peak working-set bytes of MatrixFactorizationEmbed for N nodes / E edges
+/// at `options` (dim, oversample, window, max_row_entries): the larger of
+/// the SVD's and the propagation's peaks (see DESIGN.md "MF working set"),
+/// a bound at every thread count that does not read `options.threads`.
+/// Drives the automatic MF-vs-RW selection (Section 4.2).
+size_t EstimateMfMemoryBytes(size_t nodes, size_t edges,
+                             const MfOptions& options);
 /// Estimated bytes for the RW path (alias tables + corpus).
 size_t EstimateRwMemoryBytes(size_t nodes, size_t edges, size_t walk_length,
                              size_t epochs, bool weighted);

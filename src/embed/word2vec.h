@@ -2,6 +2,7 @@
 #define LEVA_EMBED_WORD2VEC_H_
 
 #include <cstddef>
+#include <utility>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -64,8 +65,10 @@ class Word2Vec {
     warm_ = true;
   }
 
-  /// Input ("node") vectors, vocab_size x dim.
-  const Matrix& node_vectors() const { return node_; }
+  /// Input ("node") vectors, vocab_size x dim. The rvalue form moves them
+  /// out of a trainer that is done.
+  const Matrix& node_vectors() const& { return node_; }
+  Matrix node_vectors() && { return std::move(node_); }
   /// Output ("context") vectors.
   const Matrix& context_vectors() const { return context_; }
 

@@ -384,15 +384,20 @@ Result<SvdResult> RandomizedSVD(const SparseMatrix& a,
   for (size_t it = 0; it < options.power_iterations; ++it) {
     y = GramSchmidtQ(std::move(y));  // re-orthonormalize to avoid collapse
     Matrix z = a.TransposeMultiply(y, threads);
+    y = Matrix();  // Q is dead: free it before A Z is formed
     y = a.Multiply(z, threads);
   }
   const Matrix q = GramSchmidtQ(std::move(y));
 
   // Stage B: B = QᵀA, factored exactly in the reduced space through the
-  // k x k Gram BBᵀ = (AᵀQ)ᵀ(AᵀQ) = U_b Σ² U_bᵀ; then U = Q U_b.
-  const Matrix bt = a.TransposeMultiply(q, threads);  // n x k
-  LEVA_ASSIGN_OR_RETURN(EigenResult eig,
-                        SymmetricEigen(MatTMul(bt, bt, threads)));
+  // k x k Gram BBᵀ = (AᵀQ)ᵀ(AᵀQ) = U_b Σ² U_bᵀ; then U = Q U_b. Bᵀ is freed
+  // once the Gram is formed, so it is never alive beside U.
+  Matrix gram;
+  {
+    const Matrix bt = a.TransposeMultiply(q, threads);  // n x k
+    gram = MatTMul(bt, bt, threads);
+  }
+  LEVA_ASSIGN_OR_RETURN(EigenResult eig, SymmetricEigen(gram));
   const size_t rank = std::min(options.rank, k);
   SvdResult out;
   out.singular_values.resize(rank);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/simd.h"
@@ -10,15 +11,6 @@ namespace leva {
 namespace {
 
 constexpr size_t kRowGrain = 64;
-
-// Fixed chunk count for the transpose scatter. A pure function of the row
-// count (never the thread count), so the partial-merge order — and thus the
-// floating-point result — is identical however many workers execute it.
-size_t TransposeChunks(size_t rows) {
-  constexpr size_t kMaxChunks = 8;
-  constexpr size_t kMinRowsPerChunk = 256;
-  return std::clamp<size_t>(rows / kMinRowsPerChunk, 1, kMaxChunks);
-}
 
 // Row helpers of the CSR products. The clones sit here rather than on the
 // member functions: a ParallelFor lambda is a function of its own, which a
@@ -85,6 +77,27 @@ SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
   return m;
 }
 
+SparseMatrix SparseMatrix::FromCsr(size_t rows, size_t cols,
+                                   std::vector<size_t> offsets,
+                                   std::vector<uint32_t> col_indices,
+                                   std::vector<double> values) {
+  assert(offsets.size() == rows + 1 && offsets.back() == values.size() &&
+         col_indices.size() == values.size());
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.offsets_ = std::move(offsets);
+  m.cols_idx_ = std::move(col_indices);
+  m.values_ = std::move(values);
+  return m;
+}
+
+size_t SparseMatrix::TransposeChunks(size_t rows) {
+  constexpr size_t kMaxChunks = 8;
+  constexpr size_t kMinRowsPerChunk = 256;
+  return std::clamp<size_t>(rows / kMinRowsPerChunk, 1, kMaxChunks);
+}
+
 Matrix SparseMatrix::Multiply(const Matrix& x, size_t threads) const {
   assert(x.rows() == cols_);
   Matrix y(rows_, x.cols());
@@ -109,20 +122,26 @@ Matrix SparseMatrix::TransposeMultiply(const Matrix& x, size_t threads) const {
   // summation order differs from the single-chunk path, which small matrices
   // take). Chunk 0 scatters straight into y, which is the partial the merge
   // starts from. The other chunks run in waves of one chunk per worker, so
-  // at most `wave` partials are alive at once however many chunks there are.
+  // at most `wave` partials are alive at once however many chunks there are:
+  // chunk c uses partial (c - 1) % wave, zeroed again after its first use.
+  // The partials are allocated here, on the calling thread. Allocated by the
+  // workers, they would come from per-thread malloc arenas, which keep a
+  // freed block resident for whichever worker next runs there, and the
+  // process would hold more than the product does.
   const size_t rows_per_chunk = (rows_ + chunks - 1) / chunks;
   const size_t wave = std::clamp<size_t>(ResolveThreads(threads), 1, chunks);
-  std::vector<Matrix> partials(wave);
+  std::vector<Matrix> partials;
+  for (size_t i = 0; i < std::min(wave, chunks - 1); ++i) {
+    partials.emplace_back(cols_, x.cols());
+  }
   for (size_t w0 = 0; w0 < chunks; w0 += wave) {
     const size_t w1 = std::min(chunks, w0 + wave);
     ParallelFor(wave, w0, w1, 1, [&](size_t c0, size_t c1) {
       for (size_t c = c0; c < c1; ++c) {
         Matrix* part = &y;
         if (c != 0) {
-          part = &partials[c - w0];
-          if (part->rows() == 0) {
-            *part = Matrix(cols_, x.cols());
-          } else {
+          part = &partials[(c - 1) % wave];
+          if (c > wave) {
             std::fill(part->mutable_data().begin(),
                       part->mutable_data().end(), 0.0);
           }
@@ -132,7 +151,7 @@ Matrix SparseMatrix::TransposeMultiply(const Matrix& x, size_t threads) const {
       }
     });
     for (size_t c = std::max<size_t>(w0, 1); c < w1; ++c) {
-      y.AddScaled(partials[c - w0], 1.0);
+      y.AddScaled(partials[(c - 1) % wave], 1.0);
     }
   }
   return y;

@@ -25,6 +25,12 @@ class SparseMatrix {
   /// Builds from triplets; duplicate (row, col) entries are summed.
   static SparseMatrix FromTriplets(size_t rows, size_t cols,
                                    std::vector<Triplet> triplets);
+  /// Adopts CSR arrays as they are: `offsets` has rows + 1 entries, and the
+  /// columns of each row are distinct and ascending.
+  static SparseMatrix FromCsr(size_t rows, size_t cols,
+                              std::vector<size_t> offsets,
+                              std::vector<uint32_t> col_indices,
+                              std::vector<double> values);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -38,6 +44,12 @@ class SparseMatrix {
   /// the matrix shape only), each accumulated into a private partial that is
   /// merged in chunk order — deterministic at every thread count.
   Matrix TransposeMultiply(const Matrix& x, size_t threads = 1) const;
+  /// The fixed chunk count of TransposeMultiply on a `rows`-row matrix: a
+  /// pure function of the row count (never the thread count), so the merge
+  /// order, and thus the result, is the same however many workers run it.
+  /// Besides its product, TransposeMultiply holds at most
+  /// TransposeChunks(rows) - 1 zeroed partials at any thread count.
+  static size_t TransposeChunks(size_t rows);
 
   const std::vector<size_t>& offsets() const { return offsets_; }
   const std::vector<uint32_t>& col_indices() const { return cols_idx_; }

@@ -318,8 +318,17 @@ Status Textifier::Load(BufferReader* in) {
   LEVA_RETURN_IF_ERROR(in->GetDouble(&options.key_distinct_ratio));
   LEVA_RETURN_IF_ERROR(in->GetDouble(&options.list_detect_ratio));
 
+  // Counts are checked against the bytes left before anything is reserved:
+  // each name takes at least its 8-byte length prefix and each edge 8 bytes,
+  // so a crafted count fails here instead of in the allocator.
   uint64_t attr_count = 0;
   LEVA_RETURN_IF_ERROR(in->GetU64(&attr_count));
+  if (attr_count > in->remaining() / sizeof(uint64_t)) {
+    return Status::InvalidArgument("corrupt textifier: attribute count " +
+                                   std::to_string(attr_count) + " exceeds " +
+                                   std::to_string(in->remaining()) +
+                                   " remaining byte(s)");
+  }
   attr_names.reserve(attr_count);
   for (uint64_t i = 0; i < attr_count; ++i) {
     std::string name;
@@ -356,6 +365,12 @@ Status Textifier::Load(BufferReader* in) {
     const HistogramType type = static_cast<HistogramType>(u8);
     uint64_t edge_count = 0;
     LEVA_RETURN_IF_ERROR(in->GetU64(&edge_count));
+    if (edge_count > in->remaining() / sizeof(double)) {
+      return Status::InvalidArgument(
+          "corrupt textifier: column '" + qualified + "' has " +
+          std::to_string(edge_count) + " histogram edges in " +
+          std::to_string(in->remaining()) + " remaining byte(s)");
+    }
     std::vector<double> edges;
     edges.reserve(edge_count);
     for (uint64_t e = 0; e < edge_count; ++e) {

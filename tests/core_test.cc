@@ -3,6 +3,8 @@
 #include "common/timer.h"
 #include "core/pipeline.h"
 #include "datagen/synthetic.h"
+#include "embed/mf.h"
+#include "la/sparse.h"
 #include "ml/featurize.h"
 
 namespace leva {
@@ -58,6 +60,39 @@ TEST(PipelineTest, AutoSelectionHonorsMemoryBudget) {
   LevaPipeline small(config);
   ASSERT_TRUE(small.Fit(ds.db).ok());
   EXPECT_EQ(small.chosen_method(), EmbeddingMethod::kRandomWalk);
+}
+
+// The MF estimate bounds the MF stage at every thread count, so the same
+// config and data choose the same method on any host: at a budget of
+// exactly the estimate MF fits, one byte under it RW is chosen.
+TEST(PipelineTest, AutoSelectionDoesNotDependOnThreads) {
+  const SyntheticDataset ds = Student();
+  LevaPipeline fitted(TestConfig(EmbeddingMethod::kMatrixFactorization));
+  ASSERT_TRUE(fitted.Fit(ds.db).ok());
+  const LevaGraph& graph = fitted.graph();
+  // Enough rows that the SVD's transposed products run in several chunks.
+  ASSERT_GT(SparseMatrix::TransposeChunks(graph.NumNodes()), 1u);
+  LevaConfig config = TestConfig(EmbeddingMethod::kAuto);
+  const size_t estimate = EstimateMfMemoryBytes(
+      graph.NumNodes(), graph.NumEdges(),
+      LevaPipeline::MfStageOptions(config, config.embedding_dim, 1));
+  for (const size_t threads : {size_t{1}, size_t{4}, size_t{64}}) {
+    EXPECT_EQ(EstimateMfMemoryBytes(graph.NumNodes(), graph.NumEdges(),
+                                    LevaPipeline::MfStageOptions(
+                                        config, config.embedding_dim, threads)),
+              estimate)
+        << threads;
+    config.threads = threads;
+    config.memory_budget_bytes = estimate;
+    LevaPipeline fits(config);
+    ASSERT_TRUE(fits.Fit(ds.db).ok());
+    EXPECT_EQ(fits.chosen_method(), EmbeddingMethod::kMatrixFactorization)
+        << threads;
+    config.memory_budget_bytes = estimate - 1;
+    LevaPipeline over(config);
+    ASSERT_TRUE(over.Fit(ds.db).ok());
+    EXPECT_EQ(over.chosen_method(), EmbeddingMethod::kRandomWalk) << threads;
+  }
 }
 
 // Names of the Fit stages that recorded a span.

@@ -64,6 +64,99 @@ TEST(EmbeddingTest, OverwriteUpdatesInPlace) {
   EXPECT_DOUBLE_EQ(e.Get("a")[0], 5.0);
 }
 
+// Put into a quantized store encodes the row at the store's tier, exactly
+// as WithTier encodes it, and leaves every other row's bytes alone.
+TEST(EmbeddingTest, PutKeepsTheStoreTier) {
+  Embedding fp64(5);
+  const std::vector<double> rows[] = {{0.5, -1.25, 3.0, 0.0, 7.5},
+                                      {-2.0, 0.125, 0.75, -9.0, 1.0},
+                                      {4.0, 4.5, -0.5, 2.25, -3.75}};
+  ASSERT_TRUE(fp64.Put("a", rows[0]).ok());
+  ASSERT_TRUE(fp64.Put("b", rows[1]).ok());
+  const std::vector<double> fresh = {1.5, -6.0, 0.25, 8.0, -0.125};
+  for (const StorageTier tier : {StorageTier::kBf16, StorageTier::kInt8}) {
+    SCOPED_TRACE(StorageTierName(tier));
+    Embedding store = fp64.WithTier(tier);
+    const Embedding before = store.WithTier(tier);
+    ASSERT_TRUE(store.Put("b", fresh).ok());  // overwrite
+    ASSERT_TRUE(store.Put("c", rows[2]).ok());  // append
+    EXPECT_EQ(store.tier(), tier);
+    ASSERT_EQ(store.size(), 3u);
+
+    // What WithTier makes of the same fp64 rows.
+    Embedding want_fp64 = fp64;
+    ASSERT_TRUE(want_fp64.Put("b", fresh).ok());
+    ASSERT_TRUE(want_fp64.Put("c", rows[2]).ok());
+    const Embedding want = want_fp64.WithTier(tier);
+    if (tier == StorageTier::kBf16) {
+      EXPECT_TRUE(std::equal(store.bf16_data().begin(),
+                             store.bf16_data().end(),
+                             want.bf16_data().begin(),
+                             want.bf16_data().end()));
+      // Row "a" was not touched: its bytes are the pre-Put ones.
+      EXPECT_TRUE(std::equal(before.bf16_data().begin(),
+                             before.bf16_data().begin() + 5,
+                             store.bf16_data().begin()));
+    } else {
+      EXPECT_TRUE(std::equal(store.int8_data().begin(),
+                             store.int8_data().end(),
+                             want.int8_data().begin(),
+                             want.int8_data().end()));
+      EXPECT_TRUE(std::equal(store.scales().begin(), store.scales().end(),
+                             want.scales().begin(), want.scales().end()));
+      EXPECT_TRUE(std::equal(before.int8_data().begin(),
+                             before.int8_data().begin() + 5,
+                             store.int8_data().begin()));
+      EXPECT_EQ(store.RowScale(0), before.RowScale(0));
+    }
+  }
+}
+
+// Fit's hand-off: the node matrix's buffer becomes the store's block, row n
+// under node n's label.
+TEST(EmbeddingTest, FromNodeVectorsAdoptsTheMatrixBuffer) {
+  GraphBuilder builder;
+  builder.AddNode(NodeKind::kRow, "t:0");
+  builder.AddNode(NodeKind::kValue, "x");
+  builder.AddNode(NodeKind::kValue, "y");
+  const LevaGraph g = std::move(builder).Build();
+  Matrix vectors(3, 2);
+  for (size_t i = 0; i < 6; ++i) vectors.mutable_data()[i] = 0.5 * i;
+  const double* buffer = vectors.data().data();
+  auto e = Embedding::FromNodeVectors(g, std::move(vectors));
+  ASSERT_TRUE(e.ok());
+  EXPECT_EQ(e->data().data(), buffer);
+  ASSERT_EQ(e->size(), 3u);
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_EQ(e->IdOf(g.label(n)), n);
+    EXPECT_EQ(e->Get(g.label(n))[1], 0.5 * (2 * n + 1));
+  }
+  EXPECT_FALSE(Embedding::FromNodeVectors(g, Matrix(2, 2)).ok());
+}
+
+// A value token spelled like a row label shares its key: the store keeps
+// one row, the later node's, as Put of each row in node order does.
+TEST(EmbeddingTest, FromNodeVectorsKeepsTheLaterRowOfASharedLabel) {
+  GraphBuilder builder;
+  builder.AddNode(NodeKind::kRow, "t:0");
+  builder.AddNode(NodeKind::kValue, "x");
+  builder.AddNode(NodeKind::kValue, "t:0");
+  builder.AddNode(NodeKind::kValue, "y");
+  const LevaGraph g = std::move(builder).Build();
+  Matrix vectors(4, 2);
+  for (size_t i = 0; i < 8; ++i) vectors.mutable_data()[i] = 1.0 + i;
+  Embedding want(2);
+  for (NodeId n = 0; n < 4; ++n) {
+    ASSERT_TRUE(want.Put(g.label(n), {vectors.RowPtr(n), 2}).ok());
+  }
+  auto got = Embedding::FromNodeVectors(g, std::move(vectors));
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->keys(), want.keys());
+  ASSERT_EQ(got->data().size(), want.data().size());
+  EXPECT_TRUE(std::equal(got->data().begin(), got->data().end(),
+                         want.data().begin()));
+}
+
 TEST(EmbeddingTest, TextSerializationRoundTrip) {
   Embedding e(2);
   ASSERT_TRUE(e.Put("alpha", std::vector<double>{1.5, -2.25}).ok());
@@ -361,9 +454,65 @@ TEST(MfTest, SpectralPropagateValidatesShape) {
   EXPECT_FALSE(SpectralPropagate(g, Matrix(2, 3), 5, 0.2, 0.5).ok());
 }
 
+// Each proximity row comes out sorted by column with no repeats: the CSR
+// FromTriplets builds from the same entries in any order.
+TEST(MfTest, ProximityMatrixIsCanonicalCsr) {
+  TextifiedTable t;
+  t.table_name = "t";
+  for (int i = 0; i < 60; ++i) {
+    t.rows.push_back({{0, "hub" + std::to_string(i % 3)},
+                      {1, "k" + std::to_string(i % 7)},
+                      {2, "z" + std::to_string(i % 11)}});
+  }
+  const auto g = BuildGraph({t}, 3);
+  ASSERT_TRUE(g.ok());
+  const SparseMatrix m =
+      BuildProximityMatrix(*g, 1e-3, /*window=*/3, /*max_row_entries=*/16);
+  std::vector<Triplet> triplets;
+  for (size_t r = m.rows(); r-- > 0;) {
+    for (size_t i = m.offsets()[r + 1]; i-- > m.offsets()[r];) {
+      triplets.push_back({static_cast<uint32_t>(r), m.col_indices()[i],
+                          m.values()[i]});
+    }
+  }
+  const SparseMatrix rebuilt =
+      SparseMatrix::FromTriplets(m.rows(), m.cols(), std::move(triplets));
+  EXPECT_EQ(m.offsets(), rebuilt.offsets());
+  EXPECT_EQ(m.col_indices(), rebuilt.col_indices());
+  EXPECT_EQ(m.values(), rebuilt.values());
+}
+
+// The estimate's terms: the SVD peak holds the transposed product's operand
+// and result plus its TransposeChunks(n) - 1 partials, however many workers
+// run it, and the proximity matrix grows with the window.
+TEST(MfTest, MemoryEstimateBoundsPartialsAtAnyThreadCount) {
+  MfOptions mf;
+  mf.dim = 64;
+  const size_t base = EstimateMfMemoryBytes(5000, 20000, mf);
+  for (const size_t threads : {size_t{0}, size_t{4}, size_t{64}}) {
+    mf.threads = threads;
+    EXPECT_EQ(EstimateMfMemoryBytes(5000, 20000, mf), base) << threads;
+  }
+  // One more column widens each of the 2 + 7 n x k matrices by n doubles.
+  ASSERT_EQ(SparseMatrix::TransposeChunks(5000), 8u);
+  mf.dim = 65;
+  EXPECT_EQ(EstimateMfMemoryBytes(5000, 20000, mf) - base,
+            9 * 5000 * sizeof(double));
+  // Under two chunks' worth of rows the product has no partials.
+  ASSERT_EQ(SparseMatrix::TransposeChunks(400), 1u);
+  const size_t wider = EstimateMfMemoryBytes(400, 1000, mf);
+  mf.dim = 64;
+  EXPECT_EQ(wider - EstimateMfMemoryBytes(400, 1000, mf),
+            2 * 400 * sizeof(double));
+  mf.window = 3;
+  EXPECT_GT(EstimateMfMemoryBytes(5000, 20000, mf), base);
+}
+
 TEST(MfTest, MemoryEstimatesMonotone) {
-  EXPECT_LT(EstimateMfMemoryBytes(100, 500, 32),
-            EstimateMfMemoryBytes(1000, 5000, 32));
+  MfOptions mf;
+  mf.dim = 32;
+  EXPECT_LT(EstimateMfMemoryBytes(100, 500, mf),
+            EstimateMfMemoryBytes(1000, 5000, mf));
   EXPECT_LT(EstimateRwMemoryBytes(100, 500, 80, 10, false),
             EstimateRwMemoryBytes(100, 500, 80, 10, true));
 }

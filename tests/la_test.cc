@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "embed/mf.h"
+#include "graph/graph.h"
 #include "la/decomp.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
@@ -768,6 +770,49 @@ TEST(LaReferenceTest, RandomizedSvdMatchesOracle) {
           << "rank=" << rank << " threads=" << threads;
       EXPECT_TRUE(SameBytes(got->u, want->u))
           << "rank=" << rank << " threads=" << threads;
+    }
+  }
+}
+
+// A graph of n nodes with random weighted edges; roughly one node in ten
+// stays isolated (degree 0, which NormalizedAdjacency skips).
+LevaGraph RandomWeightedGraph(size_t n, size_t edges, Rng* rng) {
+  GraphBuilder builder;
+  for (size_t i = 0; i < n; ++i) {
+    builder.AddNode(NodeKind::kValue, "v" + std::to_string(i));
+  }
+  for (size_t e = 0; e < edges; ++e) {
+    const NodeId a = static_cast<NodeId>(rng->UniformInt(n));
+    const NodeId b = static_cast<NodeId>(rng->UniformInt(n));
+    if (a == b || a % 10 == 9 || b % 10 == 9) continue;
+    EXPECT_TRUE(
+        builder.AddEdge(a, b, static_cast<float>(0.25 + rng->Uniform())).ok());
+  }
+  return std::move(builder).Build();
+}
+
+// SpectralPropagate recurs in three buffers, writing T_{k+1} over T_{k-1}
+// row by row; the oracle keeps the four-buffer recurrence. Graphs of 70 and
+// 300 nodes cross the 64-row work grain, the widths leave lane tails.
+TEST(LaReferenceTest, SpectralPropagateMatchesOracle) {
+  Rng rng(411);
+  for (const size_t n : {size_t{70}, size_t{300}}) {
+    const LevaGraph graph = RandomWeightedGraph(n, 4 * n, &rng);
+    for (const size_t d : {size_t{1}, size_t{5}, size_t{13}, size_t{16}}) {
+      const Matrix e = RandomWithZeros(n, d, &rng);
+      for (size_t order = 2; order <= 8; ++order) {
+        const auto want =
+            ReferenceSpectralPropagate(graph, e, order, 0.2, 0.5);
+        ASSERT_TRUE(want.ok());
+        for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+          const auto got = SpectralPropagate(graph, e, order, 0.2, 0.5,
+                                             threads);
+          ASSERT_TRUE(got.ok());
+          EXPECT_TRUE(SameBytes(*got, *want))
+              << "n=" << n << " d=" << d << " order=" << order
+              << " threads=" << threads;
+        }
+      }
     }
   }
 }

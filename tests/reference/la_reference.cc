@@ -561,4 +561,61 @@ Result<ReferencePca> ReferencePcaFit(const Matrix& x, size_t components) {
   return pca;
 }
 
+namespace {
+
+// x = x * alpha and y = y + alpha * x, element by element: the scalar forms
+// of Matrix::Scale and Matrix::AddScaled.
+void ScaleAll(Matrix* x, double alpha) {
+  for (double& v : x->mutable_data()) v = v * alpha;
+}
+
+void AddScaledAll(Matrix* y, const Matrix& x, double alpha) {
+  std::vector<double>& yd = y->mutable_data();
+  for (size_t i = 0; i < yd.size(); ++i) yd[i] = yd[i] + alpha * x.data()[i];
+}
+
+}  // namespace
+
+Result<Matrix> ReferenceSpectralPropagate(const LevaGraph& graph,
+                                          const Matrix& embedding,
+                                          size_t order, double mu,
+                                          double theta) {
+  if (embedding.rows() != graph.NumNodes()) {
+    return Status::InvalidArgument(
+        "embedding row count does not match graph node count");
+  }
+  if (order < 2) return embedding;
+  const SparseMatrix anorm = NormalizedAdjacency(graph);
+  const size_t quad = std::max<size_t>(order + 1, 16);
+  std::vector<double> coeff(order, 0.0);
+  for (size_t k = 0; k < order; ++k) {
+    double sum = 0;
+    for (size_t j = 0; j < quad; ++j) {
+      const double angle = M_PI * (static_cast<double>(j) + 0.5) /
+                           static_cast<double>(quad);
+      const double x = std::cos(angle);
+      const double g = std::exp(-0.5 * theta * ((x - mu) * (x - mu) - 1.0));
+      sum += g * std::cos(static_cast<double>(k) * angle);
+    }
+    coeff[k] = (k == 0 ? 1.0 : 2.0) * sum / static_cast<double>(quad);
+  }
+
+  // Four n x d buffers: T_{k-1}, T_k, T_{k+1} and the filtered sum.
+  Matrix t_prev = embedding;
+  Matrix t_cur = ReferenceSparseMultiply(anorm, embedding);
+  ScaleAll(&t_cur, -1.0);
+  Matrix filtered = t_prev;
+  ScaleAll(&filtered, coeff[0]);
+  AddScaledAll(&filtered, t_cur, coeff[1]);
+  for (size_t k = 2; k < order; ++k) {
+    Matrix t_next = ReferenceSparseMultiply(anorm, t_cur);
+    ScaleAll(&t_next, -2.0);
+    AddScaledAll(&t_next, t_prev, -1.0);
+    AddScaledAll(&filtered, t_next, coeff[k]);
+    t_prev = std::move(t_cur);
+    t_cur = std::move(t_next);
+  }
+  return ReferenceSparseMultiply(anorm, filtered);
+}
+
 }  // namespace leva

@@ -1,5 +1,5 @@
 // Dense-LA oracles for the MF Fit path (la/decomp.h, la/matrix.h,
-// la/sparse.h), of two kinds.
+// la/sparse.h, and the spectral propagation of embed/mf.h), of two kinds.
 //
 // Bitwise oracles (Reference*): column-wise block Gram-Schmidt on the
 // row-major Q, tred2/tql2 on a plainly indexed Vᵀ, and the scalar matmul /
@@ -22,6 +22,8 @@
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "embed/mf.h"
+#include "graph/graph.h"
 #include "la/decomp.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
@@ -81,6 +83,15 @@ Result<ThinSvdResult> ReferenceThinSVD(const Matrix& a);
 Result<SvdResult> ReferenceRandomizedSVD(const SparseMatrix& a,
                                          const RandomizedSvdOptions& options,
                                          Rng* rng);
+
+/// What SpectralPropagate must return: the Chebyshev recurrence on whole
+/// matrices, T_{k+1} formed in a fourth buffer beside T_{k-1}, T_k and the
+/// filtered sum (the scalar CSR product, then * -2, then + -1 * T_{k-1},
+/// then filtered + c_k * T_{k+1}), and the final smoothing product.
+Result<Matrix> ReferenceSpectralPropagate(const LevaGraph& graph,
+                                          const Matrix& embedding,
+                                          size_t order, double mu,
+                                          double theta);
 
 /// PCA::Fit composed from the oracle kernels: the fitted column means, the
 /// d x components basis and the explained variances.

@@ -12,10 +12,12 @@
 #include "core/pipeline.h"
 #include "core/update_log.h"
 #include "datagen/synthetic.h"
+#include "embed/embedding.h"
 #include "embed/walks_batched.h"
 #include "ml/featurize.h"
 #include "reference/textify_reference.h"
 #include "table/csv.h"
+#include "text/textifier.h"
 
 namespace leva {
 namespace {
@@ -359,6 +361,64 @@ TEST(UpdateLogTest, CraftedCountsEndTheScanAsATornTail) {
         << name;
     std::remove(path.c_str());
   }
+}
+
+// The textifier section's header up to its attribute count: bin count,
+// forced-type flag and type, the key and list ratios.
+void PutTextifierHeader(BufferWriter* w) {
+  w->PutU64(20);
+  w->PutBool(false);
+  w->PutU8(0);
+  w->PutDouble(0.9);
+  w->PutDouble(0.5);
+}
+
+// A snapshot section that claims more names, or more histogram edges, than
+// its bytes can hold is corrupt: Load rejects it by name and reserves
+// nothing for the claimed count.
+TEST(SnapshotSectionTest, TextifierRejectsCraftedCounts) {
+  BufferWriter huge_attrs;
+  PutTextifierHeader(&huge_attrs);
+  huge_attrs.PutU64(uint64_t{1} << 50);
+  huge_attrs.PutString("a");
+
+  BufferWriter huge_edges;
+  PutTextifierHeader(&huge_edges);
+  huge_edges.PutU64(1);
+  huge_edges.PutString("a");
+  huge_edges.PutU64(1);  // one column
+  huge_edges.PutString("t.a");
+  huge_edges.PutU32(0);  // attr id
+  huge_edges.PutU8(static_cast<uint8_t>(ColumnClass::kNumeric));
+  huge_edges.PutU8(0);  // list separator
+  huge_edges.PutU8(0);  // histogram type
+  huge_edges.PutU64(uint64_t{1} << 50);
+  huge_edges.PutDouble(1.0);
+
+  for (const BufferWriter* w : {&huge_attrs, &huge_edges}) {
+    BufferReader in(w->data());
+    Textifier textifier;
+    const Status s = textifier.Load(&in);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.ToString().find("corrupt textifier"), std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(textifier.NumAttributes(), 0u);
+  }
+}
+
+TEST(SnapshotSectionTest, EmbeddingRejectsCraftedKeyCount) {
+  BufferWriter w;
+  w.PutU64(4);                     // dim
+  w.PutU64(uint64_t{1} << 50);     // key count
+  w.PutU8(0);                      // fp64
+  w.PutString("k");
+  BufferReader in(w.data());
+  Embedding e;
+  const Status s = e.Load(&in, EmbeddingStorage{});
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.ToString().find("corrupt embedding"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(e.size(), 0u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -240,6 +241,113 @@ INSTANTIATE_TEST_SUITE_P(Methods, UpdateServing,
                              default:
                                return "RandomWalk";
                            }
+                         });
+
+// Stored rows of a quantized store, for byte comparisons.
+bool SameRowBytes(const Embedding& a, size_t ia, const Embedding& b,
+                  size_t ib) {
+  const size_t dim = a.dim();
+  if (a.tier() == StorageTier::kBf16) {
+    return std::memcmp(a.Bf16RowPtr(ia), b.Bf16RowPtr(ib),
+                       dim * sizeof(uint16_t)) == 0;
+  }
+  return std::memcmp(a.Int8RowPtr(ia), b.Int8RowPtr(ib), dim) == 0 &&
+         a.RowScale(ia) == b.RowScale(ib);
+}
+
+bool SameStore(const Embedding& a, const Embedding& b) {
+  if (a.tier() != b.tier() || a.keys() != b.keys()) return false;
+  for (size_t id = 0; id < a.size(); ++id) {
+    if (!SameRowBytes(a, id, b, id)) return false;
+  }
+  return true;
+}
+
+// An Update never changes the tier a model serves: the warm refresh encodes
+// each refreshed row at the loaded tier, and the full refit re-encodes the
+// whole store at it. So the operator's same-tier reload guard keeps
+// accepting the snapshot the model was loaded from.
+class UpdateTier : public ::testing::TestWithParam<EmbeddingMethod> {};
+
+TEST_P(UpdateTier, QuantizedModelKeepsItsTier) {
+  const Fixture f = MakeFixture();
+  for (const StorageTier tier : {StorageTier::kInt8, StorageTier::kBf16}) {
+    SCOPED_TRACE(StorageTierName(tier));
+    const std::string tag = StorageTierName(tier);
+    LevaPipeline fitted(TestConfig(GetParam()));
+    ASSERT_TRUE(fitted.Fit(f.fit_db).ok());
+    const std::string snap = TempPath(tag + ".leva");
+    ASSERT_TRUE(fitted.SaveSnapshot(snap, tier).ok());
+
+    LevaPipeline live;
+    ASSERT_TRUE(live.LoadSnapshot(snap).ok());
+    ASSERT_EQ(live.embedding().tier(), tier);
+    const Embedding before = live.embedding().WithTier(tier);
+    const std::string wal_path = TempPath(tag + ".wal");
+    {
+      auto wal = UpdateLog::Open(wal_path);
+      ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+      auto r = live.Update(f.batch, wal.value().get());
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->full_refit,
+                GetParam() == EmbeddingMethod::kMatrixFactorization);
+      ASSERT_TRUE(wal.value()->Close().ok());
+    }
+    const Embedding& after = live.embedding();
+    ASSERT_EQ(after.tier(), tier);
+
+    if (GetParam() == EmbeddingMethod::kRandomWalk) {
+      // The warm refresh rewrites the new nodes and the existing nodes they
+      // link to; every other row keeps its stored bytes.
+      const LevaGraph& g = live.graph();
+      std::set<NodeId> touched;
+      for (NodeId n = static_cast<NodeId>(before.size()); n < g.NumNodes();
+           ++n) {
+        for (const auto nbrs : {g.Neighbors(n), g.DeltaNeighbors(n)}) {
+          for (const NodeId v : nbrs) {
+            if (v < before.size()) touched.insert(v);
+          }
+        }
+      }
+      ASSERT_LT(touched.size(), before.size());
+      for (size_t id = 0; id < before.size(); ++id) {
+        if (touched.count(static_cast<NodeId>(id)) != 0) continue;
+        EXPECT_TRUE(SameRowBytes(before, id, after, id)) << "row " << id;
+      }
+    }
+
+    // Replaying the log onto the loaded snapshot rebuilds the same bytes.
+    LevaPipeline recovered;
+    ASSERT_TRUE(recovered.LoadSnapshot(snap).ok());
+    auto replayed = recovered.RecoverFromLog(wal_path);
+    ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+    EXPECT_EQ(replayed.value(), 1u);
+    EXPECT_TRUE(SameStore(after, recovered.embedding()));
+
+    // Saving at the served tier and loading back serves the same features.
+    const std::string resaved = TempPath(tag + "_resaved.leva");
+    ASSERT_TRUE(live.SaveSnapshot(resaved, tier).ok());
+    LevaPipeline reloaded;
+    ASSERT_TRUE(reloaded.LoadSnapshot(resaved).ok());
+    ExpectBitIdentical(RowNodeOut(live, f), RowNodeOut(reloaded, f));
+    ExpectBitIdentical(ComposedOut(live, f), ComposedOut(reloaded, f));
+
+    // The same-tier guard accepts the snapshot the model was loaded from.
+    SnapshotLoadOptions strict;
+    strict.require_same_tier = true;
+    const Status reload = live.ReloadSnapshot(snap, nullptr, strict);
+    EXPECT_TRUE(reload.ok()) << reload.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Methods, UpdateTier,
+                         ::testing::Values(EmbeddingMethod::kMatrixFactorization,
+                                           EmbeddingMethod::kRandomWalk),
+                         [](const auto& info) {
+                           return info.param ==
+                                          EmbeddingMethod::kMatrixFactorization
+                                      ? "MF"
+                                      : "RandomWalk";
                          });
 
 TEST(UpdateTest, UpdateUnknownTableIsRejected) {

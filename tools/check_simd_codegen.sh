@@ -7,7 +7,7 @@
 # gather, Embedding::DequantizeRow and the dense LA of MF Fit (the block
 # Gram-Schmidt projection and update, its in-block MGS, the Householder
 # tridiagonalization, the QL rotation pass, the dense and CSR matmul
-# helpers) — and unless the SSE4.2 CRC32C kernel (Crc32cSse42,
+# helpers, and the Chebyshev step of the spectral propagation) — and unless the SSE4.2 CRC32C kernel (Crc32cSse42,
 # src/common/io.cc) contains the 64-bit crc32q instruction.
 # A kernel that silently falls back to scalar code inside the clone (or to
 # the wrong precision), or a CRC kernel that falls back to bytewise or table
@@ -51,7 +51,7 @@ BEGIN {
             "GatherChunkF64 GatherChunkBf16 GatherChunkI8 DequantizeRow " \
             "BlockProject BlockUpdate PanelMgs Tridiagonalize TridiagonalQl " \
             "MatMulRows MatTMulRows " \
-            "MultiplyRows ScatterRows", want, " ")
+            "MultiplyRows ScatterRows ChebyshevStepRows", want, " ")
   # The SGNS trainer trains on fp32 rows; everything else is fp64.
   split("TrainSentenceShard MergeShardUpdates ShardDeltas", f32, " ")
   for (i in f32) is_f32[f32[i]] = 1
